@@ -1,8 +1,8 @@
 """Microbenchmark — sharded region simulation scaling (PR trajectory bench).
 
 Runs one 1000-switch / 20000-flow random scenario under
-:func:`repro.shard.coordinator.run_sharded` (``local`` sync: per-region
-allocators with boundary-pin consensus) at ``regions = workers = K`` for
+:func:`repro.shard.coordinator.run_sharded` (per-region allocators
+with boundary-pin consensus) at ``regions = workers = K`` for
 K in 1, 2, 4, 8, plus the true single-process engine
 (:func:`repro.shard.scenario.run_single`) for reference.  Results go to
 ``BENCH_shard.json`` at the repo root.
@@ -101,7 +101,7 @@ def test_shard_scaling():
     for k in WORKER_COUNTS:
         start = time.perf_counter()
         record = run_sharded(scenario, n_regions=k, workers=k,
-                             sync="local", window_s=DURATION_S)
+                             window_s=DURATION_S)
         times[k] = time.perf_counter() - start
         summaries[k] = {"allocation_passes": record["allocation_passes"],
                         "cut_edges": record["cut_edges"],

@@ -220,6 +220,9 @@ class EngineService:
         if op == "stop":
             self.stopped = True
             return {"op": op, "ok": True}
+        if op == "__parse_error__":  # from the reader thread, not a client
+            return {"op": op, "ok": False,
+                    "error": f"not a JSON object: {command.get('line')!r}"}
         return {"op": op, "ok": False,
                 "error": f"unknown op {op!r}"}
 
@@ -231,7 +234,10 @@ class EngineService:
                 return
             try:
                 response = self._handle(command)
-            except (ValueError, KeyError, CheckpointError) as exc:
+            except (ValueError, KeyError, TypeError,
+                    CheckpointError) as exc:
+                # TypeError: a well-formed command with a misnamed or
+                # mistyped argument; the callee raised before acting.
                 response = {"op": command.get("op"), "ok": False,
                             "error": f"{type(exc).__name__}: {exc}"}
             response["kind"] = "service_ack"

@@ -406,15 +406,6 @@ class FluidNetwork:
         self.last_result: Optional[AllocationResult] = None
         self._process: Optional[PeriodicProcess] = None
         self._last_update: Optional[float] = None
-        #: Sharded-mode boundary conditions (see ``repro.shard``): when a
-        #: flow id appears in :attr:`rate_pins`, its smoothing target is
-        #: the pinned rate instead of this network's allocation; entries
-        #: in :attr:`loss_pins` are per-link loss factors applied to the
-        #: flow's survival in path order.  Both dicts are empty outside
-        #: sharded runs, and every float operation on the normal path is
-        #: unchanged when they are empty.
-        self.rate_pins: Dict[int, float] = {}
-        self.loss_pins: Dict[int, Tuple[float, ...]] = {}
         #: Observers called after every update with (now, result).
         self.on_update: list = []
         #: Number of epochs processed (allocation passes + reuses).
@@ -485,8 +476,6 @@ class FluidNetwork:
         smoothed_load: Dict[LinkKey, float] = {
             key: 0.0 for key in self.topo.links}
         live_keys = set(smoothed_load)
-        rate_pins = self.rate_pins
-        loss_pins = self.loss_pins
         rates = result.rates
         link_loss = result.link_loss
         for flow in self.flows:
@@ -505,10 +494,7 @@ class FluidNetwork:
                 fd["goodput_bps"] = 0.0
                 fd["loss_rate"] = 1.0
                 continue
-            fid = fd["flow_id"]
-            pinned_target = rate_pins.get(fid) if rate_pins else None
-            target = (pinned_target if pinned_target is not None
-                      else rates.get(fid, 0.0))
+            target = rates.get(fd["flow_id"], 0.0)
             if fd["elastic"]:
                 rate = fd["rate_bps"]
                 rate += (target - rate) * alpha
@@ -520,10 +506,6 @@ class FluidNetwork:
                 for key in links:
                     smoothed_load[key] += rate
                     survival *= 1.0 - link_loss.get(key, 0.0)
-            pinned_losses = loss_pins.get(fid) if loss_pins else None
-            if pinned_losses is not None:
-                for loss in pinned_losses:
-                    survival *= 1.0 - loss
             fd["loss_rate"] = 1.0 - survival
             goodput = rate * survival
             fd["goodput_bps"] = goodput

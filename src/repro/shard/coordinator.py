@@ -8,8 +8,7 @@ lockstep windows:
 
 1. every region simulates to the window end (resident worker processes,
    or inline hosts when ``workers == 1``),
-2. barrier: boundary packets and (local mode) granted-rate reports are
-   exchanged,
+2. barrier: boundary packets and granted-rate reports are exchanged,
 3. crossing flows are re-pinned to the cross-region consensus rate, and
    packet arrivals are scheduled into their destination regions.
 
@@ -18,14 +17,6 @@ delay whenever packets cross regions: a packet sent during a window
 cannot arrive before the window ends, so exchanging at the barrier never
 schedules into a region's past — the classic conservative-time
 guarantee (see DESIGN.md "Sharded simulation").
-
-Exact mode adds a coordinator-side **pin planner** (:func:`plan_pins`):
-a replica of the single engine's fluid epoch loop that runs only the
-allocator (no smoothing, no packet events) on the full topology and
-records, for every epoch where the engine would re-allocate, each flow's
-granted rate and per-link loss vector.  Regions replay those pins with
-byte-identical float arithmetic, which is what makes the sharded stable
-record equal to :func:`repro.shard.scenario.run_single`'s byte for byte.
 
 Region state stays **resident**: each region is built fresh inside its
 sticky worker (region ``r`` lives in worker ``r % workers`` for the
@@ -40,100 +31,37 @@ disciplines in :mod:`repro.shard.workers`).
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import multiprocessing
-import os
 import pickle
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..checkpoint import capture_globals, restore_globals
+from ..checkpoint.format import read_container, write_container
 from ..netsim.engine import Simulator
-from ..netsim.fluid import max_min_allocate
-from ..sweep.runner import atomic_write_json, stable_metrics
+from ..sweep.runner import stable_metrics
 from ..telemetry import MetricsRegistry
 from .partition import partition_topology
 from .region import BOUNDARY_HEADROOM, compute_paths, hosted_counts
-from .scenario import (ShardScenario, aggregate_samples, build_topology,
-                       build_world)
+from .scenario import ShardScenario, aggregate_samples, build_topology
 from .workers import (C_MESSAGES, C_STATE_BYTES, H_BARRIER,
                       ResidentRegionHost, ShardWorkerError, WorkerInit,
                       region_worker_main)
 
-__all__ = [
-    "plan_pins", "run_sharded", "ShardWorkerError",
-]
+__all__ = ["run_sharded", "ShardWorkerError"]
 
-#: Pin segments: (epoch_time, per-spec granted rates, per-spec loss
-#: tuples in path-link order).
-PinPlan = List[Tuple[float, List[float], List[Tuple[float, ...]]]]
-
-MANIFEST_NAME = "shard_manifest.json"
-PENDING_NAME = "shard_pending.pkl"
+#: The one file of a shard checkpoint, inside ``checkpoint_dir``.
+CHECKPOINT_NAME = "shard.ckpt"
 
 #: Test seam: called as ``_barrier_hook(window_index, handles)`` after
 #: every completed barrier (checkpoint included).  The crash-handling
 #: tests use it to SIGKILL a worker between windows; ``handles`` is
 #: empty when regions run inline.
 _barrier_hook: Optional[Callable[[int, List["_WorkerHandle"]], None]] = None
-
-
-def plan_pins(scenario: ShardScenario) -> Tuple[PinPlan, int, int]:
-    """Replay the single engine's fluid epoch loop, allocator only.
-
-    Returns ``(segments, updates, allocation_passes)``.  Every detail
-    the engine's dirty logic observes is replicated: the epoch grid is
-    the same float accumulation ``PeriodicProcess`` rescheduling
-    produces (``t = t + interval`` from 0.0); demand changes apply in
-    event-queue order (stable sort by time — build-time sequence
-    numbers preserve list order at equal times) *before* the epoch they
-    precede; a pass runs iff the first epoch, the flow-set version, or
-    the active-id set changed (the topology is static here).  A segment
-    is recorded only for pass epochs — between passes the engine reuses
-    the same ``AllocationResult``, so the pins stay valid verbatim.
-
-    Runs on a fresh :func:`build_world` world (it mutates demands).
-    """
-    _sim, topo, flows, flow_list = build_world(scenario)
-    pending = sorted(scenario.changes, key=lambda c: c.time_s)
-    segments: PinPlan = []
-    updates = 0
-    passes = 0
-    last_result = None
-    seen_topo = -1
-    seen_flows = -1
-    seen_active = None
-    applied = 0
-    t = 0.0
-    while t <= scenario.duration_s:
-        while applied < len(pending) and pending[applied].time_s <= t:
-            change = pending[applied]
-            flow_list[change.flow_index].demand_bps = change.demand_bps
-            applied += 1
-        updates += 1
-        active = flows.active(t)
-        active_ids = frozenset(f.flow_id for f in active)
-        if (last_result is None or topo.version != seen_topo
-                or flows.version != seen_flows
-                or active_ids != seen_active):
-            result = max_min_allocate(topo, active)
-            passes += 1
-            last_result = result
-            seen_topo = topo.version
-            seen_flows = flows.version
-            seen_active = active_ids
-            rates = [result.rates.get(f.flow_id, 0.0) for f in flow_list]
-            losses = []
-            for flow in flow_list:
-                links = flow.path_links()
-                losses.append(
-                    tuple(result.link_loss.get(key, 0.0) for key in links)
-                    if links is not None else ())
-            segments.append((t, rates, losses))
-        t = t + scenario.fluid_interval_s
-    return segments, updates, passes
 
 
 def _consensus_pins(reports: List[Dict[int, float]]
@@ -158,63 +86,38 @@ def _consensus_pins(reports: List[Dict[int, float]]
     return pins
 
 
-def _write_blob(path: Path, blob: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
-
-
-def _write_checkpoint(checkpoint_dir: Path, scenario: ShardScenario,
-                      n_regions: int, sync: str, workers: int,
-                      window_s: float, exchange_packets: bool,
+def _write_checkpoint(checkpoint_dir: Path, config: Dict[str, Any],
                       next_t: float, blobs: List[bytes],
                       pending: List[Dict[str, Any]]) -> None:
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    blob_names = []
-    for index, blob in enumerate(blobs):
-        name = f"region_{index}.blob"
-        _write_blob(checkpoint_dir / name, blob)
-        blob_names.append(name)
-    with open(checkpoint_dir / (PENDING_NAME + ".tmp"), "wb") as fh:
-        fh.write(pickle.dumps(pending, protocol=pickle.HIGHEST_PROTOCOL))
-    os.replace(checkpoint_dir / (PENDING_NAME + ".tmp"),
-               checkpoint_dir / PENDING_NAME)
-    # Manifest last: readers treat its presence as "blobs are complete".
-    atomic_write_json(checkpoint_dir / MANIFEST_NAME, {
-        "scenario": scenario.to_dict(),
-        "n_regions": n_regions,
-        "sync": sync,
-        "workers": workers,
-        "window_s": window_s,
-        "exchange_packets": exchange_packets,
-        "next_t": next_t,
-        "blobs": blob_names,
-    })
+    """One fingerprinted container per barrier, atomically replaced:
+    the run configuration and resume time in the header's ``meta``, the
+    region blobs plus pending injections in the state segment.  (The
+    globals segment stays empty — every region blob embeds its own.)"""
+    payload = pickle.dumps((blobs, pending),
+                           protocol=pickle.HIGHEST_PROTOCOL)
+    write_container(checkpoint_dir / CHECKPOINT_NAME, b"", payload,
+                    dict(config, next_t=next_t))
 
 
-def _load_checkpoint(checkpoint_dir: Path, scenario: ShardScenario,
-                     n_regions: int, sync: str, exchange_packets: bool
+def _load_checkpoint(checkpoint_dir: Path, config: Dict[str, Any]
                      ) -> Optional[Tuple[float, List[bytes],
                                          List[Dict[str, Any]]]]:
-    """The resumable state at ``checkpoint_dir``, iff its manifest
-    matches this exact run configuration; None otherwise."""
-    manifest_path = checkpoint_dir / MANIFEST_NAME
-    if not manifest_path.exists():
+    """The resumable state at ``checkpoint_dir`` (None when there is no
+    checkpoint yet).  The container is fingerprint-verified before any
+    unpickling; one written by a different run configuration is
+    refused."""
+    path = checkpoint_dir / CHECKPOINT_NAME
+    if not path.exists():
         return None
-    manifest = json.loads(manifest_path.read_text())
-    if (manifest.get("scenario") != scenario.to_dict()
-            or manifest.get("n_regions") != n_regions
-            or manifest.get("sync") != sync
-            or manifest.get("exchange_packets") != exchange_packets):
+    header, _globals, payload = read_container(path)
+    meta = dict(header.get("meta", {}))
+    next_t = meta.pop("next_t", None)
+    if meta != config:
         raise ValueError(
             f"checkpoint at {checkpoint_dir} was written by a different "
             f"shard configuration; refusing to resume from it")
-    blobs = [(checkpoint_dir / name).read_bytes()
-             for name in manifest["blobs"]]
-    with open(checkpoint_dir / PENDING_NAME, "rb") as fh:
-        pending = pickle.load(fh)
-    return manifest["next_t"], blobs, pending
+    blobs, pending = pickle.loads(payload)
+    return next_t, blobs, pending
 
 
 def _empty_pending(n_regions: int) -> List[Dict[str, Any]]:
@@ -347,7 +250,7 @@ class _ProcessTransport:
         self._tally = tally
         self._regions_of = [list(range(w, n_regions, workers))
                             for w in range(workers)]
-        # Move the coordinator's heap (topology, paths, plan) into the
+        # Move the coordinator's heap (topology, paths) into the
         # permanent GC generation before forking: forked workers inherit
         # it frozen, so their cyclic-GC passes never rescan it — which
         # would both burn CPU and dirty copy-on-write pages in every
@@ -459,25 +362,31 @@ class _ProcessTransport:
 # ----------------------------------------------------------------------
 
 def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
-                sync: str = "exact", window_s: Optional[float] = None,
+                sync: str = "local", window_s: Optional[float] = None,
                 checkpoint_dir: Optional[Any] = None, resume: bool = False,
                 exchange_packets: bool = False,
                 checkpoint_every: int = 1) -> Dict[str, Any]:
     """Run ``scenario`` sharded into ``n_regions`` resident regions.
 
-    Returns the stable result record — in ``exact`` sync mode,
-    byte-identical (via ``json.dumps(..., sort_keys=True)``) to
-    :func:`repro.shard.scenario.run_single` on the same scenario, for
-    any ``n_regions`` and any ``workers``.  (The ``transport`` section
-    is the exception: it reports wall/cpu accounting and is excluded
-    from identity comparisons.)
+    Returns the stable result record.  It never depends on ``workers``;
+    with ``n_regions=1`` its ``samples``/``flows``/``updates``/
+    ``allocation_passes`` are byte-identical (via ``json.dumps(...,
+    sort_keys=True)``) to :func:`repro.shard.scenario.run_single`, and
+    with more regions it approximates it (cut links are allocated by no
+    region).  (The ``transport`` section reports wall/cpu accounting
+    and is excluded from identity comparisons.)
+
+    ``sync`` is a retired option: ``"local"`` is the only semantics.
 
     ``checkpoint_every`` checkpoints at every Nth barrier (and always at
     the horizon) when ``checkpoint_dir`` is set; state is serialized
     only when a checkpoint is actually due.
     """
-    if sync not in ("exact", "local"):
-        raise ValueError(f"unknown sync mode {sync!r}")
+    if sync != "local":
+        raise ValueError(
+            f"sync={sync!r} was removed: 'local' is the only shard sync "
+            f"semantics; for the single engine's exact bytes call "
+            f"repro.shard.run_single(scenario)")
     if n_regions < 1:
         raise ValueError(f"n_regions must be >= 1, got {n_regions}")
     if workers < 1:
@@ -504,20 +413,23 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
             f"before it ends, violating the conservative-sync contract. "
             f"Shrink window_s to at most {min_delay}.")
 
-    pin_plan: Optional[PinPlan] = None
-    plan_updates = 0
-    plan_passes = 0
-    if sync == "exact":
-        pin_plan, plan_updates, plan_passes = plan_pins(scenario)
-
-    checkpoint_path = (Path(checkpoint_dir)
-                      if checkpoint_dir is not None else None)
+    checkpoint_path: Optional[Path] = None
+    config: Dict[str, Any] = {}
+    if checkpoint_dir is not None:
+        checkpoint_path = Path(checkpoint_dir)
+        # A digest, because a large scenario's dict would overflow the
+        # container's one-line header; only here, because computing it
+        # costs a large scenario's run time and memory.
+        canonical = json.dumps(scenario.to_dict(), sort_keys=True)
+        config = {"scenario_sha256": hashlib.sha256(
+                      canonical.encode("ascii")).hexdigest(),
+                  "n_regions": n_regions, "window_s": window_s,
+                  "exchange_packets": exchange_packets}
     resumed = None
     if resume:
         if checkpoint_path is None:
             raise ValueError("resume=True needs a checkpoint_dir")
-        resumed = _load_checkpoint(checkpoint_path, scenario, n_regions,
-                                   sync, exchange_packets)
+        resumed = _load_checkpoint(checkpoint_path, config)
 
     blobs: Optional[List[bytes]] = None
     if resumed is not None:
@@ -533,13 +445,11 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     offsets: List[int] = []
     if blobs is None:
         paths = compute_paths(full, scenario)
-        counts = hosted_counts(scenario, partition, sync, paths)
         total = 0
-        for count in counts:
+        for count in hosted_counts(partition, paths):
             offsets.append(total)
             total += count
-    init = WorkerInit(scenario=scenario, partition=partition, sync=sync,
-                      paths=paths, pin_plan=pin_plan,
+    init = WorkerInit(scenario=scenario, partition=partition, paths=paths,
                       exchange_packets=exchange_packets,
                       base_sequences=capture_globals()["sequences"],
                       flow_id_offsets=offsets)
@@ -575,10 +485,9 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
                     dest = partition.assignment[node_name]
                     pending[dest]["packets"].append(
                         (arrival, node_name, packet))
-            if sync == "local":
-                pins = _consensus_pins([report for _, report, _ in results])
-                for entry in pending:
-                    entry["pins"] = pins
+            pins = _consensus_pins([report for _, report, _ in results])
+            for entry in pending:
+                entry["pins"] = pins
             tally.barrier_seconds.append(
                 time.perf_counter()  # reprolint: disable=RPL002
                 - barrier_start)
@@ -588,9 +497,7 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
             if checkpoint_path is not None and (
                     window_index % checkpoint_every == 0
                     or t >= scenario.duration_s):
-                _write_checkpoint(checkpoint_path, scenario, n_regions,
-                                  sync, workers, window_s,
-                                  exchange_packets, t,
+                _write_checkpoint(checkpoint_path, config, t,
                                   transport.checkpoint_regions(), pending)
                 tally.checkpoints_written += 1
             if _barrier_hook is not None:
@@ -625,13 +532,12 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
 
     tally.flush()
     return {
-        "mode": f"sharded-{sync}",
+        "mode": "sharded",
         "seed": scenario.seed,
         "samples": aggregate_samples(record_lists),
         "flows": [finals[idx] for idx in range(len(scenario.flows))],
-        "updates": plan_updates if sync == "exact" else region_updates,
-        "allocation_passes": (plan_passes if sync == "exact"
-                              else region_passes),
+        "updates": region_updates,
+        "allocation_passes": region_passes,
         "n_regions": n_regions,
         "workers": workers,
         "window_s": window_s,

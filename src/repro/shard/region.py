@@ -3,41 +3,30 @@
 A region runs an ordinary :class:`~repro.netsim.engine.Simulator` plus a
 per-shard :class:`~repro.netsim.fluid.FluidNetwork` over its slice of
 the topology (:meth:`Topology.subtopology`), advanced in conservative
-time windows by :mod:`repro.shard.coordinator`.  Two sync modes:
+time windows by :mod:`repro.shard.coordinator`.
 
-``exact``
-    Flows homed in the region (source host assigned here) are created
-    **pathless**; their rates and per-link losses come from coordinator
-    pin segments (:attr:`FluidNetwork.rate_pins` / ``loss_pins``)
-    scheduled as build-time events.  The per-flow smoothing and
-    accounting then execute the same float operations, in the same
-    order, with the same inputs as the single-process engine — the basis
-    of the byte-identity contract (DESIGN.md "Sharded simulation").
-
-``local``
-    Every flow is replicated into each region its global path crosses,
-    with a :class:`LinkSegment` path holding only the region-local link
-    keys.  Each region runs its own allocator over its local links; the
-    coordinator reconciles crossing flows between windows by pinning
-    them (``Flow.pinned_rate_bps``) to the minimum rate any hosting
-    region granted, plus headroom so rates can re-grow.  Scalable but
-    approximate (boundary-link capacity is not itself allocated).
+Every flow is replicated into each region its global path crosses, with
+a :class:`LinkSegment` path holding only the region-local link keys.
+Each region runs its own allocator over its local links; the
+coordinator reconciles crossing flows between windows by pinning them
+(``Flow.pinned_rate_bps``) to the minimum rate any hosting region
+granted, plus headroom so rates can re-grow.  Cut links are allocated
+by no region, which is what makes a multi-region run an approximation
+of the single engine (DESIGN.md "Sharded simulation"); with one region
+nothing is cut and the run is byte-identical to
+:func:`repro.shard.scenario.run_single`.
 
 Regions are *resident*: each lives unpacked inside a long-lived worker
 process (or inline in the coordinator when ``workers == 1``) for the
 whole run, exchanging only small per-window messages — see
 :mod:`repro.shard.workers`.  :func:`pack_state` blobs appear only at
-checkpoints and on resume.  The legacy blob-per-window task
-:func:`run_region_window` is retained as the reference implementation
-for the byte-identity parity tests.
+checkpoints and on resume.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import telemetry
-from ..checkpoint import pack_state, unpack_state
 from ..netsim.engine import Simulator
 from ..netsim.flows import Flow, FlowSet, make_flow
 from ..netsim.fluid import FluidNetwork
@@ -46,12 +35,12 @@ from ..netsim.node import Node
 from ..netsim.packet import Packet
 from ..netsim.topology import Topology
 from .partition import Partition
-from .scenario import GoodputSampler, ShardScenario
+from .scenario import GoodputSampler, ShardScenario, _set_demand
 
 LinkKey = Tuple[str, str]
 
-#: Multiplicative headroom on local-mode boundary pins: pinning a
-#: crossing flow to exactly its minimum granted rate would trap it there
+#: Multiplicative headroom on boundary pins: pinning a crossing flow to
+#: exactly its minimum granted rate would trap it there
 #: (each region would re-grant at most the pin), so the coordinator pins
 #: to ``min_granted * (1 + BOUNDARY_HEADROOM)`` and lets demand cap the
 #: rest.  0.25 converges within a few windows without oscillating.
@@ -117,28 +106,10 @@ class PortalNode(Node):
         self.outbox.append((self.sim.now + delay, self.name, packet))
 
 
-def _set_demand(flow: Flow, demand_bps: float) -> None:
-    """Scheduled-event target for local-mode demand changes (module
-    level so region event queues stay checkpoint-picklable)."""
-    flow.demand_bps = demand_bps
-
-
-def _apply_pins(fluid: FluidNetwork, rates: Dict[int, float],
-                losses: Dict[int, Tuple[float, ...]]) -> None:
-    """Scheduled-event target installing one exact-mode pin segment.
-
-    Scheduled at build time (before ``fluid.start()``), so at a shared
-    timestamp the pins land before that epoch's fluid update — mirroring
-    how build-time demand events precede updates in the single engine.
-    """
-    fluid.rate_pins.update(rates)
-    fluid.loss_pins.update(losses)
-
-
 class RegionWorld:
     """One region's simulator, sub-topology, fluid model, and flows."""
 
-    def __init__(self, region_index: int, sync: str, sim: Simulator,
+    def __init__(self, region_index: int, sim: Simulator,
                  topo: Topology, flows: FlowSet,
                  flow_by_spec: Dict[int, Flow], home_specs: List[int],
                  crossing_specs: List[int], fluid: FluidNetwork,
@@ -146,18 +117,17 @@ class RegionWorld:
                  outbox: List[Tuple[float, str, Packet]],
                  portals: Dict[str, PortalNode]):
         self.region_index = region_index
-        self.sync = sync
         self.sim = sim
         self.topo = topo
         self.flows = flows
         #: Spec index -> this region's replica of that flow.
         self.flow_by_spec = flow_by_spec
         #: Spec indices homed here (source host in this region); only
-        #: the home region samples/report a flow's goodput, so nothing
-        #: is double-counted in local mode.
+        #: the home region samples/reports a flow's goodput, so nothing
+        #: is double-counted.
         self.home_specs = home_specs
         #: Spec indices of hosted flows whose global path crosses other
-        #: regions (subject to boundary-pin consensus in local mode).
+        #: regions (subject to boundary-pin consensus).
         self.crossing_specs = crossing_specs
         self.fluid = fluid
         self.sampler = sampler
@@ -189,7 +159,7 @@ class RegionWorld:
     # ------------------------------------------------------------------
     def boundary_report(self) -> Dict[int, float]:
         """Rates this region's allocator granted to its crossing flows
-        in the last pass, keyed by spec index (local mode)."""
+        in the last pass, keyed by spec index."""
         result = self.fluid.last_result
         rates = result.rates if result is not None else {}
         return {idx: rates.get(self.flow_by_spec[idx].flow_id, 0.0)
@@ -264,7 +234,7 @@ def _spec_placement(links: Tuple[LinkKey, ...],
     return regions_crossed, crossing
 
 
-def hosted_counts(scenario: ShardScenario, partition: Partition, sync: str,
+def hosted_counts(partition: Partition,
                   paths: List[Tuple[LinkKey, ...]]) -> List[int]:
     """How many flows :func:`build_region` creates per region.
 
@@ -278,32 +248,23 @@ def hosted_counts(scenario: ShardScenario, partition: Partition, sync: str,
     """
     assignment = partition.assignment
     counts = [0] * partition.n_regions
-    for idx, spec in enumerate(scenario.flows):
-        regions_crossed, _crossing = _spec_placement(paths[idx], assignment)
-        if sync == "exact":
-            counts[assignment[spec.src]] += 1
-        else:
-            for region in regions_crossed:
-                counts[region] += 1
+    for links in paths:
+        regions_crossed, _crossing = _spec_placement(links, assignment)
+        for region in regions_crossed:
+            counts[region] += 1
     return counts
 
 
 def build_region(full: Topology, scenario: ShardScenario,
-                 partition: Partition, region_index: int, sync: str,
+                 partition: Partition, region_index: int,
                  paths: List[Tuple[LinkKey, ...]],
-                 pin_plan: Optional[List[Tuple[float, List[float],
-                                               List[Tuple[float, ...]]]]]
-                 = None,
                  exchange_packets: bool = False) -> RegionWorld:
     """Build one region's world from the shared full topology.
 
-    ``paths`` is :func:`compute_paths` output; ``pin_plan`` is the
-    coordinator's :func:`repro.shard.coordinator.plan_pins` segments
-    (exact mode only).  The caller is responsible for telemetry
-    isolation (reset before, capture/restore around).
+    ``paths`` is :func:`compute_paths` output.  The caller is
+    responsible for telemetry isolation (reset before, capture/restore
+    around).
     """
-    if sync not in ("exact", "local"):
-        raise ValueError(f"unknown sync mode {sync!r}")
     assignment = partition.assignment
     members = partition.regions[region_index]
     sim = Simulator(seed=scenario.seed)
@@ -318,21 +279,16 @@ def build_region(full: Topology, scenario: ShardScenario,
         links = paths[idx]
         home = assignment[spec.src]
         regions_crossed, crossing = _spec_placement(links, assignment)
-        if sync == "exact":
-            hosted = home == region_index
-        else:
-            hosted = region_index in regions_crossed
-        if not hosted:
+        if region_index not in regions_crossed:
             continue
         flow = make_flow(spec.src, spec.dst, spec.demand_bps,
                          sport=spec.sport, weight=spec.weight,
                          elastic=spec.elastic, malicious=spec.malicious,
                          start_time=spec.start_time, end_time=spec.end_time)
-        if sync == "local":
-            local_keys = tuple(key for key in links
-                               if assignment[key[0]] == region_index
-                               and assignment[key[1]] == region_index)
-            flow.path = LinkSegment(spec.src, spec.dst, local_keys)
+        local_keys = tuple(key for key in links
+                           if assignment[key[0]] == region_index
+                           and assignment[key[1]] == region_index)
+        flow.path = LinkSegment(spec.src, spec.dst, local_keys)
         flows.add(flow)
         flow_by_spec[idx] = flow
         if home == region_index:
@@ -340,27 +296,15 @@ def build_region(full: Topology, scenario: ShardScenario,
         if crossing:
             crossing_specs.append(idx)
 
-    if sync == "local":
-        # Exact mode needs no demand events: the pin segments already
-        # bake the post-change allocations in.
-        for change in scenario.changes:
-            flow = flow_by_spec.get(change.flow_index)
-            if flow is not None and change.time_s <= scenario.duration_s:
-                sim.schedule_at(change.time_s, _set_demand, flow,
-                                change.demand_bps)
+    for change in scenario.changes:
+        flow = flow_by_spec.get(change.flow_index)
+        if flow is not None and change.time_s <= scenario.duration_s:
+            sim.schedule_at(change.time_s, _set_demand, flow,
+                            change.demand_bps)
 
     fluid = FluidNetwork(topo, flows,
                          update_interval=scenario.fluid_interval_s,
                          tcp_tau=scenario.tcp_tau)
-    if sync == "exact" and pin_plan:
-        spec_ids = sorted(flow_by_spec)
-        for seg_time, rates, losses in pin_plan:
-            seg_rates = {flow_by_spec[i].flow_id: rates[i]
-                         for i in spec_ids}
-            seg_losses = {flow_by_spec[i].flow_id: losses[i]
-                          for i in spec_ids}
-            sim.schedule_at(seg_time, _apply_pins, fluid, seg_rates,
-                            seg_losses)
 
     outbox: List[Tuple[float, str, Packet]] = []
     portals: Dict[str, PortalNode] = {}
@@ -392,36 +336,8 @@ def build_region(full: Topology, scenario: ShardScenario,
          if flow_by_spec[i].malicious])
     sampler.start(scenario.sample_period_s)
 
-    return RegionWorld(region_index=region_index, sync=sync, sim=sim,
-                       topo=topo, flows=flows, flow_by_spec=flow_by_spec,
+    return RegionWorld(region_index=region_index, sim=sim, topo=topo,
+                       flows=flows, flow_by_spec=flow_by_spec,
                        home_specs=home_specs,
                        crossing_specs=crossing_specs, fluid=fluid,
                        sampler=sampler, outbox=outbox, portals=portals)
-
-
-# ----------------------------------------------------------------------
-# Legacy blob-per-window task (reference implementation)
-# ----------------------------------------------------------------------
-
-def run_region_window(payload: Tuple[bytes, float,
-                                     Optional[Dict[str, Any]]]
-                      ) -> Tuple[bytes, List[Tuple[float, str, Packet]],
-                                 Dict[int, float]]:
-    """Advance one region blob to ``t_end`` — the pre-resident transport.
-
-    Stateless with respect to the executing process: telemetry is reset,
-    the blob's globals bundle is restored, the window runs, and the
-    region is re-packed.  The live coordinator no longer uses this
-    (resident workers in :mod:`repro.shard.workers` keep regions
-    unpacked between windows); it is kept as the reference
-    implementation the parity tests drive to prove the resident
-    transport is byte-identical to the blob-per-window one.
-    """
-    blob, t_end, inject = payload
-    telemetry.reset()
-    region = unpack_state(blob)
-    region.inject(inject)
-    region.run_window(t_end)
-    outbox = region.drain_outbox()
-    report = region.boundary_report()
-    return pack_state(region), outbox, report

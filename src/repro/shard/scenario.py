@@ -7,13 +7,13 @@ cadence — that both execution paths consume:
 * :func:`run_single` builds everything on ONE simulator and runs it to
   the horizon: the single-process reference the determinism contract is
   stated against.
-* :class:`repro.shard.coordinator.ShardCoordinator` partitions the same
-  scenario across regions and must reproduce :func:`run_single`'s
-  stable record byte-for-byte in ``exact`` sync mode.
+* :func:`repro.shard.coordinator.run_sharded` partitions the same
+  scenario across regions; with one region it must reproduce
+  :func:`run_single`'s stable record byte-for-byte.
 
 Scenarios are JSON-serializable (:meth:`ShardScenario.to_dict` /
-:meth:`ShardScenario.from_dict`) so the coordinator can embed them in
-checkpoint manifests and resume a sharded run in a fresh process.
+:meth:`ShardScenario.from_dict`); a shard checkpoint carries that form's
+digest, so a resume in a fresh process can refuse a different scenario.
 
 Why ``math.fsum`` for the goodput series: the single engine sums all
 flows in one process, while the sharded run sums per-region lists in
@@ -247,16 +247,16 @@ def build_topology(scenario: ShardScenario, sim: Simulator) -> Topology:
 
 
 def _set_demand(flow: Flow, demand_bps: float) -> None:
-    """Scheduled-event target for a :class:`DemandChange` (module-level
-    so region event queues stay checkpoint-picklable)."""
+    """Scheduled-event target for a :class:`DemandChange`, here and in
+    :func:`repro.shard.region.build_region` (module-level so region
+    event queues stay checkpoint-picklable)."""
     flow.demand_bps = demand_bps
 
 
 def build_world(scenario: ShardScenario
                 ) -> Tuple[Simulator, Topology, FlowSet, List[Flow]]:
     """Construct the single-engine world: topology, routed flows (spec
-    order), and the scheduled demand changes.  Shared by
-    :func:`run_single` and the coordinator's pin planner."""
+    order), and the scheduled demand changes."""
     sim = Simulator(seed=scenario.seed)
     topo = build_topology(scenario, sim)
     flows = FlowSet()
@@ -330,7 +330,7 @@ def aggregate_samples(record_lists: List[List[Tuple[float, List[float],
     Every sampler must tick the same grid (same period, same horizon).
     ``fsum`` over the concatenated per-flow lists is order-independent,
     so the fold over R regional samplers equals the fold over one global
-    sampler — the keystone of the exact-mode parity contract.
+    sampler — no partitioning or worker count can move a sum by an ulp.
     """
     if not record_lists:
         return []

@@ -1,10 +1,6 @@
 """Resident region workers: live region state, message-sized windows.
 
-The original sharded transport shipped every region as a
-:func:`~repro.checkpoint.core.pack_state` blob to a stateless pool task
-each window and shipped the re-packed blob back — two full state
-serializations per region per window, dominating the coordinator's
-critical path.  This module replaces it with *resident* workers:
+Region state never moves on the window path:
 
 * Each worker is one long-lived ``multiprocessing.Process`` connected by
   a duplex pipe, with a **sticky assignment** of regions (region ``r``
@@ -32,8 +28,7 @@ Determinism is carried by two disciplines:
   ids (allocator tie-breakers).  Each build first installs the
   coordinator's base sequences plus the :func:`hosted_counts` prefix sum
   of earlier regions, reproducing the id assignment a sequential inline
-  build yields — so ``workers=K`` is byte-identical to ``workers=1`` and
-  to the legacy blob transport.
+  build yields — so ``workers=K`` is byte-identical to ``workers=1``.
 
 The coordinator (:mod:`repro.shard.coordinator`) drives workers in
 waves — at most one outstanding command per pipe — and reuses the same
@@ -52,15 +47,13 @@ from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..checkpoint import capture_globals, pack_state, restore_globals
-from ..checkpoint.core import unpack_state
+from ..checkpoint import (capture_globals, pack_state, restore_globals,
+                          unpack_state)
 from ..netsim.engine import Simulator
 from ..netsim.packet import Packet
 from .partition import Partition
-from .region import RegionWorld, build_region
+from .region import LinkKey, RegionWorld, build_region
 from .scenario import ShardScenario, build_topology
-
-LinkKey = Tuple[str, str]
 
 #: The sequence a region build consumes (one id per created flow).
 _FLOW_SEQUENCE = "repro.netsim.flows:_flow_ids"
@@ -114,10 +107,7 @@ class WorkerInit:
 
     scenario: ShardScenario
     partition: Partition
-    sync: str
     paths: List[Tuple[LinkKey, ...]]
-    pin_plan: Optional[List[Tuple[float, List[float],
-                                  List[Tuple[float, ...]]]]]
     exchange_packets: bool
     #: ``capture_globals()["sequences"]`` at the coordinator's pre-build
     #: point: the common base every region's id sequences start from.
@@ -172,8 +162,7 @@ class ResidentRegionHost:
                   if init.flow_id_offsets else 0)
         install_sequences(init.base_sequences, offset)
         region = build_region(full, init.scenario, init.partition,
-                              region_index, init.sync, init.paths,
-                              pin_plan=init.pin_plan,
+                              region_index, init.paths,
                               exchange_packets=init.exchange_packets)
         return cls(region_index, region, capture_globals())
 
@@ -208,8 +197,8 @@ class ResidentRegionHost:
 
     # -- on demand ------------------------------------------------------
     def checkpoint(self) -> bytes:
-        """Serialize the region with its own bundle — identical bytes to
-        what the legacy per-window transport produced at this point."""
+        """Serialize the region with its own bundle (not the process's
+        live globals, which may belong to another hosted region)."""
         return pack_state(self.region, globals_bundle=self.bundle)
 
     def collect(self) -> Dict[str, Any]:

@@ -122,7 +122,7 @@ class SweepResult:
 
     def write_summary(self, path) -> Path:
         path = Path(path)
-        _atomic_write_json(path, self.summary())
+        atomic_write_json(path, self.summary())
         return path
 
 
@@ -180,7 +180,7 @@ def run_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
     if out_dir is not None:
         checkpoint = Path(out_dir) / TASK_DIR / f"{task.task_id}.json"
-        _atomic_write_json(checkpoint, record)
+        atomic_write_json(checkpoint, record)
         part = Path(out_dir) / TASK_DIR / f"{task.task_id}{PART_SUFFIX}"
         if part.exists():
             part.unlink()  # finished: the partial state is superseded
@@ -244,18 +244,13 @@ def _task_payload(task: SweepTask, out_dir: Optional[Path],
 
 def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
     """Write ``payload`` as pretty JSON via a same-directory temp file +
-    ``os.replace`` so readers never observe a partial file.  Public: the
-    sharded coordinator reuses it for its summary artifacts."""
+    ``os.replace`` so readers never observe a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     os.replace(tmp, path)
-
-
-#: Backwards-compatible private alias (pre-shard call sites).
-_atomic_write_json = atomic_write_json
 
 
 def _load_checkpoint(path: Path, task: SweepTask) -> Optional[Dict]:

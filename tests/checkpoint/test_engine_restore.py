@@ -16,7 +16,8 @@ import pytest
 
 from repro import telemetry
 from repro.checkpoint import CheckpointError, save_checkpoint
-from repro.checkpoint.service import SCENARIOS, EngineService
+from repro.checkpoint.service import (SCENARIOS, EngineService,
+                                      _command_reader)
 from repro.experiments.figure3 import (Figure3Config, advance_world,
                                        attach_attack, build_world,
                                        detach_attack, fail_link,
@@ -212,6 +213,25 @@ class TestServeDriver:
                 if '"service_ack"' in line]
         assert acks[0]["ok"] is False
         assert "unknown op" in acks[0]["error"]
+
+    def test_mistyped_arguments_and_non_objects_are_acked_not_fatal(self):
+        """Well-formed JSON with a misnamed or null argument used to
+        escape as an uncaught TypeError and kill the service."""
+        stream = io.StringIO()
+        service = self.make_service(stream=stream)
+        service.submit({"op": "attach-attack", "bogus": 1})
+        service.submit({"op": "set-link-capacity", "src": "s3",
+                        "dst": "s4", "capacity_bps": None})
+        _command_reader(io.StringIO("not json\n[1, 2]\n"), service)
+        service.submit({"op": "status"})
+        assert drain_service(service) is not None
+        acks = [json.loads(line) for line in
+                stream.getvalue().splitlines()
+                if '"service_ack"' in line]
+        assert [a["ok"] for a in acks] == [False, False, False, False, True]
+        assert all("TypeError" in a["error"] for a in acks[:2])
+        assert all("not a JSON object" in a["error"] for a in acks[2:4])
+        assert service.world.attacker is None
 
     def test_stop_checkpoints_and_halts(self, tmp_path):
         service = self.make_service(checkpoint_dir=tmp_path)

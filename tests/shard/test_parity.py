@@ -1,33 +1,26 @@
-"""Byte-identity property tests: sharded exact mode vs. the single engine.
+"""Byte-identity property tests for the sharded run.
 
-The contract (DESIGN.md "Sharded simulation"): in ``exact`` sync mode
-the sharded stable record — samples, per-flow finals, update and pass
-counts — is byte-identical (compared via ``json.dumps(...,
-sort_keys=True)``) to :func:`repro.shard.scenario.run_single` on the
-same scenario, for any region count and any worker count.
+The contract (DESIGN.md "Sharded simulation"), all compared via
+``json.dumps(..., sort_keys=True)``:
 
-The resident-worker transport adds a second identity obligation: its
-full record (minus the wall-clock ``transport`` section) must equal
-what the original blob-per-window transport produced.  ``legacy_run``
-below replicates that transport verbatim on top of the retained
-:func:`repro.shard.region.run_region_window` task.
+* ``run_sharded(s, n_regions=1)`` — the anchor — equals
+  :func:`repro.shard.scenario.run_single` on samples, per-flow finals,
+  update and pass counts: region construction, windowing and the
+  resident transport add nothing when nothing is cut.
+* For any region count the full record (minus the wall-clock
+  ``transport`` section and the literal ``workers`` field) is the same
+  for every worker count.
+* ``aggregate_samples`` is split-invariant, so no partitioning can move
+  a goodput sum.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
-from repro import telemetry
-from repro.checkpoint import (capture_globals, pack_state, restore_globals,
-                              unpack_state)
-from repro.netsim.engine import Simulator
 from repro.shard import figure3_scenario, run_sharded, run_single
-from repro.shard.coordinator import _consensus_pins, _empty_pending, plan_pins
-from repro.shard.partition import partition_topology
-from repro.shard.region import build_region, compute_paths, run_region_window
-from repro.shard.scenario import aggregate_samples, build_topology
-from repro.sweep.runner import stable_metrics
-from repro.telemetry import MetricsRegistry
+from repro.shard.scenario import aggregate_samples
 
 #: Keys both run_single and run_sharded emit with identical meaning.
 STABLE_KEYS = ("samples", "flows", "updates", "allocation_passes")
@@ -39,7 +32,7 @@ def canonical(record, keys=STABLE_KEYS):
 
 def full_canonical(record):
     """The whole record minus the fields that legitimately vary between
-    transports and runs: wall/cpu accounting and the workers count."""
+    runs: wall/cpu accounting and the workers count."""
     record = dict(record)
     record.pop("transport", None)
     record.pop("workers", None)
@@ -52,150 +45,69 @@ def scenario_for(seed):
     return figure3_scenario(seed=seed, duration_s=2.0, attack_start_s=1.0)
 
 
-def legacy_run(scenario, n_regions, sync="exact", window_s=None):
-    """The pre-resident blob-per-window coordinator, replicated verbatim.
-
-    Every region is packed after each window and unpacked before the
-    next — the transport :mod:`repro.shard.workers` replaced.  Kept as
-    the reference the resident transport must match byte for byte.
-    """
-    full = build_topology(scenario, Simulator(seed=scenario.seed))
-    partition = partition_topology(full, n_regions, seed=scenario.seed)
-    if window_s is None:
-        window_s = scenario.sample_period_s
-    pin_plan = None
-    plan_updates = plan_passes = 0
-    if sync == "exact":
-        pin_plan, plan_updates, plan_passes = plan_pins(scenario)
-    t = 0.0
-    pending = _empty_pending(n_regions)
-    paths = compute_paths(full, scenario)
-    blobs = []
-    base = capture_globals()
-    try:
-        for index in range(n_regions):
-            telemetry.reset()
-            region = build_region(full, scenario, partition, index, sync,
-                                  paths, pin_plan=pin_plan)
-            blobs.append(pack_state(region))
-    finally:
-        restore_globals(base)
-    while t < scenario.duration_s:
-        t_end = min(t + window_s, scenario.duration_s)
-        payloads = [(blobs[i], t_end, pending[i]) for i in range(n_regions)]
-        base = capture_globals()
-        try:
-            results = [run_region_window(payload) for payload in payloads]
-        finally:
-            restore_globals(base)
-        blobs = [result[0] for result in results]
-        reports = [result[2] for result in results]
-        pending = _empty_pending(n_regions)
-        for _blob, outbox, _report in results:
-            for arrival, node_name, packet in outbox:
-                dest = partition.assignment[node_name]
-                pending[dest]["packets"].append((arrival, node_name, packet))
-        if sync == "local":
-            pins = _consensus_pins(reports)
-            for entry in pending:
-                entry["pins"] = pins
-        t = t_end
-    record_lists, finals, snapshots = [], {}, []
-    region_updates = region_passes = 0
-    base = capture_globals()
-    try:
-        for blob in blobs:
-            telemetry.reset()
-            region = unpack_state(blob)
-            snapshots.append(telemetry.metrics().snapshot())
-            record_lists.append(region.sampler.records)
-            for idx, final in region.home_finals():
-                finals[idx] = final
-            region_updates = max(region_updates, region.fluid.updates)
-            region_passes += region.fluid.allocation_passes
-    finally:
-        restore_globals(base)
-    merged = MetricsRegistry().merge(*snapshots).snapshot()
-    return {
-        "mode": f"sharded-{sync}", "seed": scenario.seed,
-        "samples": aggregate_samples(record_lists),
-        "flows": [finals[idx] for idx in range(len(scenario.flows))],
-        "updates": plan_updates if sync == "exact" else region_updates,
-        "allocation_passes": (plan_passes if sync == "exact"
-                              else region_passes),
-        "n_regions": n_regions, "window_s": window_s,
-        "cut_edges": partition.cut_edges,
-        "merged_stable_metrics": stable_metrics(merged),
-    }
-
-
 class TestExactByteIdentity:
-    def test_25_seeds_2_and_4_regions(self):
+    def test_25_seeds_one_region_matches_single(self):
         for seed in range(25):
             scenario = scenario_for(seed)
-            single = canonical(run_single(scenario))
-            for n_regions in (2, 4):
-                sharded = run_sharded(scenario, n_regions=n_regions)
-                assert canonical(sharded) == single, (
-                    f"seed {seed}, {n_regions} regions diverged from the "
-                    f"single engine")
-
-    def test_25_seeds_resident_matches_single_and_legacy_transport(self):
-        """The resident transport's full record equals the blob-per-window
-        transport's for workers in {1, 2, 4} — and both equal run_single
-        on the stable keys.  Worker processes exercise distinct code only
-        for workers > 1, so the multi-process points use a subset of the
-        seeds to keep the suite fast; workers=1 covers all 25."""
-        for seed in range(25):
-            scenario = scenario_for(seed)
-            single = canonical(run_single(scenario))
-            legacy = legacy_run(scenario, n_regions=4)
-            assert canonical(legacy) == single
-            legacy_full = full_canonical(legacy)
-            worker_counts = (1, 2, 4) if seed < 5 else (1,)
-            for workers in worker_counts:
-                resident = run_sharded(scenario, n_regions=4,
-                                       workers=workers)
-                assert canonical(resident) == single, (
-                    f"seed {seed}, workers={workers} diverged from the "
-                    f"single engine")
-                assert full_canonical(resident) == legacy_full, (
-                    f"seed {seed}, workers={workers} diverged from the "
-                    f"legacy blob transport")
-
-    def test_local_sync_resident_matches_legacy_transport(self):
-        for seed in (0, 7):
-            scenario = scenario_for(seed)
-            legacy_full = full_canonical(
-                legacy_run(scenario, n_regions=2, sync="local"))
-            for workers in (1, 2):
-                resident = run_sharded(scenario, n_regions=2,
-                                       workers=workers, sync="local")
-                assert full_canonical(resident) == legacy_full, (
-                    f"seed {seed}, workers={workers} local-mode diverged "
-                    f"from the legacy blob transport")
+            assert canonical(run_sharded(scenario, n_regions=1)) \
+                == canonical(run_single(scenario)), (
+                    f"seed {seed}: one region diverged from the single "
+                    f"engine")
 
     def test_worker_count_never_changes_results(self):
-        scenario = scenario_for(7)
-        pooled = run_sharded(scenario, n_regions=2, workers=2)
-        inline = run_sharded(scenario, n_regions=2, workers=1)
-        # Full-record identity, merged telemetry included; only the
-        # literal workers field and the wall/cpu transport accounting
-        # may differ.
-        assert full_canonical(pooled) == full_canonical(inline)
+        """Full-record identity, merged telemetry included, across
+        inline hosts (workers=1), shared workers (2 workers hosting 4
+        regions) and one process per region."""
+        for seed in range(5):
+            scenario = scenario_for(seed)
+            for n_regions in (2, 4):
+                inline = full_canonical(
+                    run_sharded(scenario, n_regions=n_regions))
+                for workers in (2, 4):
+                    pooled = run_sharded(scenario, n_regions=n_regions,
+                                         workers=workers)
+                    assert full_canonical(pooled) == inline, (
+                        f"seed {seed}, {n_regions} regions: "
+                        f"workers={workers} diverged from inline")
 
     def test_longer_horizon_stays_identical(self):
         scenario = figure3_scenario(seed=3, duration_s=4.0,
                                     attack_start_s=2.5)
         single = canonical(run_single(scenario))
-        assert canonical(run_sharded(scenario, n_regions=4)) == single
+        assert canonical(run_sharded(scenario, n_regions=1)) == single
 
     def test_explicit_window_length_is_neutral(self):
+        # With nothing cut there are no pins to exchange, so where the
+        # barriers fall cannot matter.
         scenario = scenario_for(11)
-        default = canonical(run_sharded(scenario, n_regions=2))
-        small = canonical(run_sharded(scenario, n_regions=2,
+        default = canonical(run_sharded(scenario, n_regions=1))
+        small = canonical(run_sharded(scenario, n_regions=1,
                                       window_s=0.17))
         assert small == default
+
+
+class TestAggregateSamples:
+    def test_fold_over_record_lists_equals_fold_over_concatenation(self):
+        """Split one sampler's per-flow goodputs (magnitudes spread over
+        nine decades) across R samplers in shuffled order: the fold
+        stays bit-equal."""
+        rng = random.Random(15)
+        ticks = [(0.5 * i,
+                  [rng.uniform(0, 1e9) * 10 ** rng.randrange(-6, 3)
+                   for _ in range(40)],
+                  [rng.uniform(0, 2e9) for _ in range(12)])
+                 for i in range(20)]
+        whole = aggregate_samples([ticks])
+        for n_lists in (2, 3, 7):
+            split = [[] for _ in range(n_lists)]
+            for t, normal, attack in ticks:
+                normal, attack = list(normal), list(attack)
+                rng.shuffle(normal)
+                rng.shuffle(attack)
+                for r in range(n_lists):
+                    split[r].append((t, normal[r::n_lists],
+                                     attack[r::n_lists]))
+            assert json.dumps(aggregate_samples(split)) == json.dumps(whole)
 
 
 class TestSingleEngineWindowing:

@@ -1,4 +1,4 @@
-"""Region-world mechanics: portals, link segments, local-mode sync."""
+"""Region-world mechanics: portals, link segments, boundary-pin sync."""
 
 from __future__ import annotations
 
@@ -10,21 +10,18 @@ from repro.netsim import Simulator
 from repro.netsim.packet import Packet
 from repro.shard import (LinkSegment, figure3_scenario, partition_topology,
                          run_sharded, run_single)
-from repro.shard.coordinator import plan_pins
 from repro.shard.region import build_region, compute_paths
 from repro.shard.scenario import build_topology
 
 
-def build_figure3_region(region_index=0, sync="exact",
-                         exchange_packets=False, n_regions=2, seed=0):
+def build_figure3_region(region_index=0, exchange_packets=False,
+                         n_regions=2, seed=0):
     scenario = figure3_scenario(seed=seed, duration_s=2.0,
                                 attack_start_s=1.0)
     full = build_topology(scenario, Simulator(seed=seed))
     partition = partition_topology(full, n_regions, seed=seed)
     paths = compute_paths(full, scenario)
-    pin_plan = plan_pins(scenario)[0] if sync == "exact" else None
-    region = build_region(full, scenario, partition, region_index, sync,
-                          paths, pin_plan=pin_plan,
+    region = build_region(full, scenario, partition, region_index, paths,
                           exchange_packets=exchange_packets)
     return scenario, full, partition, region
 
@@ -108,8 +105,7 @@ class TestLocalSync:
         scenario = figure3_scenario(seed=0, duration_s=2.0,
                                     attack_start_s=5.0)
         single = run_single(scenario)
-        local = run_sharded(scenario, n_regions=2, sync="local")
-        assert local["mode"] == "sharded-local"
+        local = run_sharded(scenario, n_regions=2)
         assert len(local["samples"]) == len(single["samples"])
         for single_tick, local_tick in zip(single["samples"],
                                            local["samples"]):
@@ -123,14 +119,14 @@ class TestLocalSync:
         scenario = figure3_scenario(seed=0, duration_s=2.0,
                                     attack_start_s=1.0)
         single = run_single(scenario)
-        local = run_sharded(scenario, n_regions=4, sync="local")
+        local = run_sharded(scenario, n_regions=4)
         assert [tick[0] for tick in local["samples"]] \
             == [tick[0] for tick in single["samples"]]
         assert len(local["flows"]) == len(single["flows"])
         assert all(final[1] >= 0.0 for final in local["flows"])
 
     def test_crossing_flows_get_boundary_pins(self):
-        _, _, _, region = build_figure3_region(sync="local")
+        _, _, _, region = build_figure3_region()
         assert region.crossing_specs, \
             "client->victim flows must cross a 2-region figure2 split"
         idx = region.crossing_specs[0]
@@ -142,9 +138,13 @@ class TestLocalSync:
 
 class TestValidation:
     def test_bad_sync_mode_rejected(self):
+        """The retired option: only its one surviving value is legal,
+        and the error points at the exact-bytes replacement."""
         scenario = figure3_scenario(seed=0, duration_s=1.0)
-        with pytest.raises(ValueError):
-            run_sharded(scenario, n_regions=2, sync="fast-and-loose")
+        for sync in ("exact", "fast-and-loose"):
+            with pytest.raises(ValueError, match="removed.*run_single"):
+                run_sharded(scenario, n_regions=2, sync=sync)
+        run_sharded(scenario, n_regions=2, sync="local")
 
     def test_bad_region_and_worker_counts_rejected(self):
         scenario = figure3_scenario(seed=0, duration_s=1.0)

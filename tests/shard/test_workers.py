@@ -26,10 +26,10 @@ def make_init(scenario, n_regions):
     full = build_topology(scenario, Simulator(seed=scenario.seed))
     partition = partition_topology(full, n_regions, seed=scenario.seed)
     paths = compute_paths(full, scenario)
-    counts = hosted_counts(scenario, partition, "exact", paths)
+    counts = hosted_counts(partition, paths)
     offsets = [sum(counts[:i]) for i in range(n_regions)]
-    return WorkerInit(scenario=scenario, partition=partition, sync="exact",
-                      paths=paths, pin_plan=None, exchange_packets=False,
+    return WorkerInit(scenario=scenario, partition=partition, paths=paths,
+                      exchange_packets=False,
                       base_sequences={"repro.netsim.flows:_flow_ids": (0,)},
                       flow_id_offsets=offsets)
 
