@@ -2,8 +2,8 @@
 
 Runs a scenario world as a long-lived service instead of a batch run:
 
-* the engine advances in bounded event slices inside an asyncio loop,
-  so the driver stays responsive between slices;
+* the engine advances in bounded event slices, executing queued
+  commands between slices;
 * live **scenario injections** arrive as JSON commands (one object per
   line, stdin by default or ``--commands FILE``): attach/detach the
   rolling attacker, fail a link, degrade capacity, checkpoint, status,
@@ -40,7 +40,6 @@ not with respect to wall-clock arrival.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import queue
 import sys
@@ -65,6 +64,15 @@ SCENARIOS = {
 }
 
 
+def _check_cadence(step_events: int, checkpoint_every_events: int) -> None:
+    if step_events < 1:
+        raise ValueError("step_events must be >= 1")
+    if checkpoint_every_events < 0:
+        raise ValueError(
+            f"checkpoint_every_events must be >= 0 (0 = explicit "
+            f"checkpoints only), got {checkpoint_every_events}")
+
+
 class EngineService:
     """The long-lived driver around one scenario world."""
 
@@ -78,8 +86,7 @@ class EngineService:
         if scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}")
-        if step_events < 1:
-            raise ValueError("step_events must be >= 1")
+        _check_cadence(step_events, checkpoint_every_events)
         self.scenario = scenario
         self.step_events = step_events
         self.checkpoint_every_events = checkpoint_every_events
@@ -103,6 +110,7 @@ class EngineService:
                         ) -> "EngineService":
         """Resume a service from an engine checkpoint written by
         :meth:`checkpoint` (or any ``world.sim.snapshot``)."""
+        _check_cadence(step_events, checkpoint_every_events)
         sim, world, meta = Simulator.restore(path)
         if world is None or not hasattr(world, "config"):
             raise CheckpointError(
@@ -247,7 +255,7 @@ class EngineService:
     # ------------------------------------------------------------------
     # The driver loop
     # ------------------------------------------------------------------
-    async def run(self) -> Optional[Any]:
+    def run(self) -> Optional[Any]:
         """Advance to the scenario horizon (or a stop command); returns
         the finished :class:`Figure3Result`, or None when stopped."""
         from ..experiments.figure3 import advance_world, finish_world
@@ -261,9 +269,6 @@ class EngineService:
             self._maybe_auto_checkpoint()
             self._drain_trace()
             self._heartbeat()
-            # Yield so the loop stays cooperative (signal handlers, other
-            # tasks); the engine slice above is the only blocking work.
-            await asyncio.sleep(0)
         self._process_commands()
         if self.stopped:
             if self.checkpoint_dir is not None:
@@ -390,7 +395,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         reader.start()
 
     try:
-        result = asyncio.run(service.run())
+        result = service.run()
     finally:
         if command_fh is not None and command_fh is not sys.stdin:
             command_fh.close()

@@ -3,7 +3,7 @@ and mutation contracts.
 
 Usage::
 
-    python -m repro.lint [paths] [--project] [--json] [--baseline FILE]
+    python -m repro.lint [paths] [--project] [--json]
                          [--select RPL001,...] [--ignore RPL005]
 
 See :mod:`repro.lint.core` for the per-file framework and the
@@ -13,7 +13,6 @@ whole-program layer (symbol table, import graph, AST cache),
 "Enforced invariants" for the rule table.
 """
 
-from .baseline import load_baseline, split_by_baseline, write_baseline
 from .core import (Finding, FileContext, LintResult, ProjectRule, Rule,
                    all_rules, lint_paths, lint_project, lint_source,
                    register, rule_codes, select_rules)
@@ -22,6 +21,6 @@ from .project import ProjectContext, ProjectFile
 __all__ = [
     "FileContext", "Finding", "LintResult", "ProjectContext",
     "ProjectFile", "ProjectRule", "Rule", "all_rules", "lint_paths",
-    "lint_project", "lint_source", "load_baseline", "register",
-    "rule_codes", "select_rules", "split_by_baseline", "write_baseline",
+    "lint_project", "lint_source", "register", "rule_codes",
+    "select_rules",
 ]

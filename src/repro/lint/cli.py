@@ -1,9 +1,9 @@
 """The ``python -m repro.lint`` command line.
 
-Exit codes: 0 clean (after suppressions and baseline), 1 findings or
-parse errors, 2 usage/configuration error.  ``--json`` emits one
-sorted, round-trippable JSON object on stdout for tooling
-(``scripts/check_lint.py`` consumes the same data via the API).
+Exit codes: 0 clean (after inline suppressions), 1 findings or parse
+errors, 2 usage/configuration error.  ``--json`` emits one sorted,
+round-trippable JSON object on stdout; CI redirects it to a file as
+both gate and artifact.
 
 Project mode (``--project``) additionally runs the cross-module rules
 (RPL007+) over the whole tree; it defaults **on** when any path
@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import load_baseline, split_by_baseline, write_baseline
-from .core import Finding, all_rules, lint_paths
+from .core import all_rules, lint_paths
 
 DEFAULT_PATHS = ["src", "scripts"]
 
@@ -51,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-file rules only, even on directories")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit findings as one JSON object")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="grandfather findings listed in FILE; only "
-                             "new findings fail")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite --baseline FILE from the current "
-                             "findings and exit 0")
     parser.add_argument("--select", metavar="CODES", default=None,
                         help="comma-separated rule codes to run "
                              "exclusively (e.g. RPL001,RPL005)")
@@ -75,8 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for rule in all_rules():
             print(f"{rule.code}  {rule.name}: {rule.description}")
         return 0
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline FILE")
 
     paths = args.paths if args.paths else DEFAULT_PATHS
     project = args.project
@@ -90,29 +81,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(args.baseline, result.findings)
-        print(f"wrote {len(result.findings)} finding(s) to "
-              f"{args.baseline}")
-        return 0
-
-    grandfathered: List[Finding] = []
-    stale: List[str] = []
-    findings = result.findings
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings, grandfathered, stale = split_by_baseline(
-            result.findings, baseline)
-
     if args.as_json:
         payload = {
-            "findings": [f.to_dict() for f in findings],
-            "grandfathered": len(grandfathered),
-            "stale_baseline_keys": stale,
+            "findings": [f.to_dict() for f in result.findings],
             "suppressed": result.suppressed,
             "files_checked": result.files_checked,
             "project": project,
@@ -121,23 +92,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for finding in findings:
+        for finding in result.findings:
             print(finding)
         for path, error in result.parse_errors:
             print(f"{path}: parse error: {error}", file=sys.stderr)
-        summary = (f"{len(findings)} finding(s) in "
+        summary = (f"{len(result.findings)} finding(s) in "
                    f"{result.files_checked} file(s)")
         if result.suppressed:
             summary += f", {result.suppressed} suppressed inline"
-        if grandfathered:
-            summary += f", {len(grandfathered)} baselined"
-        if stale:
-            summary += (f", {len(stale)} stale baseline entr"
-                        f"{'y' if len(stale) == 1 else 'ies'} "
-                        f"(regenerate with --write-baseline)")
         print(summary)
 
-    return 1 if findings or result.parse_errors else 0
+    return 1 if result.findings or result.parse_errors else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,7 +11,7 @@ Architecture
 ------------
 
 * :class:`Finding` — one diagnostic: rule code, path, line, column,
-  message.  ``baseline_key`` is its stable identity for grandfathering.
+  message.
 * :class:`Rule` — a check over one parsed file.  Rules self-register via
   the :func:`register` decorator; ``exempt_paths`` carves out the
   modules that *implement* a contract (e.g. ``netsim/links.py`` is the
@@ -69,11 +69,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        """Stable identity used by the baseline file (rule:path:line)."""
-        return f"{self.rule}:{self.path}:{self.line}"
 
     def to_dict(self) -> Dict[str, object]:
         return {"rule": self.rule, "path": self.path, "line": self.line,

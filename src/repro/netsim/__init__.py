@@ -9,8 +9,7 @@ on a fine timer.
 
 from .engine import EventHandle, PeriodicProcess, SimContext, Simulator, SimulationError
 from .flows import Flow, FlowSet, make_flow
-from .fluid import (AllocationResult, FluidNetwork, max_min_allocate,
-                    max_min_allocate_reference)
+from .fluid import AllocationResult, FluidNetwork, max_min_allocate
 from .links import Link, LinkStats
 from .monitor import Monitor, TimeSeries
 from .node import Host, Node
@@ -18,16 +17,11 @@ from .packet import (DEFAULT_TTL, FlowKey, Packet, PacketKind, Protocol,
                      TcpFlags, make_probe)
 from .routecache import RouteCache, SsspTree
 from .routing import (NoRouteError, Path, all_shortest_paths,
-                      all_shortest_paths_reference,
                       clear_flow_route, default_path_for,
                       edge_disjoint_paths, install_fast_reroute_alternates,
-                      install_fast_reroute_alternates_reference,
-                      install_flow_route,
-                      install_host_routes, install_host_routes_reference,
-                      install_path_route,
-                      install_switch_routes, install_switch_routes_reference,
-                      k_shortest_paths, k_shortest_paths_reference,
-                      shortest_path, shortest_path_reference)
+                      install_flow_route, install_host_routes,
+                      install_path_route, install_switch_routes,
+                      k_shortest_paths, shortest_path)
 from .sources import (BatchPacketSource, MeterWindow, PacketSource,
                       ThroughputMeter)
 from .switch import (Consume, Decision, Drop, Forward, LegacySwitchError,
@@ -55,20 +49,14 @@ __all__ = [
     "SwitchStats",
     "TcpFlags", "TimeSeries", "Topology", "TracerouteClient",
     "TracerouteResult", "TrafficMatrix", "US", "abilene_like",
-    "all_shortest_paths", "all_shortest_paths_reference",
-    "clear_flow_route", "client_server_flows",
+    "all_shortest_paths", "clear_flow_route", "client_server_flows",
     "default_path_for", "edge_disjoint_paths", "install_flow_route",
     "fat_tree", "figure2_topology", "gravity_matrix",
-    "install_fast_reroute_alternates",
-    "install_fast_reroute_alternates_reference", "install_host_routes",
-    "install_host_routes_reference",
+    "install_fast_reroute_alternates", "install_host_routes",
     "install_path_route", "install_switch_routes",
-    "install_switch_routes_reference",
-    "k_shortest_paths", "k_shortest_paths_reference", "make_flow",
-    "make_probe",
-    "max_min_allocate", "max_min_allocate_reference",
+    "k_shortest_paths", "make_flow", "make_probe", "max_min_allocate",
     "poisson_flow_arrivals", "random_topology",
-    "shortest_path", "shortest_path_reference", "uniform_matrix",
+    "shortest_path", "uniform_matrix",
     "DemandModulator",
     "EnterpriseWorkload", "diurnal_profile", "elephant_mice_split",
     "enterprise_workload", "pareto_sizes", "BatchPacketSource",

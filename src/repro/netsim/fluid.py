@@ -35,10 +35,10 @@ of simulated time in every experiment):
   flow set changed since the last pass, the previous
   :class:`AllocationResult` is reused and only smoothing/accounting run.
 
-The pre-optimization algorithm is kept verbatim (plus the shared epsilon
-and stall-guard fixes) as :func:`max_min_allocate_reference`; a seeded
-property test asserts equivalence within 1e-9 relative across random
-topologies and flow mixes.
+The pre-optimization algorithm (plus the shared epsilon and stall-guard
+fixes) is the oracle in ``tests/oracles/fluid.py``; a seeded property
+test asserts equivalence within 1e-9 relative across random topologies
+and flow mixes.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def max_min_allocate(topo: Topology, flows: List[Flow]) -> AllocationResult:
     exists (e.g. removed by switch repurposing) — are allocated zero.
     Returns instantaneous (unsmoothed) rates plus per-link load and loss.
 
-    Semantically equivalent to :func:`max_min_allocate_reference`, but
-    restructured around an incremental link index (see module docstring).
+    Semantically equivalent to the test oracle, but restructured around
+    an incremental link index (see module docstring).
     """
     result = AllocationResult()
     capacities = _link_capacities(topo)
@@ -266,110 +266,6 @@ def _stall_freeze(link_count: Dict[LinkKey, int],
     if worst is None:
         return []
     return [f.flow_id for f in members[worst] if f.flow_id in unfrozen]
-
-
-def max_min_allocate_reference(topo: Topology,
-                               flows: List[Flow]) -> AllocationResult:
-    """The pre-optimization allocator, kept as the semantic reference.
-
-    O(rounds × links × flows): it re-materializes ``path.links()`` in
-    every loop and re-sums per-link weights twice per round.  The
-    epsilon handling and the stall guard are shared with the optimized
-    :func:`max_min_allocate` so the two stay numerically equivalent (the
-    equivalence property test pins this within 1e-9 relative).
-    """
-    result = AllocationResult()
-    capacities = _link_capacities(topo)
-    load: Dict[LinkKey, float] = {key: 0.0 for key in capacities}
-
-    routable = []
-    for flow in flows:
-        if flow.path is None or any(key not in load
-                                    for key in flow.path.links()):
-            result.rates[flow.flow_id] = 0.0
-        else:
-            routable.append(flow)
-
-    # Pass 1: inelastic flows charge their (policed) demand outright.
-    for flow in routable:
-        if not flow.elastic:
-            result.rates[flow.flow_id] = flow.effective_demand_bps
-            for key in flow.path.links():
-                load[key] += flow.effective_demand_bps
-
-    # Pass 2: progressive filling for elastic flows.
-    elastic = [f for f in routable if f.elastic]
-    rate = {f.flow_id: 0.0 for f in elastic}
-    flows_on_link: Dict[LinkKey, List[Flow]] = {}
-    for flow in elastic:
-        if flow.effective_demand_bps <= 0:
-            continue
-        for key in flow.path.links():
-            flows_on_link.setdefault(key, []).append(flow)
-    remaining = {key: max(0.0, capacities[key] - load[key])
-                 for key in flows_on_link}
-    unfrozen = {f.flow_id: f for f in elastic if f.effective_demand_bps > 0}
-
-    while unfrozen:
-        delta = float("inf")
-        for key, link_members in flows_on_link.items():
-            weight_here = sum(f.weight for f in link_members
-                              if f.flow_id in unfrozen)
-            if weight_here > 0:
-                delta = min(delta, remaining[key] / weight_here)
-        for flow in unfrozen.values():
-            headroom = ((flow.effective_demand_bps - rate[flow.flow_id])
-                        / flow.weight)
-            delta = min(delta, headroom)
-        if delta == float("inf"):
-            break
-        if delta > 0:
-            for flow in unfrozen.values():
-                rate[flow.flow_id] += delta * flow.weight
-            for key, link_members in flows_on_link.items():
-                weight_here = sum(f.weight for f in link_members
-                                  if f.flow_id in unfrozen)
-                if weight_here > 0:
-                    remaining[key] = max(0.0,
-                                         remaining[key] - delta * weight_here)
-
-        saturated = {key for key, rem in remaining.items()
-                     if rem <= capacities[key] * SATURATION_EPS}
-        newly_frozen = []
-        for fid, flow in unfrozen.items():
-            if rate[fid] >= flow.effective_demand_bps * (1.0 - DEMAND_EPS):
-                newly_frozen.append(fid)
-                continue
-            if any(key in saturated for key in flow.path.links()):
-                newly_frozen.append(fid)
-        if not newly_frozen:
-            # Stall guard (same rule as the optimized allocator): freeze
-            # everything touching the most loaded active link.
-            worst = None
-            worst_headroom = float("inf")
-            for key, link_members in flows_on_link.items():
-                if not any(f.flow_id in unfrozen for f in link_members):
-                    continue
-                headroom = remaining[key] / capacities[key]
-                if headroom < worst_headroom:
-                    worst = key
-                    worst_headroom = headroom
-            if worst is None:
-                break
-            newly_frozen = [f.flow_id for f in flows_on_link[worst]
-                            if f.flow_id in unfrozen]
-        for fid in newly_frozen:
-            del unfrozen[fid]
-
-    for flow in elastic:
-        result.rates[flow.flow_id] = min(rate[flow.flow_id],
-                                         flow.effective_demand_bps)
-        for key in flow.path.links():
-            load[key] += result.rates[flow.flow_id]
-
-    result.link_load = load
-    result.link_loss = _compute_losses(load, capacities)
-    return result
 
 
 class FluidNetwork:

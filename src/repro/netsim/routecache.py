@@ -6,8 +6,8 @@ reuse across calls.  This module replaces that hot path with three
 cache layers, all keyed on the existing ``Topology.version`` counter
 (bumped by every structural mutation — see DESIGN.md "Routing cache"):
 
-* **graph** — the networkx export (kept for the ``*_reference``
-  implementations and max-flow based helpers), memoized per version.
+* **graph** — the networkx export (kept for the max-flow based
+  helpers), memoized per version.
 * **sssp** — one native heap-based Dijkstra tree per root node
   (:class:`SsspTree`), holding distances, strict-improvement parents
   (single-path reconstruction) and the full equal-cost predecessor

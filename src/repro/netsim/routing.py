@@ -14,9 +14,9 @@ This module computes both.  Path queries are served by the versioned
 :mod:`routecache` layer — native heap Dijkstra trees and a Yen's
 k-shortest-paths kernel memoized on ``Topology.version`` — instead of
 rebuilding a networkx graph and recomputing from scratch per call.  The
-original networkx implementations are kept as ``*_reference`` for the
-equivalence property tests (``tests/netsim/test_routing_equivalence.py``)
-and as the baseline the routing microbenchmark measures against.
+original networkx implementations are the oracles in
+``tests/oracles/routing.py``; ``tests/netsim/test_routing_equivalence.py``
+holds this module to them.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class Path:
 
 
 # ----------------------------------------------------------------------
-# Path computation (cache-served; *_reference = original networkx)
+# Path computation (cache-served)
 # ----------------------------------------------------------------------
 def shortest_path(topo: Topology, src: str, dst: str) -> Path:
     """The delay-weighted shortest path."""
@@ -116,34 +116,12 @@ def shortest_path(topo: Topology, src: str, dst: str) -> Path:
     return Path(nodes)
 
 
-def shortest_path_reference(topo: Topology, src: str, dst: str) -> Path:
-    """Original uncached networkx implementation (kept for equivalence
-    tests and benchmarks; rebuilds the graph on every call)."""
-    try:
-        nodes = nx.shortest_path(topo.build_graph(), src, dst,
-                                 weight="weight")
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise NoRouteError(f"no path {src} -> {dst}") from exc
-    return Path.of(nodes)
-
-
 def all_shortest_paths(topo: Topology, src: str, dst: str) -> List[Path]:
     """Every equal-cost shortest path (deterministic sorted-DFS order)."""
     node_paths = topo.route_cache.all_shortest_node_paths(src, dst)
     if node_paths is None:
         raise NoRouteError(f"no path {src} -> {dst}")
     return [Path(nodes) for nodes in node_paths]
-
-
-def all_shortest_paths_reference(topo: Topology, src: str,
-                                 dst: str) -> List[Path]:
-    """Original uncached networkx implementation."""
-    try:
-        paths = nx.all_shortest_paths(topo.build_graph(), src, dst,
-                                      weight="weight")
-        return [Path.of(p) for p in paths]
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise NoRouteError(f"no path {src} -> {dst}") from exc
 
 
 def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> List[Path]:
@@ -162,28 +140,6 @@ def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> List[Path]:
     if node_paths is None:
         raise NoRouteError(f"no path {src} -> {dst}")
     return [Path(nodes) for nodes in node_paths]
-
-
-def k_shortest_paths_reference(topo: Topology, src: str, dst: str,
-                               k: int) -> List[Path]:
-    """Original uncached networkx (Yen's) implementation."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if src == dst:
-        raise ValueError(
-            f"k_shortest_paths needs two distinct endpoints, got "
-            f"src == dst == {src!r}")
-    try:
-        generator = nx.shortest_simple_paths(topo.build_graph(), src, dst,
-                                             weight="weight")
-        result = []
-        for nodes in generator:
-            result.append(Path.of(nodes))
-            if len(result) >= k:
-                break
-        return result
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise NoRouteError(f"no path {src} -> {dst}") from exc
 
 
 def edge_disjoint_paths(topo: Topology, src: str, dst: str) -> List[Path]:
@@ -230,27 +186,6 @@ def install_host_routes(topo: Topology,
     return installed
 
 
-def install_host_routes_reference(
-        topo: Topology, ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
-    """Original uncached networkx implementation (one
-    ``dijkstra_predecessor_and_distance`` per host per call)."""
-    graph = topo.build_graph()
-    installed: Dict[str, Dict[str, List[str]]] = {}
-    for host in topo.host_names:
-        preds, _ = nx.dijkstra_predecessor_and_distance(
-            graph, host, weight="weight")
-        for sw_name in topo.switch_names:
-            if sw_name not in preds or not preds[sw_name]:
-                continue
-            next_hops = sorted(preds[sw_name])
-            if not ecmp:
-                next_hops = next_hops[:1]
-            switch = topo.switch(sw_name)
-            switch.set_route(host, next_hops)
-            installed.setdefault(sw_name, {})[host] = next_hops
-    return installed
-
-
 def install_switch_routes(topo: Topology,
                           ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
     """Install next-hop tables for *switch* destinations too.
@@ -271,25 +206,6 @@ def install_switch_routes(topo: Topology,
             if not pred_list:
                 continue
             next_hops = sorted(pred_list)
-            if not ecmp:
-                next_hops = next_hops[:1]
-            topo.switch(sw_name).set_route(target, next_hops)
-            installed.setdefault(sw_name, {})[target] = next_hops
-    return installed
-
-
-def install_switch_routes_reference(
-        topo: Topology, ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
-    """Original uncached networkx implementation."""
-    graph = topo.build_graph()
-    installed: Dict[str, Dict[str, List[str]]] = {}
-    for target in topo.switch_names:
-        preds, _ = nx.dijkstra_predecessor_and_distance(
-            graph, target, weight="weight")
-        for sw_name in topo.switch_names:
-            if sw_name == target or sw_name not in preds or not preds[sw_name]:
-                continue
-            next_hops = sorted(preds[sw_name])
             if not ecmp:
                 next_hops = next_hops[:1]
             topo.switch(sw_name).set_route(target, next_hops)
@@ -411,31 +327,4 @@ def install_fast_reroute_alternates(topo: Topology) -> None:
                 if not loop_free:
                     continue
                 best = min(loop_free, key=lambda n: (dist_from(n)[dst], n))
-                switch.frr_dst[(primary, dst)] = best
-
-
-def install_fast_reroute_alternates_reference(topo: Topology) -> None:
-    """Original uncached networkx implementation (all-pairs Dijkstra)."""
-    graph = topo.build_graph()
-    dist = dict(nx.all_pairs_dijkstra_path_length(graph, weight="weight"))
-    destinations = topo.host_names + topo.switch_names
-    for sw_name in topo.switch_names:
-        switch = topo.switch(sw_name)
-        switch_neighbors = [n for n in switch.neighbors
-                            if n in topo.switch_names]
-        for primary in switch.neighbors:
-            candidates = [n for n in switch_neighbors if n != primary]
-            if not candidates:
-                continue
-            for dst in destinations:
-                if dst == sw_name or dst not in dist:
-                    continue
-                loop_free = [
-                    n for n in candidates
-                    if dst in dist.get(n, {})
-                    and dist[n][dst] < dist[n][sw_name] + dist[sw_name][dst]
-                ]
-                if not loop_free:
-                    continue
-                best = min(loop_free, key=lambda n: (dist[n][dst], n))
                 switch.frr_dst[(primary, dst)] = best

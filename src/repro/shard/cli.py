@@ -29,8 +29,9 @@ def shard_main(argv=None) -> int:
     parser.add_argument("--regions", type=int, default=2,
                         help="number of partition regions (default 2)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="pool worker processes; 1 runs the region "
-                             "windows inline (default 1)")
+                        help="resident worker processes, each keeping "
+                             "its regions live across windows; 1 runs "
+                             "them inline (default 1)")
     parser.add_argument("--scenario", choices=["figure3", "random"],
                         default="figure3",
                         help="workload to shard (default figure3)")
@@ -85,11 +86,14 @@ def shard_main(argv=None) -> int:
                                    n_flows=args.flows, **kwargs)
 
     telemetry.reset()
-    record = run_sharded(scenario, n_regions=args.regions,
-                         workers=args.workers, window_s=args.window,
-                         checkpoint_dir=args.checkpoint,
-                         resume=args.resume,
-                         checkpoint_every=args.checkpoint_every)
+    try:
+        record = run_sharded(scenario, n_regions=args.regions,
+                             workers=args.workers, window_s=args.window,
+                             checkpoint_dir=args.checkpoint,
+                             resume=args.resume,
+                             checkpoint_every=args.checkpoint_every)
+    except ValueError as exc:  # a flag run_sharded rejects
+        parser.error(str(exc))
     print(f"[shard] {record['mode']}: {args.scenario} seed={args.seed} "
           f"regions={record['n_regions']} workers={record['workers']} "
           f"cut_edges={record['cut_edges']} "

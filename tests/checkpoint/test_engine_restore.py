@@ -7,7 +7,6 @@ These tests exercise the headline guarantee in-process (the CI
 finishes with results identical to one that was never interrupted.
 """
 
-import asyncio
 import io
 import itertools
 import json
@@ -17,7 +16,7 @@ import pytest
 from repro import telemetry
 from repro.checkpoint import CheckpointError, save_checkpoint
 from repro.checkpoint.service import (SCENARIOS, EngineService,
-                                      _command_reader)
+                                      _command_reader, serve_main)
 from repro.experiments.figure3 import (Figure3Config, advance_world,
                                        attach_attack, build_world,
                                        detach_attack, fail_link,
@@ -146,10 +145,6 @@ class TestSweepPreemption:
         assert "not checkpointable" in result.errors[0]["error"]
 
 
-def drain_service(service):
-    return asyncio.run(service.run())
-
-
 class TestServeDriver:
     def make_service(self, **kwargs):
         telemetry.reset()
@@ -164,14 +159,14 @@ class TestServeDriver:
 
     def test_batch_run_produces_result(self):
         service = self.make_service()
-        result = drain_service(service)
+        result = service.run()
         assert result is not None
         assert service.world.done
 
     def test_stream_carries_heartbeats_and_trace(self):
         stream = io.StringIO()
         service = self.make_service(stream=stream)
-        drain_service(service)
+        service.run()
         records = [json.loads(line) for line in
                    stream.getvalue().splitlines()]
         kinds = {record["kind"] for record in records}
@@ -188,7 +183,7 @@ class TestServeDriver:
         service.submit({"op": "status"})
         service.submit({"op": "attach-attack", "start_delay": 0.5})
         service.submit({"op": "fail-link", "src": "s3", "dst": "s4"})
-        drain_service(service)
+        service.run()
         acks = [json.loads(line) for line in
                 stream.getvalue().splitlines()
                 if '"service_ack"' in line]
@@ -200,14 +195,14 @@ class TestServeDriver:
         service = self.make_service()
         service.submit({"op": "attach-attack", "start_delay": 0.1})
         service.submit({"op": "detach-attack"})
-        drain_service(service)
+        service.run()
         assert service.world.attacker is None
 
     def test_unknown_op_rejected_without_crash(self):
         stream = io.StringIO()
         service = self.make_service(stream=stream)
         service.submit({"op": "definitely-not-an-op"})
-        drain_service(service)
+        service.run()
         acks = [json.loads(line) for line in
                 stream.getvalue().splitlines()
                 if '"service_ack"' in line]
@@ -224,7 +219,7 @@ class TestServeDriver:
                         "dst": "s4", "capacity_bps": None})
         _command_reader(io.StringIO("not json\n[1, 2]\n"), service)
         service.submit({"op": "status"})
-        assert drain_service(service) is not None
+        assert service.run() is not None
         acks = [json.loads(line) for line in
                 stream.getvalue().splitlines()
                 if '"service_ack"' in line]
@@ -236,27 +231,27 @@ class TestServeDriver:
     def test_stop_checkpoints_and_halts(self, tmp_path):
         service = self.make_service(checkpoint_dir=tmp_path)
         service.submit({"op": "stop"})
-        result = drain_service(service)
+        result = service.run()
         assert result is None
         assert service.stopped
         assert list(tmp_path.glob("ckpt_*.ckpt"))
 
     def test_auto_checkpoint_and_service_restore(self, tmp_path):
         # Reference: the same service scenario, never interrupted.
-        reference = drain_service(self.make_service())
+        reference = self.make_service().run()
         reference_metrics = stable_metrics(
             telemetry.metrics().snapshot())
 
         service = self.make_service(checkpoint_dir=tmp_path,
                                     checkpoint_every_events=1000)
         service.submit({"op": "stop"})
-        drain_service(service)  # parks a checkpoint and halts
+        service.run()  # parks a checkpoint and halts
 
         poison_process_state()
         newest = sorted(tmp_path.glob("ckpt_*.ckpt"))[-1]
         resumed = EngineService.from_checkpoint(newest, step_events=400)
         assert resumed.scenario == "figure3_fastflex"
-        result = drain_service(resumed)
+        result = resumed.run()
         assert result is not None
         assert result.throughput.samples == \
             reference.throughput.samples
@@ -270,3 +265,20 @@ class TestServeDriver:
         sim.snapshot(path)
         with pytest.raises(CheckpointError, match="world"):
             EngineService.from_checkpoint(path)
+
+    @pytest.mark.parametrize("cadence", [
+        {"checkpoint_every_events": -5}, {"step_events": 0}])
+    def test_bad_cadence_rejected_on_build_and_restore(self, tmp_path,
+                                                       cadence):
+        with pytest.raises(ValueError, match="must be >="):
+            self.make_service(**cadence)
+        path = self.make_service().checkpoint(tmp_path / "good.ckpt")
+        with pytest.raises(ValueError, match="must be >="):
+            EngineService.from_checkpoint(path, **cadence)
+
+    def test_cli_negative_checkpoint_cadence_exits_two(self, capsys):
+        assert serve_main(["--checkpoint-every-events", "-5",
+                           "--no-commands"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: checkpoint_every_events must be >= 0")
+        assert len(err.splitlines()) == 1

@@ -120,31 +120,3 @@ def test_no_project_forces_per_file_mode(tmp_path):
     proc = run_lint(str(tmp_path), "--no-project", "--select",
                     "RPL007")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_write_baseline_then_gate(tmp_path):
-    target = tmp_path / "dirty.py"
-    target.write_text(DIRTY)
-    baseline = tmp_path / "baseline.json"
-
-    wrote = run_lint(str(target), "--baseline", str(baseline),
-                     "--write-baseline")
-    assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-
-    # Grandfathered finding no longer fails the gate...
-    gated = run_lint(str(target), "--baseline", str(baseline))
-    assert gated.returncode == 0, gated.stdout + gated.stderr
-    assert "1 baselined" in gated.stdout
-
-    # ...but a new violation on another line still does.
-    target.write_text(DIRTY + "b = random.random()\n")
-    regressed = run_lint(str(target), "--baseline", str(baseline))
-    assert regressed.returncode == 1
-    assert ":3:" in regressed.stdout
-
-
-def test_write_baseline_requires_baseline_flag(tmp_path):
-    target = tmp_path / "clean.py"
-    target.write_text("x = 1\n")
-    proc = run_lint(str(target), "--write-baseline")
-    assert proc.returncode == 2

@@ -1,5 +1,5 @@
-"""The repo's own src + scripts trees must be lint-clean (empty
-baseline) — per-file rules *and* the whole-program pass."""
+"""The repo's own src + scripts trees must be lint-clean — per-file
+rules *and* the whole-program pass."""
 
 from pathlib import Path
 

@@ -16,6 +16,7 @@ from repro.boosters.heavy_hitter import (HeavyHitterFilterProgram,
                                          HeavyHitterProgram)
 from repro.boosters.hop_count import (HopCountFilterBooster,
                                       HopCountFilterProgram)
+from repro.boosters.lfa_detector import LfaDetectorProgram
 from repro.boosters.packet_dropper import PacketDropperProgram
 from repro.boosters.rate_limiter import (TENANT_HEADER,
                                          GlobalRateLimiterBooster,
@@ -28,7 +29,7 @@ SEEDS = range(50)
 
 
 def build_topology(seed):
-    """One switch, one destination host, the four batch-capable boosters."""
+    """One switch, one destination host, the five batch-capable boosters."""
     sim = Simulator(seed=seed)
     topo = Topology(sim)
     topo.add_switch("s1")
@@ -47,9 +48,12 @@ def build_topology(seed):
         "rate_limiter.tenant_counts")
     hop = HopCountFilterProgram(HopCountFilterBooster(),
                                 "hop_count.hc_table")
-    for program in (hh, filt, dropper, limiter, hop):
+    lfa = LfaDetectorProgram("lfa_detector", "lfa_detector.flow_state",
+                             capacity=64)
+    programs = (hh, filt, dropper, limiter, hop, lfa)
+    for program in programs:
         sw.install_program(program)
-    return sim, topo, sw, (hh, filt, dropper, limiter, hop)
+    return sim, topo, sw, programs
 
 
 def make_packets(seed, dropper):
@@ -85,13 +89,14 @@ class TestSwitchBatchEquivalence:
         sim_b.run()
 
         # Per-structure state is byte-identical.
-        hh_a, filt_a, dropper_a, limiter_a, hop_a = progs_a
-        hh_b, filt_b, dropper_b, limiter_b, hop_b = progs_b
+        hh_a, filt_a, dropper_a, limiter_a, hop_a, lfa_a = progs_a
+        hh_b, filt_b, dropper_b, limiter_b, hop_b, lfa_b = progs_b
         assert hh_a.pipe.export_state() == hh_b.pipe.export_state()
         assert (dropper_a.blocklist.export_state()
                 == dropper_b.blocklist.export_state())
         assert limiter_a.export_state() == limiter_b.export_state()
         assert hop_a.learned == hop_b.learned
+        assert lfa_a.table.export_state() == lfa_b.table.export_state()
         assert (filt_a.packets_dropped, dropper_a.packets_dropped,
                 limiter_a.packets_dropped, hop_a.packets_dropped,
                 hop_a.mismatches) == \

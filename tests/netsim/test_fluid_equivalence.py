@@ -11,8 +11,8 @@ import random
 import pytest
 
 from repro.netsim import (Simulator, make_flow, max_min_allocate,
-                          max_min_allocate_reference, random_topology,
-                          shortest_path)
+                          random_topology, shortest_path)
+from tests.oracles.fluid import max_min_allocate_reference
 
 N_CONFIGS = 50
 

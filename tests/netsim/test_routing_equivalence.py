@@ -21,15 +21,19 @@ import random
 import networkx as nx
 import pytest
 
+from repro.core import te
 from repro.netsim import (GBPS, MS, Simulator, Topology, figure2_topology,
-                          all_shortest_paths, all_shortest_paths_reference,
+                          all_shortest_paths,
                           install_fast_reroute_alternates,
-                          install_fast_reroute_alternates_reference,
-                          install_host_routes, install_host_routes_reference,
-                          install_switch_routes,
-                          install_switch_routes_reference,
-                          k_shortest_paths, k_shortest_paths_reference,
-                          shortest_path, shortest_path_reference)
+                          install_host_routes, install_switch_routes,
+                          k_shortest_paths, make_flow, random_topology,
+                          shortest_path)
+from tests.oracles.routing import (all_shortest_paths_reference,
+                                   install_fast_reroute_alternates_reference,
+                                   install_host_routes_reference,
+                                   install_switch_routes_reference,
+                                   k_shortest_paths_reference,
+                                   shortest_path_reference)
 
 SEEDS = range(50)
 
@@ -178,7 +182,6 @@ def test_installed_tables_identical(seed):
 def test_installed_tables_identical_uniform_delays(seed):
     def build():
         sim = Simulator(seed=seed)
-        from repro.netsim import random_topology
         return random_topology(sim, n_switches=10, n_hosts=6,
                                extra_edges=8, seed=seed)
 
@@ -213,6 +216,45 @@ def test_figure2_exact_equality():
                                                           dst, k)] == \
                     [p.nodes for p in k_shortest_paths_reference(topo, src,
                                                                  dst, k)]
+
+
+# ---------------------------------------------------------------------------
+# TE over cached vs oracle candidates: the periodic-reconfiguration
+# workload the cache was built for (repeated passes, mid-run removals)
+# ---------------------------------------------------------------------------
+def _remove_redundant_link(topo: Topology) -> None:
+    """Remove the first switch-switch link that is not a bridge."""
+    switches = set(topo.switch_names)
+    bridges = {frozenset(edge) for edge in nx.bridges(topo.build_graph())}
+    a, b = next(pair for pair in topo.duplex_pairs()
+                if switches.issuperset(pair)
+                and frozenset(pair) not in bridges)
+    topo.remove_link(a, b)
+
+
+def test_te_objective_matches_over_oracle_candidates(monkeypatch):
+    topo = random_topology(Simulator(seed=42), 50, 60, extra_edges=30,
+                           seed=42)
+    rng = random.Random(42)
+    flows = []
+    for index in range(120):
+        src, dst = rng.sample(topo.host_names, 2)
+        flows.append(make_flow(src, dst, rng.uniform(1e6, 5e9),
+                               sport=1024 + index))
+
+    def objective():
+        return round(te.greedy_min_max_te(topo, flows, k=4,
+                                          assign=False).max_utilization, 9)
+
+    # Equal-cost candidate reorderings may pick different paths, but the
+    # min-max objective the greedy pass optimizes is tie-invariant.
+    for index in range(6):
+        if index in (2, 4):
+            _remove_redundant_link(topo)
+        cached = objective()
+        with monkeypatch.context() as patch:
+            patch.setattr(te, "k_shortest_paths", k_shortest_paths_reference)
+            assert objective() == cached
 
 
 # ---------------------------------------------------------------------------
