@@ -7,7 +7,7 @@ parsers, match-action tables with stage layout, and the XOR-parity FEC
 codec used by state transfer.
 """
 
-from .batch import HAVE_NUMPY, PacketBatch
+from .batch import PacketBatch
 from .bloom import BloomFilter
 from .fec import (FecDecoder, FecEncoder, FecSymbol,
                   loss_survival_probability)
@@ -25,7 +25,7 @@ from .sketch import CountMinSketch
 __all__ = [
     "BASE_FIELDS", "BloomFilter", "CountMinSketch", "DIMENSIONS",
     "EDGE_SWITCH", "FecDecoder", "FecEncoder", "FecSymbol", "FlowEntry",
-    "FlowTable", "HAVE_NUMPY", "HashPipe", "HeaderParser",
+    "FlowTable", "HashPipe", "HeaderParser",
     "MatchActionTable", "MatchKind", "PacketBatch", "PipelineLayoutError",
     "ROUTING_PARSER", "RegisterArray", "ResourceExhausted",
     "ResourceLedger", "ResourceVector", "StageLayout", "TOFINO_LIKE",

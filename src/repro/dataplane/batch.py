@@ -7,10 +7,9 @@ module provides the batch currency the rest of the repo speaks:
 
 * :class:`PacketBatch` — a window of packets exposed as parallel columns
   (``src``, ``dst``, ``sport``, ``size_bytes``, ``ts``, ...).  Numeric
-  columns are :mod:`array` arrays; with numpy installed they can be
-  viewed zero-ish-copy via :meth:`PacketBatch.as_numpy`.  Columns are
-  built lazily and cached, so a batch that only ever needs ``src`` never
-  pays for the rest.
+  columns are :mod:`array` arrays.  Columns are built lazily and
+  cached, so a batch that only ever needs ``src`` never pays for the
+  rest.
 * an alive/drop mask so pipeline stages can pre-filter vectorized
   (flagged-source masks, bloom membership masks) before any per-packet
   program logic runs — see ``ProgrammableSwitch.receive_batch``.
@@ -33,18 +32,11 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
 
 from .registers import encode_keys, hash_batch, salt_seed, stable_hash
 
-try:  # numpy is an acceleration, not a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.packet import Packet
 
 __all__ = [
-    "HAVE_NUMPY", "PacketBatch", "encode_keys", "hash_batch",
+    "PacketBatch", "encode_keys", "hash_batch",
     "salt_seed", "stable_hash",
 ]
 
@@ -185,13 +177,6 @@ class PacketBatch:
             self.column("flow_key")
             col = self._columns["_unique_flow_keys"]
         return col
-
-    def as_numpy(self, name: str) -> Any:
-        """The named numeric column as a numpy array (requires numpy)."""
-        if _np is None:
-            raise RuntimeError(
-                "numpy is not available; install it or use column()")
-        return _np.asarray(self.column(name))
 
     def data_mask(self) -> bytearray:
         """``1`` where the packet is DATA *and* still alive — the kind

@@ -67,6 +67,11 @@ class Figure3Config:
     def normal_demand_total(self) -> float:
         return self.n_clients * self.client_demand_bps
 
+    @property
+    def attack_window(self) -> Tuple[float, float]:
+        """``[t0, t1)`` the under-attack statistics are taken over."""
+        return self.attack_start_s + 2.0, self.duration_s
+
 
 @dataclass
 class Figure3Result:
@@ -92,12 +97,10 @@ class Figure3Result:
     metrics: Dict = field(default_factory=dict)
 
     def mean_during_attack(self, config: Figure3Config) -> float:
-        return self.throughput.mean_over(config.attack_start_s + 2.0,
-                                         config.duration_s)
+        return self.throughput.mean_over(*config.attack_window)
 
     def min_during_attack(self, config: Figure3Config) -> float:
-        return self.throughput.min_over(config.attack_start_s + 2.0,
-                                        config.duration_s)
+        return self.throughput.min_over(*config.attack_window)
 
 
 @dataclass
@@ -400,8 +403,15 @@ def format_report(results: Dict[str, Figure3Result],
             row.append(f"{value:14.3f}" if value is not None else " " * 14)
         lines.append("  ".join(row))
     lines.append("")
+    t0, t1 = config.attack_window
     for name in sorted(results):
         result = results[name]
+        if not result.throughput.window(t0, t1):
+            # A run too short to reach the window still gets its series.
+            lines.append(f"{name:>14}: no sample fell under attack (the "
+                         f"window [{t0:.1f}s, {t1:.1f}s) is empty), "
+                         f"attacker rolls {result.rolls}")
+            continue
         mean = result.mean_during_attack(config)
         low = result.min_during_attack(config)
         lines.append(f"{name:>14}: mean under attack {mean:6.1%}, "

@@ -18,7 +18,7 @@ Architecture
   one place allowed to write ``Link.capacity_bps``).
 * :class:`ProjectRule` — a check over the *whole parsed tree* (a
   :class:`~repro.lint.project.ProjectContext`): cross-module contracts
-  like duplicated constants or pipe-protocol exhaustiveness that no
+  like duplicated constants or checkpoint-globals coverage that no
   single file can witness.  Project rules run only in project mode
   (``lint_paths(..., project=True)`` / the CLI's ``--project``, which
   defaults on for directory arguments).

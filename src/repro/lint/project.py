@@ -2,11 +2,11 @@
 
 Per-file rules (:class:`~repro.lint.core.Rule`) see one AST at a time,
 so every contract that *spans* modules — a constant duplicated into
-three files, a pipe command the worker never handles, a module-level ID
-sequence the checkpoint globals segment doesn't know about — was
-unenforceable before this layer existed.  :class:`ProjectContext`
-parses the full ``src/`` + ``scripts/`` tree once and exposes what the
-project rules (:class:`~repro.lint.core.ProjectRule`) need:
+three files, a module-level ID sequence the checkpoint globals segment
+doesn't know about — was unenforceable before this layer existed.
+:class:`ProjectContext` parses the full ``src/`` + ``scripts/`` tree
+once and exposes what the project rules
+(:class:`~repro.lint.core.ProjectRule`) need:
 
 * **Module naming** — each file's dotted module name, derived by
   climbing ``__init__.py`` ancestors (``src/repro/shard/workers.py``
@@ -130,7 +130,6 @@ class ProjectContext:
         self._by_path: Dict[str, ProjectFile] = {
             pf.display_path: pf for pf in self.files}
         self._imports: Dict[str, Set[str]] = {}
-        self._importers: Dict[str, Set[str]] = {}
         self._build_graph()
         self._constants: Dict[Tuple[str, str], object] = {}
 
@@ -198,16 +197,10 @@ class ProjectContext:
                             and ancestor != pf.module:
                         edges.add(ancestor)
             self._imports[pf.module] = edges
-            for target in edges:
-                self._importers.setdefault(target, set()).add(pf.module)
 
     def imports_of(self, module: str) -> List[str]:
         """Project modules ``module`` imports, sorted."""
         return sorted(self._imports.get(module, ()))
-
-    def importers_of(self, module: str) -> List[str]:
-        """Project modules that import ``module``, sorted."""
-        return sorted(self._importers.get(module, ()))
 
     def closure(self, roots: Iterable[str]) -> Set[str]:
         """Modules reachable from ``roots`` through import edges, with

@@ -15,7 +15,6 @@ from . import (  # noqa: F401
     rpl005_assert,
     rpl006_ordering,
     rpl007_constants,
-    rpl008_protocol,
     rpl009_fsum,
     rpl010_checkpoint,
 )

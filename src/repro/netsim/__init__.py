@@ -7,7 +7,7 @@ control messages; bulk data traffic is a fluid max-min allocation updated
 on a fine timer.
 """
 
-from .engine import EventHandle, PeriodicProcess, SimContext, Simulator, SimulationError
+from .engine import EventHandle, PeriodicProcess, Simulator, SimulationError
 from .flows import Flow, FlowSet, make_flow
 from .fluid import AllocationResult, FluidNetwork, max_min_allocate
 from .links import Link, LinkStats
@@ -18,7 +18,7 @@ from .packet import (DEFAULT_TTL, FlowKey, Packet, PacketKind, Protocol,
 from .routecache import RouteCache, SsspTree
 from .routing import (NoRouteError, Path, all_shortest_paths,
                       clear_flow_route, default_path_for,
-                      edge_disjoint_paths, install_fast_reroute_alternates,
+                      install_fast_reroute_alternates,
                       install_flow_route, install_host_routes,
                       install_path_route, install_switch_routes,
                       k_shortest_paths, shortest_path)
@@ -44,13 +44,12 @@ __all__ = [
     "Link", "LinkStats", "MBPS",
     "MS", "Monitor", "NoRouteError", "Node", "Packet", "PacketKind", "Path",
     "PeriodicProcess", "ProgrammableSwitch", "Protocol", "RouteCache",
-    "SimContext",
     "SimulationError", "Simulator", "SsspTree", "SwitchProgram",
     "SwitchStats",
     "TcpFlags", "TimeSeries", "Topology", "TracerouteClient",
     "TracerouteResult", "TrafficMatrix", "US", "abilene_like",
     "all_shortest_paths", "clear_flow_route", "client_server_flows",
-    "default_path_for", "edge_disjoint_paths", "install_flow_route",
+    "default_path_for", "install_flow_route",
     "fat_tree", "figure2_topology", "gravity_matrix",
     "install_fast_reroute_alternates", "install_host_routes",
     "install_path_route", "install_switch_routes",

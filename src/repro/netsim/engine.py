@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..telemetry import metrics
 
@@ -39,15 +39,6 @@ _G_QUEUE_DEPTH = _MET.gauge(
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly (e.g. time travel)."""
-
-
-@dataclass(order=True)
-class _QueuedEvent:
-    """Internal heap entry; ordering is (time, seq) for determinism."""
-
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -123,12 +114,14 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
-        self._queue: List[_QueuedEvent] = []
+        #: Heap of ``(time, seq, handle)``.  ``seq`` is unique, so tuple
+        #: comparison never reaches the handle and equal timestamps fire
+        #: in insertion order.
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self.rng = random.Random(seed)
         self.seed = seed
         self._events_executed = 0
-        self._tracers: List[Callable[[float, EventHandle], None]] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -149,18 +142,18 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any],
                  *args: Any, **kwargs: Any) -> EventHandle:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self._now + delay, fn, *args, **kwargs)
 
     def schedule_at(self, time: float, fn: Callable[..., Any],
                     *args: Any, **kwargs: Any) -> EventHandle:
         """Schedule ``fn`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
         handle = EventHandle(time, fn, args, kwargs)
-        heapq.heappush(self._queue, _QueuedEvent(time, next(self._seq), handle))
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
         _C_SCHEDULED.inc()
         _G_QUEUE_DEPTH.set(len(self._queue))
         return handle
@@ -171,10 +164,6 @@ class Simulator:
         proc = PeriodicProcess(self, interval, fn, args, kwargs)
         return proc.start(start)
 
-    def add_tracer(self, tracer: Callable[[float, EventHandle], None]) -> None:
-        """Register a callback invoked before each event executes."""
-        self._tracers.append(tracer)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -182,47 +171,49 @@ class Simulator:
             max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` passes, or the
         event budget is exhausted.  Returns the final simulation time.
+
+        This loop is the engine's only dispatch site: every callback the
+        simulator ever runs is called from here.
         """
+        queue = self._queue
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        while self._queue:
-            entry = self._queue[0]
-            if until is not None and entry.time > until:
+        while queue and executed < budget:
+            time, _, handle = queue[0]
+            if time > horizon:
                 break
-            heapq.heappop(self._queue)
-            _G_QUEUE_DEPTH.set(len(self._queue))
-            handle = entry.handle
+            heapq.heappop(queue)
+            _G_QUEUE_DEPTH.set(len(queue))
             if handle.cancelled:
                 _C_CANCELLED.inc()
                 continue
-            self._now = entry.time
-            for tracer in self._tracers:
-                tracer(self._now, handle)
+            self._now = time
             handle.fn(*handle.args, **handle.kwargs)
             self._events_executed += 1
             _C_EXECUTED.inc()
             executed += 1
-            if max_events is not None and executed >= max_events:
-                break
         if until is not None and self._now < until:
             # Advance the clock to the horizon only when no live event
             # remains at or before it — i.e. the queue genuinely drained
             # (or only holds later events).  When `max_events` truncated
             # the run mid-horizon, jumping ahead would strand the queued
             # events in the past and make a later run() rewind the clock.
-            next_live = min((e.time for e in self._queue
-                             if not e.handle.cancelled), default=None)
+            next_live = self.next_event_time()
             if next_live is None or next_live > until:
                 self._now = until
         return self._now
 
+    def _live_times(self) -> Iterator[float]:
+        """Timestamps of the queued events that are not cancelled, in
+        heap (not time) order."""
+        return (time for time, _, handle in self._queue
+                if not handle.cancelled)
+
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest live (non-cancelled) queued event,
-        or ``None`` when the queue is effectively empty.  The sharded
-        coordinator uses it to assert the conservative-window invariant:
-        after a region runs a window to ``t_end``, no live local event
-        may remain at or before ``t_end``."""
-        return min((e.time for e in self._queue
-                    if not e.handle.cancelled), default=None)
+        or ``None`` when the queue is effectively empty."""
+        return min(self._live_times(), default=None)
 
     def run_windows(self, until: float, window: float,
                     on_window: Optional[Callable[["Simulator", float], None]]
@@ -251,42 +242,13 @@ class Simulator:
                 on_window(self, boundary)
         return self._now
 
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False when idle."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            _G_QUEUE_DEPTH.set(len(self._queue))
-            if entry.handle.cancelled:
-                _C_CANCELLED.inc()
-                continue
-            self._now = entry.time
-            for tracer in self._tracers:
-                tracer(self._now, entry.handle)
-            entry.handle.fn(*entry.handle.args, **entry.handle.kwargs)
-            self._events_executed += 1
-            _C_EXECUTED.inc()
-            return True
-        return False
-
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return sum(1 for e in self._queue if not e.handle.cancelled)
+        """Number of queued events that are not cancelled."""
+        return sum(1 for _ in self._live_times())
 
     # ------------------------------------------------------------------
     # Checkpoint/restore
     # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        # Tracers are observers (debuggers, the serve driver's progress
-        # hook), not simulation state: they may hold closures and file
-        # handles, and a restored run re-attaches its own.  Everything
-        # else — queue order, tie-break sequence, clock, RNG — is state.
-        state = self.__dict__.copy()
-        state["_tracers"] = []
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
     def snapshot(self, path: Any, state: Any = None,
                  meta: Optional[Dict[str, Any]] = None) -> str:
         """Checkpoint this simulator (and optionally a caller-supplied
@@ -328,24 +290,3 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator(now={self._now:.6f}, pending={self.pending()}, "
                 f"executed={self._events_executed})")
-
-
-@dataclass
-class SimContext:
-    """A bag of shared simulation-wide services.
-
-    Components that need the clock, the RNG, or cross-component registries
-    receive a context instead of global state, which keeps runs isolated and
-    parallel-test safe.
-    """
-
-    sim: Simulator
-    config: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    @property
-    def rng(self) -> random.Random:
-        return self.sim.rng

@@ -2,12 +2,10 @@
 
 Every route computation used to rebuild a fresh ``nx.Graph`` from the
 :class:`Topology` and run a networkx Dijkstra/Yen per query with zero
-reuse across calls.  This module replaces that hot path with three
-cache layers, all keyed on the existing ``Topology.version`` counter
+reuse across calls.  This module replaces that hot path with two
+cache layers, both keyed on the existing ``Topology.version`` counter
 (bumped by every structural mutation — see DESIGN.md "Routing cache"):
 
-* **graph** — the networkx export (kept for the max-flow based
-  helpers), memoized per version.
 * **sssp** — one native heap-based Dijkstra tree per root node
   (:class:`SsspTree`), holding distances, strict-improvement parents
   (single-path reconstruction) and the full equal-cost predecessor
@@ -23,8 +21,7 @@ Invalidation is *diff-based*: on a version change the cache snapshots
 the (pair -> delay) edge map and compares it with the previous one.
 
 * capacity-only changes (``Link.set_capacity``) leave delays untouched,
-  so SSSP trees and candidate sets survive — only the networkx export
-  (which carries capacity attributes) is rebuilt on demand;
+  so SSSP trees and candidate sets survive;
 * link/switch *removals* flush the SSSP trees and drop exactly the
   candidate sets whose paths cross a removed link (a removal cannot
   improve any surviving candidate, so untouched sets remain the true
@@ -54,8 +51,6 @@ from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set,
 from ..telemetry import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    import networkx as nx
-
     from .topology import Topology
 
 NodePath = Tuple[str, ...]
@@ -77,13 +72,16 @@ _C_SSSP = _MET.counter(
 _C_SSSP_PARTIAL = _MET.counter(
     "routing_sssp_partial_total",
     "early-terminated multi-target shortest-path computations")
-_C_REBUILDS = _MET.counter(
-    "routing_graph_rebuilds_total",
-    "networkx graph snapshot rebuilds")
 _C_INVALIDATED = _MET.counter(
     "routing_candidates_invalidated_total",
     "cached k-shortest candidate sets dropped by link removals")
 
+# The networkx "graph" layer is gone, but bench/digests.json (frozen)
+# hashes the registry's family names, descriptions and label children:
+# its rebuild counter and its "graph" children stay registered, at zero,
+# until a benchmark-labelled PR re-pins the digests and deletes them.
+_MET.counter("routing_graph_rebuilds_total",
+             "networkx graph snapshot rebuilds")
 _HIT = {layer: _C_HITS.labels(layer) for layer in ("graph", "sssp", "yen")}
 _MISS = {layer: _C_MISSES.labels(layer) for layer in ("graph", "sssp", "yen")}
 
@@ -190,8 +188,6 @@ class RouteCache:
         #: (src, dst, k) -> (paths, frozenset of undirected link pairs).
         self._yen: Dict[Tuple[str, str, int],
                         Tuple[Tuple[NodePath, ...], FrozenSet[Pair]]] = {}
-        self._graph: Optional["nx.Graph"] = None
-        self._graph_version: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -233,25 +229,9 @@ class RouteCache:
             if stale:
                 _C_INVALIDATED.inc(len(stale))
         # else: capacity-only mutation — delays unchanged, keep all
-        # shortest-path state (the networkx export is version-keyed
-        # separately because it carries capacity attributes).
+        # shortest-path state.
         self._edge_snapshot = new
         self._synced_version = version
-
-    # ------------------------------------------------------------------
-    # Graph layer
-    # ------------------------------------------------------------------
-    def graph(self) -> "nx.Graph":
-        """The memoized networkx export (treat as read-only)."""
-        version = self._topo.version
-        if self._graph is not None and self._graph_version == version:
-            _HIT["graph"].inc()
-            return self._graph
-        _MISS["graph"].inc()
-        _C_REBUILDS.inc()
-        self._graph = self._topo.build_graph()
-        self._graph_version = version
-        return self._graph
 
     # ------------------------------------------------------------------
     # SSSP layer

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .topology import Topology
 
 
@@ -140,16 +138,6 @@ def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> List[Path]:
     if node_paths is None:
         raise NoRouteError(f"no path {src} -> {dst}")
     return [Path(nodes) for nodes in node_paths]
-
-
-def edge_disjoint_paths(topo: Topology, src: str, dst: str) -> List[Path]:
-    """A maximal set of edge-disjoint paths (for detour planning)."""
-    try:
-        paths = nx.edge_disjoint_paths(topo.graph(), src, dst)
-        return sorted((Path.of(list(p)) for p in paths),
-                      key=lambda p: (p.hops, p.nodes))
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise NoRouteError(f"no path {src} -> {dst}") from exc
 
 
 # ----------------------------------------------------------------------

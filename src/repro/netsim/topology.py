@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import random
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..dataplane.resources import ResourceVector, TOFINO_LIKE
 from .engine import Simulator
 from .links import Link
@@ -46,8 +44,8 @@ class Topology:
         #: decide whether a cached allocation is still valid, so all
         #: runtime mutations must go through the Topology/Link APIs.
         self.version = 0
-        #: Versioned routing cache: graph snapshot, native SSSP trees,
-        #: and k-shortest-path candidate memos, all invalidated off
+        #: Versioned routing cache: native SSSP trees and
+        #: k-shortest-path candidate memos, both invalidated off
         #: ``version`` (see DESIGN.md "Routing cache").
         self.route_cache = RouteCache(self)
 
@@ -255,32 +253,6 @@ class Topology:
             pair = (a, b) if a < b else (b, a)
             seen.add(pair)
         return sorted(seen)
-
-    # ------------------------------------------------------------------
-    # Graph export (used by routing and the scheduler)
-    # ------------------------------------------------------------------
-    def graph(self) -> nx.Graph:
-        """An undirected view with capacity/delay attributes.
-
-        Edge weight is the propagation delay, which makes shortest-path
-        routing latency-optimal (the forward direction's parameters are
-        used; duplex links are symmetric by construction).
-
-        The returned graph is memoized per :attr:`version` — treat it as
-        read-only.  Use :meth:`build_graph` for a private mutable copy.
-        """
-        return self.route_cache.graph()
-
-    def build_graph(self) -> nx.Graph:
-        """Build a fresh (uncached) networkx export of the topology."""
-        g = nx.Graph()
-        for name, node in self.nodes.items():
-            g.add_node(name, is_switch=isinstance(node, ProgrammableSwitch))
-        for pair in self.duplex_pairs():
-            link = self.links[pair]
-            g.add_edge(*pair, capacity=link.capacity_bps,
-                       delay=link.delay_s, weight=link.delay_s)
-        return g
 
     def __repr__(self) -> str:
         return (f"Topology({self.name!r}, {len(self.switch_names)} switches, "

@@ -90,6 +90,53 @@ class TestFigure3KillRestore:
             Simulator.restore(path)
 
 
+class Recorder:
+    """A picklable callback target (closures cannot be checkpointed)."""
+
+    def __init__(self):
+        self.log = []
+
+    def note(self, tag):
+        self.log.append(tag)
+
+
+class TestQueueRestore:
+    def test_same_timestamp_events_keep_their_firing_order(self, tmp_path):
+        """Ties are broken by the heap entries' sequence numbers, so
+        those — not just the timestamps — must survive a checkpoint."""
+        def build():
+            sim, recorder = Simulator(seed=1), Recorder()
+            for tag in range(60):      # interleave two shared timestamps
+                sim.schedule_at(2.0 if tag % 3 else 1.0, recorder.note, tag)
+            return sim, recorder
+
+        plain_sim, plain = build()
+        plain_sim.run()
+
+        sim, recorder = build()
+        sim.run(max_events=30)         # stops inside the t=2.0 tie group
+        path = tmp_path / "ties.ckpt"
+        sim.snapshot(path, state=recorder)
+        restored_sim, restored, meta = Simulator.restore(path)
+        assert meta["pending_events"] == 30
+        restored_sim.schedule_at(2.0, restored.note, "late")
+        restored_sim.run()
+        assert restored.log == plain.log + ["late"]
+
+    def test_checkpoint_naming_a_removed_engine_class_is_refused(
+            self, tmp_path, monkeypatch):
+        """A checkpoint from before the heap held plain tuples names
+        ``engine._QueuedEvent``; restore must refuse it whole."""
+        from repro.netsim import engine
+        entry = type("_QueuedEvent", (), {"__module__": engine.__name__})
+        monkeypatch.setattr(engine, "_QueuedEvent", entry, raising=False)
+        path = tmp_path / "old.ckpt"
+        Simulator().snapshot(path, state=entry())
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="_QueuedEvent"):
+            Simulator.restore(path)
+
+
 class TestSweepPreemption:
     # duration must clear the _summarize attack window (attack start
     # 5 s + 2 s settle), or finish-time summarization has no samples.
@@ -275,6 +322,15 @@ class TestServeDriver:
         path = self.make_service().checkpoint(tmp_path / "good.ckpt")
         with pytest.raises(ValueError, match="must be >="):
             EngineService.from_checkpoint(path, **cadence)
+
+    def test_cli_report_written_for_run_shorter_than_attack_window(
+            self, tmp_path):
+        """Regression: the run finished, the summary raised, and the
+        report was never written."""
+        report = tmp_path / "report.txt"
+        assert serve_main(["--duration", "6", "--attack", "--no-commands",
+                           "--report-out", str(report)]) == 0
+        assert "no sample fell under attack" in report.read_text()
 
     def test_cli_negative_checkpoint_cadence_exits_two(self, capsys):
         assert serve_main(["--checkpoint-every-events", "-5",

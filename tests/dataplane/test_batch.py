@@ -250,13 +250,3 @@ class TestPacketBatch:
         assert batch.alive_indices() == [0, 2]
         assert [i for i, _ in batch.survivors()] == [0, 2]
         assert batch.packets[1].dropped == "why"  # first reason wins
-
-    def test_as_numpy_roundtrips_when_available(self):
-        from repro.dataplane import HAVE_NUMPY
-        batch = PacketBatch(self._packets())
-        if HAVE_NUMPY:
-            arr = batch.as_numpy("size_bytes")
-            assert list(arr) == [100, 101, 102, 103]
-        else:
-            with pytest.raises(RuntimeError):
-                batch.as_numpy("size_bytes")

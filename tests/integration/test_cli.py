@@ -1,6 +1,10 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,16 @@ class TestCli:
         assert "baseline_sdn" in out
         assert "fastflex" in out
         assert "mean under attack" in out
+
+    def test_figure3_too_short_to_reach_the_attack_still_reports(
+            self, capsys):
+        """Regression: a run ending before the under-attack window
+        opened was simulated in full and then died in the summary."""
+        assert main(["figure3", "--duration", "6", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "\n    6.0  " in out  # the series is still printed
+        assert out.count("no sample fell under attack") == 2
+        assert "mean under attack" not in out
 
     def test_figure1(self, capsys):
         assert main(["figure1"]) == 0
@@ -49,6 +63,27 @@ class TestCli:
         # 'all' includes figure3, so the overrides do apply there.
         assert main(["all", "--duration", "8", "--seed", "3"]) == 0
         assert "mean under attack" in capsys.readouterr().out
+
+
+class TestRuntimeImports:
+    def test_runtime_is_standard_library_only(self):
+        """networkx and numpy are test-time dependencies (the routing
+        oracles, bench/run.py's fingerprint): nothing under src/ may pull
+        them into a process that imports and runs the package."""
+        script = (
+            "import sys\n"
+            "import repro.__main__, repro.experiments.figure3, repro.shard\n"
+            "import repro.sweep, repro.checkpoint, repro.lint\n"
+            "from repro.experiments.figure3 import Figure3Config, run_both\n"
+            "run_both(Figure3Config(duration_s=6.0))\n"
+            "print(sorted({'networkx', 'numpy', 'scipy'}"
+            " & set(sys.modules)))\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestTelemetryFlags:

@@ -87,7 +87,7 @@ def test_list_rules_names_all_ten():
     proc = run_lint("--list-rules")
     assert proc.returncode == 0
     for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-                 "RPL006", "RPL007", "RPL008", "RPL009", "RPL010"):
+                 "RPL006", "RPL007", "RPL009", "RPL010"):
         assert code in proc.stdout
 
 

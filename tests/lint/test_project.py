@@ -70,7 +70,6 @@ def test_graph_resolves_relative_imports(tmp_path):
     project = ProjectContext.build([str(root / "pkg")])
     assert project.imports_of("pkg.alpha") == ["pkg", "pkg.beta"]
     assert project.imports_of("pkg.gamma") == ["pkg", "pkg.alpha"]
-    assert project.importers_of("pkg.beta") == ["pkg.alpha"]
 
 
 def test_graph_adds_ancestor_package_edges(tmp_path):
@@ -183,7 +182,7 @@ def test_finding_order_is_stable_across_builds():
 # Fixture packages: every EXPECT-marked line flags, good twins are clean
 # ----------------------------------------------------------------------
 
-PACKAGE_CODES = ("RPL007", "RPL008", "RPL010")
+PACKAGE_CODES = ("RPL007", "RPL010")
 
 
 def package_expectations(package, code):
@@ -227,17 +226,6 @@ def test_wall_clock_triplication_regression():
                        "check_sweep_gate.py"}
     assert all("WALL_CLOCK_METRICS" in f.message
                for f in result.findings)
-
-
-def test_missing_pipe_handler_regression():
-    """A command sent with no dispatch arm and a dead arm both flag."""
-    result = lint_paths([str(FIXTURES / "rpl008_bad")],
-                        select=["RPL008"], project=True)
-    messages = sorted(f.message for f in result.findings)
-    assert len(messages) == 2
-    assert "'collect'" in messages[0] and "never sent" in messages[0]
-    assert "'shutdown'" in messages[1] and "no dispatch arm" \
-        in messages[1]
 
 
 def test_project_rules_skip_per_file_mode():

@@ -38,15 +38,15 @@ def expected_lines(source: str, code: str) -> Counter:
 #: under fixtures/ (exercised by tests/lint/test_project.py) rather
 #: than single-file pairs.  RPL009 is per-file but path-scoped, so it
 #: keeps a flat pair (the fixture opts in via its docstring).
-PROJECT_CODES = ("RPL007", "RPL008", "RPL010")
+PROJECT_CODES = ("RPL007", "RPL010")
 PER_FILE_CODES = tuple(code for code in rule_codes()
                        if code not in PROJECT_CODES)
 
 
 def test_all_ten_rules_are_registered():
     assert rule_codes() == ["RPL001", "RPL002", "RPL003", "RPL004",
-                            "RPL005", "RPL006", "RPL007", "RPL008",
-                            "RPL009", "RPL010"]
+                            "RPL005", "RPL006", "RPL007", "RPL009",
+                            "RPL010"]
 
 
 @pytest.mark.parametrize("code", PER_FILE_CODES)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import SimContext, SimulationError, Simulator
+from repro.netsim import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -15,11 +15,24 @@ class TestScheduling:
         assert order == ["early", "late", "latest"]
 
     def test_ties_break_by_insertion_order(self, sim):
+        """Many events on one timestamp fire in insertion order, and the
+        heap never compares handles: the callbacks are mutually
+        unorderable objects, so falling through to one would raise
+        ``TypeError``."""
+        class Callback:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __call__(self):
+                order.append(self.tag)
+
         order = []
-        for tag in ("a", "b", "c"):
-            sim.schedule(1.0, order.append, tag)
+        for tag in range(200):
+            sim.schedule(1.0, Callback(tag))
+            sim.schedule_at(0.5, Callback(-tag - 1))
         sim.run()
-        assert order == ["a", "b", "c"]
+        assert order == ([-tag - 1 for tag in range(200)]
+                         + list(range(200)))
 
     def test_clock_advances_to_event_time(self, sim):
         seen = []
@@ -30,6 +43,16 @@ class TestScheduling:
     def test_schedule_in_past_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
+
+    def test_nan_time_rejected(self, sim):
+        """Regression: ``nan < 0`` is false, so a NaN delay used to be
+        accepted, fire, and set the clock to NaN."""
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        sim.run(until=1.0)
+        assert sim.now == 1.0 and sim.events_executed == 0
 
     def test_schedule_at_before_now_rejected(self, sim):
         sim.schedule(5.0, lambda: None)
@@ -98,19 +121,32 @@ class TestRunControl:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_zero_event_budget_executes_nothing(self, sim):
+        """Regression: the budget used to be tested after dispatch, so
+        ``max_events=0`` ran one event."""
+        fired = []
+        sim.schedule(1.0, fired.append, "x")
+        sim.run(until=5.0, max_events=0)
+        assert fired == [] and sim.events_executed == 0
+        assert sim.now == 0.0 and sim.pending() == 1
+
     def test_max_events_truncation_does_not_jump_clock(self, sim):
         """Regression: when `max_events` truncates a bounded run, the
         clock must not jump to `until` past still-queued events — a later
         run() would then set `now` backwards (time travel)."""
         fired = []
+        observed = []
+
+        def fire(i):
+            fired.append(i)
+            observed.append(sim.now)
+
         for i in range(10):
-            sim.schedule(float(i + 1), fired.append, i)
+            sim.schedule(float(i + 1), fire, i)
         sim.run(until=20.0, max_events=3)
         assert sim.now == 3.0  # at the last executed event, not 20.0
-        observed = []
-        sim.add_tracer(lambda t, h: observed.append(t))
         sim.run(until=20.0)
-        assert observed == sorted(observed)
+        assert observed == [float(i + 1) for i in range(10)]
         assert fired == list(range(10))
         assert sim.now == 20.0
 
@@ -129,15 +165,6 @@ class TestRunControl:
         handle.cancel()
         sim.run(until=7.0)
         assert sim.now == 7.0
-
-    def test_step_executes_one_event(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step() is True
-        assert fired == ["a"]
-        assert sim.step() is True
-        assert sim.step() is False
 
     def test_events_executed_counter(self, sim):
         for i in range(5):
@@ -193,23 +220,6 @@ class TestDeterminism:
         a = Simulator(seed=1)
         b = Simulator(seed=2)
         assert a.rng.random() != b.rng.random()
-
-
-class TestContext:
-    def test_context_exposes_clock_and_rng(self, sim):
-        ctx = SimContext(sim=sim)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert ctx.now == 2.0
-        assert ctx.rng is sim.rng
-
-    def test_tracer_sees_events(self, sim):
-        traced = []
-        sim.add_tracer(lambda t, h: traced.append(t))
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert traced == [1.0, 2.0]
 
 
 class TestWindowedRun:

@@ -143,16 +143,6 @@ def test_removal_drops_only_crossing_candidate_sets():
     assert ("hC", "hB", 2) in cache.cached_candidate_keys
 
 
-def test_graph_export_memoized_per_version():
-    topo = diamond_topology()
-    g1 = topo.graph()
-    assert topo.graph() is g1
-    topo.link("s1", "s2").set_capacity(1 * GBPS)
-    g2 = topo.graph()
-    assert g2 is not g1
-    assert g2["s1"]["s2"]["capacity"] == 1 * GBPS
-
-
 # ---------------------------------------------------------------------------
 # Path helpers (satellite: frozenset-backed contains_link)
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netsim import (GBPS, NoRouteError, Packet, Path, Simulator,
                           all_shortest_paths, clear_flow_route,
-                          default_path_for, edge_disjoint_paths,
+                          default_path_for,
                           install_flow_route, install_host_routes,
                           k_shortest_paths, random_topology, shortest_path)
 
@@ -71,16 +71,6 @@ class TestComputation:
         assert len(paths) == 2  # via s1 and via s2
         delays = {p.latency(fig2.topo) for p in paths}
         assert len(delays) == 1
-
-    def test_edge_disjoint_paths_share_no_link(self, fig2):
-        paths = edge_disjoint_paths(fig2.topo, "sL", "sR")
-        seen = set()
-        for path in paths:
-            for link in path.links():
-                canonical = tuple(sorted(link))
-                assert canonical not in seen
-                seen.add(canonical)
-        assert len(paths) >= 3
 
 
 class TestInstallation:

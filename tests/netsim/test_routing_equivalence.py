@@ -29,6 +29,7 @@ from repro.netsim import (GBPS, MS, Simulator, Topology, figure2_topology,
                           k_shortest_paths, make_flow, random_topology,
                           shortest_path)
 from tests.oracles.routing import (all_shortest_paths_reference,
+                                   build_graph,
                                    install_fast_reroute_alternates_reference,
                                    install_host_routes_reference,
                                    install_switch_routes_reference,
@@ -78,7 +79,7 @@ def path_cost(topo: Topology, nodes) -> float:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sssp_tree_matches_networkx_bitwise(seed):
     topo = random_weighted_topology(seed)
-    graph = topo.build_graph()
+    graph = build_graph(topo)
     cache = topo.route_cache
     for root in topo.nodes:
         nx_preds, nx_dist = nx.dijkstra_predecessor_and_distance(
@@ -225,7 +226,7 @@ def test_figure2_exact_equality():
 def _remove_redundant_link(topo: Topology) -> None:
     """Remove the first switch-switch link that is not a bridge."""
     switches = set(topo.switch_names)
-    bridges = {frozenset(edge) for edge in nx.bridges(topo.build_graph())}
+    bridges = {frozenset(edge) for edge in nx.bridges(build_graph(topo))}
     a, b = next(pair for pair in topo.duplex_pairs()
                 if switches.issuperset(pair)
                 and frozenset(pair) not in bridges)

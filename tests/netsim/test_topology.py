@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import (Simulator, Topology, abilene_like, fat_tree,
                           figure2_topology, random_topology)
+from tests.oracles.routing import build_graph
 
 
 class TestBuilder:
@@ -57,7 +58,7 @@ class TestBuilder:
         topo.add_switch("a")
         topo.add_switch("b")
         topo.add_duplex_link("a", "b", 2e9, 0.005)
-        graph = topo.graph()
+        graph = build_graph(topo)
         assert graph.edges["a", "b"]["capacity"] == 2e9
         assert graph.edges["a", "b"]["delay"] == 0.005
         assert graph.nodes["a"]["is_switch"] is True
@@ -108,7 +109,7 @@ class TestFatTree:
     def test_all_hosts_mutually_reachable(self, sim):
         import networkx as nx
         topo = fat_tree(sim, k=4)
-        assert nx.is_connected(topo.graph())
+        assert nx.is_connected(build_graph(topo))
 
 
 class TestAbilene:
@@ -119,7 +120,7 @@ class TestAbilene:
 
     def test_connected(self, sim):
         import networkx as nx
-        assert nx.is_connected(abilene_like(sim).graph())
+        assert nx.is_connected(build_graph(abilene_like(sim)))
 
 
 class TestRandom:
@@ -129,7 +130,7 @@ class TestRandom:
             sim = Simulator(seed=seed)
             topo = random_topology(sim, n_switches=12, n_hosts=6,
                                    extra_edges=4)
-            assert nx.is_connected(topo.graph())
+            assert nx.is_connected(build_graph(topo))
 
     def test_host_count(self, sim):
         topo = random_topology(sim, n_switches=5, n_hosts=7)

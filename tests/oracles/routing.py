@@ -12,14 +12,29 @@ from typing import Dict, List
 import networkx as nx
 
 from repro.netsim.routing import NoRouteError, Path
+from repro.netsim.switch import ProgrammableSwitch
 from repro.netsim.topology import Topology
+
+
+def build_graph(topo: Topology) -> nx.Graph:
+    """A fresh networkx export of the topology: edge weight is the
+    forward direction's propagation delay (duplex links are symmetric
+    by construction).  Was ``Topology.build_graph``."""
+    g = nx.Graph()
+    for name, node in topo.nodes.items():
+        g.add_node(name, is_switch=isinstance(node, ProgrammableSwitch))
+    for pair in topo.duplex_pairs():
+        link = topo.links[pair]
+        g.add_edge(*pair, capacity=link.capacity_bps,
+                   delay=link.delay_s, weight=link.delay_s)
+    return g
 
 
 def shortest_path_reference(topo: Topology, src: str, dst: str) -> Path:
     """Original uncached networkx implementation (rebuilds the graph on
     every call)."""
     try:
-        nodes = nx.shortest_path(topo.build_graph(), src, dst,
+        nodes = nx.shortest_path(build_graph(topo), src, dst,
                                  weight="weight")
     except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
         raise NoRouteError(f"no path {src} -> {dst}") from exc
@@ -30,7 +45,7 @@ def all_shortest_paths_reference(topo: Topology, src: str,
                                  dst: str) -> List[Path]:
     """Original uncached networkx implementation."""
     try:
-        paths = nx.all_shortest_paths(topo.build_graph(), src, dst,
+        paths = nx.all_shortest_paths(build_graph(topo), src, dst,
                                       weight="weight")
         return [Path.of(p) for p in paths]
     except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
@@ -47,7 +62,7 @@ def k_shortest_paths_reference(topo: Topology, src: str, dst: str,
             f"k_shortest_paths needs two distinct endpoints, got "
             f"src == dst == {src!r}")
     try:
-        generator = nx.shortest_simple_paths(topo.build_graph(), src, dst,
+        generator = nx.shortest_simple_paths(build_graph(topo), src, dst,
                                              weight="weight")
         result = []
         for nodes in generator:
@@ -63,7 +78,7 @@ def install_host_routes_reference(
         topo: Topology, ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
     """Original uncached networkx implementation (one
     ``dijkstra_predecessor_and_distance`` per host per call)."""
-    graph = topo.build_graph()
+    graph = build_graph(topo)
     installed: Dict[str, Dict[str, List[str]]] = {}
     for host in topo.host_names:
         preds, _ = nx.dijkstra_predecessor_and_distance(
@@ -83,7 +98,7 @@ def install_host_routes_reference(
 def install_switch_routes_reference(
         topo: Topology, ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
     """Original uncached networkx implementation."""
-    graph = topo.build_graph()
+    graph = build_graph(topo)
     installed: Dict[str, Dict[str, List[str]]] = {}
     for target in topo.switch_names:
         preds, _ = nx.dijkstra_predecessor_and_distance(
@@ -101,7 +116,7 @@ def install_switch_routes_reference(
 
 def install_fast_reroute_alternates_reference(topo: Topology) -> None:
     """Original uncached networkx implementation (all-pairs Dijkstra)."""
-    graph = topo.build_graph()
+    graph = build_graph(topo)
     dist = dict(nx.all_pairs_dijkstra_path_length(graph, weight="weight"))
     destinations = topo.host_names + topo.switch_names
     for sw_name in topo.switch_names:
