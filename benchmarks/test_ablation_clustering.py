@@ -19,8 +19,8 @@ def catalog_graph():
     return merged.merged
 
 
-def test_cluster_cut_beats_random_splits(benchmark):
-    graph = benchmark.pedantic(catalog_graph, rounds=1, iterations=1)
+def test_cluster_cut_beats_random_splits():
+    graph = catalog_graph()
     clusters = graph.clusters(weight_threshold=16)
     cluster_cut = graph.cut_weight(clusters)
 
@@ -41,12 +41,10 @@ def test_cluster_cut_beats_random_splits(benchmark):
           f"random split mean {mean_random:.0f} "
           f"(min {min(random_cuts):.0f})")
     assert cluster_cut < mean_random
-    benchmark.extra_info["cluster_cut"] = cluster_cut
-    benchmark.extra_info["random_mean_cut"] = round(mean_random, 1)
 
 
-def test_threshold_trades_cluster_size_for_cut(benchmark):
-    graph = benchmark.pedantic(catalog_graph, rounds=1, iterations=1)
+def test_threshold_trades_cluster_size_for_cut():
+    graph = catalog_graph()
     rows = []
     for threshold in (1, 8, 16, 32, 64):
         clusters = graph.clusters(weight_threshold=threshold)
@@ -66,7 +64,7 @@ def test_threshold_trades_cluster_size_for_cut(benchmark):
     assert counts == sorted(counts)
 
 
-def test_per_booster_clusters_are_coherent(benchmark):
+def test_per_booster_clusters_are_coherent():
     """Within one booster, the heavy parser->state->logic chain should
     cluster together at moderate thresholds."""
 
@@ -78,7 +76,7 @@ def test_per_booster_clusters_are_coherent(benchmark):
             results[booster.name] = (len(graph), len(clusters))
         return results
 
-    results = benchmark.pedantic(per_booster, rounds=1, iterations=1)
+    results = per_booster()
     for name, (n_ppms, n_clusters) in sorted(results.items()):
         assert n_clusters <= n_ppms
         # Every booster's dataflow is connected by >=8-bit edges into at

@@ -44,18 +44,12 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_data_plane_mode_change_beats_controller(benchmark, name):
+def test_data_plane_mode_change_beats_controller(name):
     build, initiator = CASES[name]
-    latency = benchmark.pedantic(propagation_latency,
-                                 args=(build, initiator),
-                                 rounds=1, iterations=1)
+    latency = propagation_latency(build, initiator)
     # RTT-timescale: orders of magnitude under the software loop.
     assert latency < CONTROLLER_LOOP_S / 5
     assert latency < TE_PERIOD_S / 1000
-    benchmark.extra_info["propagation_ms"] = round(latency * 1e3, 3)
-    benchmark.extra_info["controller_loop_ms"] = CONTROLLER_LOOP_S * 1e3
-    benchmark.extra_info["speedup_vs_controller"] = \
-        round(CONTROLLER_LOOP_S / latency, 1)
     print()
     print(f"{name}: data-plane mode change {latency * 1e3:.2f} ms vs "
           f"controller loop {CONTROLLER_LOOP_S * 1e3:.0f} ms vs TE period "

@@ -78,12 +78,12 @@ def coverage_case(legacy_fraction):
     return placement.metrics.path_coverage
 
 
-def test_mode_probes_tunnel_through_legacy(benchmark):
+def test_mode_probes_tunnel_through_legacy():
     def sweep():
         return {fraction: propagation_case(fraction)
                 for fraction in (0.0, 0.3, 0.5)}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print(f"{'legacy':>8}{'agents':>8}{'reached':>9}{'latency ms':>12}")
     for fraction, (reached, latency, n_agents) in sorted(results.items()):
@@ -93,17 +93,14 @@ def test_mode_probes_tunnel_through_legacy(benchmark):
         # millisecond timescale, regardless of legacy hops in between.
         assert reached
         assert latency < 0.1
-    benchmark.extra_info["latencies_ms"] = {
-        str(f): round(lat * 1e3, 2)
-        for f, (_, lat, _) in results.items()}
 
 
-def test_detector_coverage_degrades_gracefully(benchmark):
+def test_detector_coverage_degrades_gracefully():
     def sweep():
         return {fraction: coverage_case(fraction)
                 for fraction in (0.0, 0.3, 0.6)}
 
-    coverages = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    coverages = sweep()
     print()
     for fraction, coverage in sorted(coverages.items()):
         print(f"legacy {fraction:.0%}: detector path coverage "

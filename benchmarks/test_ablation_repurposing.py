@@ -64,35 +64,27 @@ def run_discipline(discipline, seed=23):
     return delivered, lost, len(sent)
 
 
-def test_notify_and_frr_avoid_loss(benchmark):
-    delivered, lost, total = benchmark.pedantic(
-        run_discipline, args=("notify_frr",), rounds=1, iterations=1)
+def test_notify_and_frr_avoid_loss():
+    delivered, lost, total = run_discipline("notify_frr")
     assert delivered == total
     assert lost == 0
-    benchmark.extra_info.update(delivered=delivered, lost=lost)
 
 
-def test_silent_reconfig_blackholes(benchmark):
-    delivered, lost, total = benchmark.pedantic(
-        run_discipline, args=("silent",), rounds=1, iterations=1)
+def test_silent_reconfig_blackholes():
+    delivered, lost, total = run_discipline("silent")
     assert lost == total, "a dark switch with no warning drops everything"
     assert delivered == 0
-    benchmark.extra_info.update(delivered=delivered, lost=lost)
 
 
-def test_hitless_reconfig_is_transparent(benchmark):
-    delivered, lost, total = benchmark.pedantic(
-        run_discipline, args=("hitless",), rounds=1, iterations=1)
+def test_hitless_reconfig_is_transparent():
+    delivered, lost, total = run_discipline("hitless")
     assert delivered == total
     assert lost == 0
-    benchmark.extra_info.update(delivered=delivered, lost=lost)
 
 
-def test_disruption_comparison(benchmark):
-    rows = benchmark.pedantic(
-        lambda: {d: run_discipline(d)
-                 for d in ("notify_frr", "silent", "hitless")},
-        rounds=1, iterations=1)
+def test_disruption_comparison():
+    rows = {d: run_discipline(d)
+            for d in ("notify_frr", "silent", "hitless")}
     print()
     print(f"{'discipline':>12}{'delivered':>11}{'lost':>6}")
     for discipline, (delivered, lost, total) in rows.items():

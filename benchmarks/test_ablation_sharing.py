@@ -25,39 +25,28 @@ def suites_fitting_on_one_switch(requirement):
     return count
 
 
-def test_sharing_reduces_catalog_footprint(benchmark):
-    shared = benchmark.pedantic(catalog_requirements, args=(True,),
-                                rounds=1, iterations=1)
+def test_sharing_reduces_catalog_footprint():
+    shared = catalog_requirements(True)
     unshared = catalog_requirements(False)
     assert shared.requirement_after.sram_mb < \
         unshared.requirement_after.sram_mb
     assert shared.ppms_after < unshared.ppms_after
-    benchmark.extra_info["sram_mb_shared"] = \
-        round(shared.requirement_after.sram_mb, 3)
-    benchmark.extra_info["sram_mb_unshared"] = \
-        round(unshared.requirement_after.sram_mb, 3)
     print()
     print(f"catalog footprint: shared {shared.requirement_after} vs "
           f"unshared {unshared.requirement_after}")
 
 
-def test_sharing_lets_more_boosters_pack(benchmark):
-    def measure():
-        shared = catalog_requirements(True)
-        unshared = catalog_requirements(False)
-        return (suites_fitting_on_one_switch(shared.requirement_after),
-                suites_fitting_on_one_switch(unshared.requirement_after))
-
-    with_sharing, without_sharing = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
+def test_sharing_lets_more_boosters_pack():
+    with_sharing = suites_fitting_on_one_switch(
+        catalog_requirements(True).requirement_after)
+    without_sharing = suites_fitting_on_one_switch(
+        catalog_requirements(False).requirement_after)
     # Stage budget (12) dominates; both fit zero whole catalogs (25
     # stages) on one switch — the point is the per-module packing below.
     assert with_sharing >= without_sharing
-    benchmark.extra_info["catalog_copies_shared"] = with_sharing
-    benchmark.extra_info["catalog_copies_unshared"] = without_sharing
 
 
-def test_flow_table_sharing_saves_stages(benchmark):
+def test_flow_table_sharing_saves_stages():
     """The paper's per-flow-table sharing example, quantified.
 
     The LFA detector ([43]-style) and NetWarden ([78]) both keep a
@@ -68,19 +57,13 @@ def test_flow_table_sharing_saves_stages(benchmark):
     from repro.boosters import LfaDetectorBooster, NetWardenBooster
     from repro.core import ProgramAnalyzer
 
-    def measure():
-        graphs = [LfaDetectorBooster().dataflow(),
-                  NetWardenBooster().dataflow()]
-        merged = ProgramAnalyzer().merge(graphs)
-        return merged.report
-
-    report = benchmark.pedantic(measure, rounds=1, iterations=1)
+    graphs = [LfaDetectorBooster().dataflow(),
+              NetWardenBooster().dataflow()]
+    report = ProgramAnalyzer().merge(graphs).report
     assert report.requirement_after.stages < \
         report.requirement_before.stages
     saved = report.requirement_before.stages - \
         report.requirement_after.stages
-    benchmark.extra_info["stages_saved"] = saved
-    benchmark.extra_info["sram_mb_saved"] = round(report.savings.sram_mb, 3)
     print()
     print(f"LFA detector + NetWarden: {report.requirement_before.stages:g}"
           f" -> {report.requirement_after.stages:g} stages "

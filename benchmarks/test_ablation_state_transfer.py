@@ -39,7 +39,7 @@ def run_sweep(group_size, overload_factor, seed=11):
     return ok / ATTEMPTS, recovered
 
 
-def test_fec_beats_raw_under_loss(benchmark):
+def test_fec_beats_raw_under_loss():
     def sweep():
         rows = []
         for overload in (1.0, 1.02, 1.05, 1.10):
@@ -48,7 +48,7 @@ def test_fec_beats_raw_under_loss(benchmark):
             rows.append((overload, with_fec, without_fec, recovered))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print()
     print(f"{'overload':>9}{'FEC ok':>8}{'raw ok':>8}{'repaired words':>16}")
     for overload, with_fec, without_fec, recovered in rows:
@@ -60,19 +60,14 @@ def test_fec_beats_raw_under_loss(benchmark):
     # Mild loss: FEC keeps transfers alive notably better.
     mild = rows[1]
     assert mild[1] > mild[2]
-    benchmark.extra_info["rows"] = [
-        {"overload": o, "fec": f, "raw": r} for o, f, r, _ in rows]
 
 
-def test_survival_model_tracks_measurement(benchmark):
+def test_survival_model_tracks_measurement():
     """The closed-form group-survival model vs. measured transfers."""
     overload = 1.05
     loss = 1.0 - 1.0 / overload
 
-    def measure():
-        return run_sweep(4, overload)
-
-    measured, _ = benchmark.pedantic(measure, rounds=1, iterations=1)
+    measured, _ = run_sweep(4, overload)
     # A transfer needs every group to survive; the payload spans ~60
     # words = 15 groups, each crossing one lossy link.
     group_survival = loss_survival_probability(loss, 4)
@@ -83,7 +78,7 @@ def test_survival_model_tracks_measurement(benchmark):
           f"at {loss:.1%} symbol loss")
 
 
-def test_redundancy_overhead_tradeoff(benchmark):
+def test_redundancy_overhead_tradeoff():
     """Smaller FEC groups mean more parity overhead but more repair."""
     from repro.dataplane import FecEncoder
 
@@ -95,7 +90,7 @@ def test_redundancy_overhead_tradeoff(benchmark):
             rows.append((group_size, ok, overhead))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print()
     for group_size, ok, overhead in rows:
         print(f"group={group_size}: success {ok:.1%}, "

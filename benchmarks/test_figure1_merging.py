@@ -9,15 +9,11 @@ motivate Challenge 1 (resource multiplexing).
 from repro.experiments.figure1 import run_merge
 
 
-def test_merge_full_catalog(benchmark):
-    merged, summary = benchmark(run_merge)
+def test_merge_full_catalog():
+    merged, summary = run_merge()
     assert summary.ppms_after < summary.ppms_before
     assert summary.shared_groups >= 1
     assert summary.sram_savings_fraction > 0.05
-    benchmark.extra_info["ppms_before"] = summary.ppms_before
-    benchmark.extra_info["ppms_after"] = summary.ppms_after
-    benchmark.extra_info["sram_savings"] = \
-        round(summary.sram_savings_fraction, 3)
 
     print()
     print("Figure 1 module table (merged catalog)")
@@ -28,7 +24,7 @@ def test_merge_full_catalog(benchmark):
           f"SRAM saved {summary.sram_savings_fraction:.1%}")
 
 
-def test_merge_identifies_cross_booster_equivalence(benchmark):
+def test_merge_identifies_cross_booster_equivalence():
     """Two differently-written but equivalent modules collapse to one."""
     from repro.boosters import sketch_ppm
     from repro.core import DataflowGraph, ProgramAnalyzer
@@ -42,7 +38,7 @@ def test_merge_identifies_cross_booster_equivalence(benchmark):
             graphs.append(graph)
         return ProgramAnalyzer().merge(graphs)
 
-    merged = benchmark(build_and_merge)
+    merged = build_and_merge()
     assert merged.report.total_ppms_after == 1
     assert merged.merged_name("alice.alice_counter") == \
         merged.merged_name("bob.bob_counter")

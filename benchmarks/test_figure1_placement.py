@@ -12,20 +12,12 @@ from repro.experiments.figure1 import run_placement
 
 
 @pytest.mark.parametrize("topology", ["figure2", "abilene"])
-def test_placement(benchmark, topology):
-    summary = benchmark.pedantic(run_placement, args=(topology,),
-                                 rounds=1, iterations=1)
+def test_placement(topology):
+    summary = run_placement(topology)
     assert summary.feasible, summary.placement.infeasibility_reasons
     assert summary.path_coverage == 1.0
     assert summary.te_max_utilization <= 1.0
     metrics = summary.placement.metrics
-    benchmark.extra_info.update({
-        "detector_switches": summary.detector_switches,
-        "path_coverage": summary.path_coverage,
-        "te_max_utilization": round(summary.te_max_utilization, 3),
-        "mitigation_colocated": metrics.mitigation_colocated,
-        "mitigation_downstream": metrics.mitigation_downstream,
-    })
     print()
     print(f"Figure 1c placement on {topology}: "
           f"{summary.detector_switches} detector switches, "
@@ -36,16 +28,10 @@ def test_placement(benchmark, topology):
           f"detoured {metrics.mitigation_detoured}")
 
 
-def test_pervasive_vs_minimal_cover(benchmark):
+def test_pervasive_vs_minimal_cover():
     """The §3.2 trade: pervasive detection vs. minimal path cover."""
 
-    def both():
-        return (run_placement("abilene", pervasive=True),
-                run_placement("abilene", pervasive=False))
-
-    pervasive, minimal = benchmark.pedantic(both, rounds=1, iterations=1)
+    pervasive = run_placement("abilene", pervasive=True)
+    minimal = run_placement("abilene", pervasive=False)
     assert pervasive.detector_switches >= minimal.detector_switches
     assert minimal.path_coverage == 1.0
-    benchmark.extra_info["pervasive_detectors"] = \
-        pervasive.detector_switches
-    benchmark.extra_info["minimal_detectors"] = minimal.detector_switches

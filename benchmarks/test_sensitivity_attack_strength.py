@@ -22,17 +22,13 @@ def _group_key(conns):
     return params_slug({"connections_per_bot": conns, "duration_s": 40.0})
 
 
-def test_strength_sweep(benchmark, tmp_path):
-    def sweep():
-        return run_sweep(
-            SweepSpec(experiment="figure3", seeds=[7],
-                      base_params={"duration_s": 40.0},
-                      grid={"connections_per_bot":
-                            list(STRENGTHS.values())},
-                      raw_seeds=True),
-            out_dir=tmp_path / "strength")
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_strength_sweep(tmp_path):
+    result = run_sweep(
+        SweepSpec(experiment="figure3", seeds=[7],
+                  base_params={"duration_s": 40.0},
+                  grid={"connections_per_bot": list(STRENGTHS.values())},
+                  raw_seeds=True),
+        out_dir=tmp_path / "strength")
     assert result.ok, result.errors
     assert len(result.aggregates) == len(STRENGTHS)
 
@@ -58,6 +54,3 @@ def test_strength_sweep(benchmark, tmp_path):
     assert weak_base > 0.9, "a sub-capacity flood should not hurt"
     assert paper_base < 0.75
     assert strong_base <= paper_base + 0.05
-    benchmark.extra_info.update(
-        {name: {"baseline": round(b, 3), "fastflex": round(f, 3)}
-         for name, (b, f) in means.items()})

@@ -6,7 +6,7 @@ Subpackages:
 * :mod:`repro.netsim` — the network substrate (discrete-event + fluid).
 * :mod:`repro.dataplane` — switch-hardware primitives and resources.
 * :mod:`repro.core` — FastFlex itself: analyzer, scheduler, multimode
-  data plane, distributed protocols, scaling, federation.
+  data plane, distributed protocols, scaling.
 * :mod:`repro.boosters` — the defense-app catalog.
 * :mod:`repro.attacks` — Crossfire/rolling/pulsing/volumetric attackers.
 * :mod:`repro.baselines` — the centralized SDN-TE defense.

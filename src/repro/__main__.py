@@ -90,6 +90,18 @@ def main(argv=None) -> int:
                 f"{flags}: these overrides only apply to figure3 (or "
                 f"the figure3 stage of 'all'); {args.experiment} does "
                 f"not take {them}")
+    config = None
+    if args.experiment in ("figure3", "all"):
+        from .experiments.figure3 import Figure3Config
+        overrides = {}
+        if args.duration is not None:
+            overrides["duration_s"] = args.duration
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        try:
+            config = Figure3Config(**overrides)
+        except ValueError as exc:
+            parser.error(f"--duration: {exc}")
 
     # One run = one snapshot: zero whatever earlier in-process runs
     # accumulated, then opt into tracing if asked.
@@ -108,15 +120,8 @@ def main(argv=None) -> int:
             from .experiments import figure2
             figure2.main()
             print()
-        if args.experiment in ("figure3", "all"):
-            from .experiments.figure3 import (Figure3Config, format_report,
-                                              run_both)
-            overrides = {}
-            if args.duration is not None:
-                overrides["duration_s"] = args.duration
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            config = Figure3Config(**overrides)
+        if config is not None:
+            from .experiments.figure3 import format_report, run_both
             results = run_both(config)
             per_system_metrics = {name: result.metrics
                                   for name, result in results.items()}

@@ -15,7 +15,7 @@
   state, captured by value here and referenced symbolically from inside
   the state segment (see :mod:`repro.checkpoint.pickler`).
 * **Global sequences** — the module-level ID generators
-  (``flow_id``/``pkt_id``/transfer/advisory/trace ids).  These are
+  (``flow_id``/``pkt_id``/transfer/trace ids).  These are
   process-wide ``itertools.count`` objects that the pickled world does
   *not* own; without capturing them a restored process would re-issue
   IDs from 1 and diverge from an uninterrupted run the moment a new
@@ -46,7 +46,6 @@ from .pickler import dump_state, load_state
 #: state but live outside any picklable object graph.  Every entry is
 #: (module, attribute); the attribute must be an ``itertools.count``.
 GLOBAL_SEQUENCES: Tuple[Tuple[str, str], ...] = (
-    ("repro.core.federation", "_advisory_ids"),
     ("repro.core.state_transfer", "_transfer_ids"),
     ("repro.netsim.flows", "_flow_ids"),
     ("repro.netsim.packet", "_packet_ids"),

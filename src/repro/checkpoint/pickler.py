@@ -86,8 +86,8 @@ class CheckpointPickler(pickle.Pickler):
             if ref is None:
                 raise CheckpointError(
                     f"cannot checkpoint metric {obj.name!r}: not part of "
-                    f"the process-wide registry (isolated registries are "
-                    f"not checkpointable)")
+                    f"the process-wide registry (isolated registries "
+                    f"cannot be checkpointed)")
             return ref
         return None
 
@@ -135,7 +135,7 @@ def dump_state(state: Any) -> bytes:
         CheckpointPickler(buffer).dump(state)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise CheckpointError(
-            f"simulation state is not checkpointable: {exc}") from exc
+            f"simulation state cannot be checkpointed: {exc}") from exc
     finally:
         sys.setrecursionlimit(previous_limit)
     return buffer.getvalue()

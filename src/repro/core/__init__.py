@@ -14,8 +14,6 @@ from .controller import (BoosterVerificationError, Deployment,
 from .dataflow import DataflowEdge, DataflowGraph
 from .equivalence import (EquivalenceClasses, equivalent, merge_parsers,
                           parser_covers)
-from .federation import (FederationPeer, ThreatAdvisory,
-                         WatchlistEntry, apply_watchlist, hash_source)
 from .mode_protocol import (NETWORK_WIDE_SCOPE, ModeChangeAgent,
                             install_mode_agents)
 from .modes import (DEFAULT_MODE, ModeChangeEvent, ModeEventBus,
@@ -39,11 +37,9 @@ __all__ = [
     "BoosterVerifier", "CriticalStateReplicator", "DEFAULT_MODE",
     "Finding", "Severity", "VerificationReport", "verify_catalog",
     "DataflowEdge", "DataflowGraph", "Deployment", "DetectorSyncAgent",
-    "EquivalenceClasses", "FastFlexController", "FederationPeer",
-    "GatedProgram", "GuardStats", "ThreatAdvisory", "WatchlistEntry",
-    "apply_watchlist", "hash_source",
-    "MergeReport", "MergedGraph", "ModeChangeAgent", "ModeChangeEvent",
-    "ModeEventBus", "ModeRegistry", "ModeSpec", "ModeTable",
+    "EquivalenceClasses", "FastFlexController", "GatedProgram",
+    "GuardStats", "MergeReport", "MergedGraph", "ModeChangeAgent",
+    "ModeChangeEvent", "ModeEventBus", "ModeRegistry", "ModeSpec", "ModeTable",
     "NETWORK_WIDE_SCOPE", "Placement", "PlacementMetrics", "PpmKind",
     "PpmRole", "PpmSignature", "PpmSpec", "ProgramAnalyzer",
     "ProgramFactory", "RepurposeRecord", "ScalingManager", "Scheduler",

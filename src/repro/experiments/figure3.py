@@ -63,6 +63,14 @@ class Figure3Config:
     sample_period_s: float = 0.5
     fluid_interval_s: float = 0.01
 
+    def __post_init__(self) -> None:
+        # Written so NaN fails too: a NaN horizon never satisfies
+        # ``now >= duration_s`` and the run would never end.  ``inf``
+        # stays legal (serve's always-on scenario).
+        if not self.duration_s > 0:
+            raise ValueError(
+                f"duration_s must be > 0, got {self.duration_s!r}")
+
     @property
     def normal_demand_total(self) -> float:
         return self.n_clients * self.client_demand_bps
@@ -105,15 +113,14 @@ class Figure3Result:
 
 @dataclass
 class Figure3World:
-    """A live, checkpointable Figure 3 run: every named root in one bag.
+    """A live Figure 3 run: every named root in one bag.
 
     ``build_world`` constructs it, ``advance_world`` moves simulation
     time forward (in one call or many — chunking is observationally
     free), ``finish_world`` turns it into a :class:`Figure3Result`.
-    The whole object graph is engine-checkpointable
+    An engine checkpoint captures the whole object graph
     (``world.sim.snapshot(path, state=world)``), which is what
-    ``python -m repro serve`` and the sweep runner's preemption path
-    build on.
+    ``python -m repro serve`` builds on.
     """
 
     system: str
@@ -237,9 +244,9 @@ def advance_world(world: Figure3World, until: Optional[float] = None,
     """Run the world forward; returns the simulation clock.
 
     Splitting the horizon into many ``advance_world`` calls (the serve
-    driver's slices, the sweep runner's preemption budget) executes the
-    exact same event sequence as one call — chunking only decides how
-    often control returns to the caller.
+    driver's slices) executes the exact same event sequence as one
+    call — chunking only decides how often control returns to the
+    caller.
     """
     horizon = until if until is not None else world.config.duration_s
     return world.sim.run(until=horizon, max_events=max_events)

@@ -31,11 +31,6 @@ from .topology import (GBPS, MBPS, MS, US, FigureTwoNetwork, Topology,
                        abilene_like, fat_tree, figure2_topology,
                        random_topology)
 from .traceroute import TracerouteClient, TracerouteResult
-from .workloads import (DemandModulator, EnterpriseWorkload,
-                        diurnal_profile, elephant_mice_split,
-                        enterprise_workload, pareto_sizes)
-from .traffic import (TrafficMatrix, client_server_flows, gravity_matrix,
-                      poisson_flow_arrivals, uniform_matrix)
 
 __all__ = [
     "AllocationResult", "Consume", "DEFAULT_TTL", "Decision", "Drop",
@@ -47,17 +42,13 @@ __all__ = [
     "SimulationError", "Simulator", "SsspTree", "SwitchProgram",
     "SwitchStats",
     "TcpFlags", "TimeSeries", "Topology", "TracerouteClient",
-    "TracerouteResult", "TrafficMatrix", "US", "abilene_like",
-    "all_shortest_paths", "clear_flow_route", "client_server_flows",
+    "TracerouteResult", "US", "abilene_like",
+    "all_shortest_paths", "clear_flow_route",
     "default_path_for", "install_flow_route",
-    "fat_tree", "figure2_topology", "gravity_matrix",
+    "fat_tree", "figure2_topology",
     "install_fast_reroute_alternates", "install_host_routes",
     "install_path_route", "install_switch_routes",
     "k_shortest_paths", "make_flow", "make_probe", "max_min_allocate",
-    "poisson_flow_arrivals", "random_topology",
-    "shortest_path", "uniform_matrix",
-    "DemandModulator",
-    "EnterpriseWorkload", "diurnal_profile", "elephant_mice_split",
-    "enterprise_workload", "pareto_sizes", "BatchPacketSource",
+    "random_topology", "shortest_path", "BatchPacketSource",
     "MeterWindow", "PacketSource", "ThroughputMeter",
 ]

@@ -75,14 +75,7 @@ def sweep_main(argv=None) -> int:
         help="checkpoint/summary directory (default sweeps/<experiment>)")
     parser.add_argument(
         "--resume", action="store_true",
-        help="skip tasks whose checkpoints in --out are already "
-             "complete and continue preempted ones from their partial "
-             "engine checkpoints")
-    parser.add_argument(
-        "--preempt-events", type=int, default=None, metavar="N",
-        help="budget each checkpointable task to N engine events per "
-             "invocation; tasks over budget park a tasks/<id>.part.ckpt "
-             "and are finished by a later --resume run")
+        help="skip tasks whose checkpoints in --out are already complete")
     parser.add_argument(
         "--set", dest="base", action="append", default=[],
         metavar="KEY=VALUE", help="fixed driver parameter (repeatable)")
@@ -114,8 +107,6 @@ def sweep_main(argv=None) -> int:
         parser.error(str(exc))
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    if args.preempt_events is not None and args.preempt_events < 1:
-        parser.error("--preempt-events must be >= 1")
 
     spec = SweepSpec(experiment=args.experiment, seeds=seeds,
                      base_params=base, grid=grid,
@@ -126,19 +117,11 @@ def sweep_main(argv=None) -> int:
         (lambda message: print(message, file=sys.stderr))
 
     result = run_sweep(spec, out_dir=out_dir, workers=args.workers,
-                       resume=args.resume, progress=progress,
-                       preempt_events=args.preempt_events)
+                       resume=args.resume, progress=progress)
 
-    preempt_note = (f", {len(result.preempted)} preempted"
-                    if result.preempted else "")
     print(f"sweep {args.experiment}: {len(result.records)} task(s) "
-          f"({result.executed} executed, {result.skipped} resumed"
-          f"{preempt_note}) "
+          f"({result.executed} executed, {result.skipped} resumed) "
           f"in {result.wall_seconds:.1f}s -> {result.out_dir}")
-    if result.preempted:
-        print(f"[sweep] {len(result.preempted)} task(s) over the "
-              f"--preempt-events budget; rerun with --resume to "
-              f"continue them", file=sys.stderr)
     print(_format_aggregates(result.aggregates))
     if args.metrics is not None:
         # The sweep-level snapshot: every worker's registry, merged.

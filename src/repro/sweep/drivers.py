@@ -85,15 +85,20 @@ def _series(result) -> List[Tuple[float, float]]:
 
 
 def _summarize(result, config, prefix: str) -> Dict[str, float]:
+    """One system's scalars.  Statistics with nothing to measure are
+    omitted rather than faked: the under-attack pair when no sample
+    fell in ``config.attack_window`` (a run shorter than the window),
+    the detection lag when nothing was detected."""
     scalars = {
-        f"{prefix}_mean_during_attack":
-            result.mean_during_attack(config),
-        f"{prefix}_min_during_attack":
-            result.min_during_attack(config),
         f"{prefix}_attacker_rolls": result.rolls,
         f"{prefix}_fluid_allocation_passes":
             result.fluid_allocation_passes,
     }
+    if result.throughput.window(*config.attack_window):
+        scalars[f"{prefix}_mean_during_attack"] = \
+            result.mean_during_attack(config)
+        scalars[f"{prefix}_min_during_attack"] = \
+            result.min_during_attack(config)
     if result.detections:
         scalars[f"{prefix}_detection_lag_s"] = (
             result.detections[0].time - config.attack_start_s)
@@ -107,93 +112,39 @@ def figure3_driver(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
     config = _figure3_config(seed, params)
     results = run_both(config)
     record: Dict[str, Any] = {"scalars": {}, "series": {}}
+    scalars = record["scalars"]
     for name, prefix in (("baseline_sdn", "baseline"),
                          ("fastflex", "fastflex")):
         result = results[name]
-        record["scalars"].update(_summarize(result, config, prefix))
+        scalars.update(_summarize(result, config, prefix))
         record["series"][name] = _series(result)
-    record["scalars"]["gap"] = (
-        record["scalars"]["fastflex_mean_during_attack"]
-        - record["scalars"]["baseline_mean_during_attack"])
+    if "fastflex_mean_during_attack" in scalars:
+        scalars["gap"] = (scalars["fastflex_mean_during_attack"]
+                          - scalars["baseline_mean_during_attack"])
     record["per_system_metrics"] = {
         name: results[name].metrics for name in results}
     return record
 
 
-# ----------------------------------------------------------------------
-# Checkpointable drivers (sweep task preemption)
-# ----------------------------------------------------------------------
-
-class CheckpointableDriver:
-    """A driver the runner can *preempt* mid-task and resume later from
-    an engine checkpoint (``tasks/<id>.part.ckpt``).
-
-    Besides being a plain callable (``driver(seed, params) -> record``),
-    a checkpointable driver exposes the build/advance/finish protocol::
-
-        world = driver.build(seed, params)      # construct, don't run
-        driver.advance(world, max_events=N)     # bounded slice
-        world.done                              # horizon reached?
-        record = driver.finish(world)           # summarize
-
-    The world object must round-trip through ``world.sim.snapshot()`` /
-    ``Simulator.restore()`` — i.e. follow the checkpoint-pickling rules
-    (telemetry by reference, no closures).  ``run_task`` uses the
-    protocol only when ``--preempt-events`` is set; the plain callable
-    path stays byte-identical to non-checkpointable drivers.
-    """
-
-    def build(self, seed: int, params: Dict[str, Any]) -> Any:
-        raise NotImplementedError
-
-    def advance(self, world: Any, max_events: int) -> None:
-        raise NotImplementedError
-
-    def finish(self, world: Any) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def __call__(self, seed: int, params: Dict[str, Any]
-                 ) -> Dict[str, Any]:
-        raise NotImplementedError
+def _one_system(system: str, prefix: str, seed: int,
+                params: Dict[str, Any]) -> Dict[str, Any]:
+    from ..experiments.figure3 import (advance_world, build_world,
+                                       finish_world)
+    config = _figure3_config(seed, params)
+    world = build_world(system, config)
+    advance_world(world)
+    result = finish_world(world)
+    return {"scalars": _summarize(result, config, prefix),
+            "series": {system: _series(result)}}
 
 
-class Figure3WorldDriver(CheckpointableDriver):
-    """Single-system figure3 driver over the world API
-    (:func:`repro.experiments.figure3.build_world` and friends)."""
-
-    #: engine events per :meth:`advance` slice on the plain path
-    STEP_EVENTS = 4096
-
-    def __init__(self, system: str, prefix: str, series_key: str):
-        self.system = system
-        self.prefix = prefix
-        self.series_key = series_key
-
-    def build(self, seed: int, params: Dict[str, Any]) -> Any:
-        from ..experiments.figure3 import build_world
-        config = _figure3_config(seed, params)
-        return build_world(self.system, config)
-
-    def advance(self, world: Any, max_events: int) -> None:
-        from ..experiments.figure3 import advance_world
-        advance_world(world, max_events=max_events)
-
-    def finish(self, world: Any) -> Dict[str, Any]:
-        from ..experiments.figure3 import finish_world
-        result = finish_world(world)
-        return {"scalars": _summarize(result, world.config, self.prefix),
-                "series": {self.series_key: _series(result)}}
-
-    def __call__(self, seed: int, params: Dict[str, Any]
-                 ) -> Dict[str, Any]:
-        world = self.build(seed, params)
-        while not world.done:
-            self.advance(world, max_events=self.STEP_EVENTS)
-        return self.finish(world)
+@register_driver("figure3_baseline")
+def figure3_baseline(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+    """The SDN-TE baseline alone under the rolling LFA."""
+    return _one_system("baseline_sdn", "baseline", seed, params)
 
 
-register_driver("figure3_baseline",
-                Figure3WorldDriver("baseline_sdn", "baseline",
-                                   "baseline_sdn"))
-register_driver("figure3_fastflex",
-                Figure3WorldDriver("fastflex", "fastflex", "fastflex"))
+@register_driver("figure3_fastflex")
+def figure3_fastflex(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+    """FastFlex alone under the rolling LFA."""
+    return _one_system("fastflex", "fastflex", seed, params)

@@ -44,16 +44,11 @@ from typing import Any, Callable, Dict, List, Optional
 from .. import telemetry
 from ..telemetry import WALL_CLOCK_METRICS, MetricsRegistry
 from .aggregate import aggregate_records
-from .drivers import CheckpointableDriver, resolve_driver
+from .drivers import resolve_driver
 from .spec import SweepSpec, SweepTask
 
 TASK_DIR = "tasks"
 SUMMARY_NAME = "sweep_summary.json"
-#: Partial engine checkpoint left behind by a preempted task; resumed
-#: (after fingerprint validation) by the next run of the same spec.
-PART_SUFFIX = ".part.ckpt"
-#: Engine events per slice while advancing a checkpointable task.
-PREEMPT_STEP_EVENTS = 2048
 
 # Counted in the *coordinator* process, so task failures are visible in
 # its --metrics snapshot without polluting the merged per-task metrics
@@ -93,9 +88,6 @@ class SweepResult:
     wall_seconds: float = 0.0
     out_dir: Optional[Path] = None
     errors: List[Dict[str, str]] = field(default_factory=list)
-    #: Marker records of tasks cut off by ``preempt_events``; their
-    #: partial checkpoints are picked up by the next ``--resume`` run.
-    preempted: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -104,12 +96,9 @@ class SweepResult:
     def summary(self) -> Dict[str, Any]:
         return {
             "spec": self.spec.describe(),
-            "n_tasks": (len(self.records) + len(self.errors)
-                        + len(self.preempted)),
+            "n_tasks": len(self.records) + len(self.errors),
             "executed": self.executed,
             "skipped": self.skipped,
-            "preempted": len(self.preempted),
-            "preempted_tasks": [m["task_id"] for m in self.preempted],
             "errors": self.errors,
             "wall_seconds": self.wall_seconds,
             "aggregates": self.aggregates,
@@ -131,41 +120,18 @@ class SweepResult:
 # ----------------------------------------------------------------------
 
 def run_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one task from its wire form; returns the task record.
-
-    With ``preempt_events`` set and a :class:`CheckpointableDriver`,
-    the task runs through the build/advance/finish protocol with a
-    bounded event budget: when the budget runs out before the horizon,
-    the world is checkpointed to ``tasks/<id>.part.ckpt`` and a
-    *preempted marker* record (``{"preempted": True, ...}``) is
-    returned instead of a result.  The next run of the same spec
-    restores the part-checkpoint (fingerprint-validated) and continues
-    where the budget cut off.
-    """
+    """Execute one task from its wire form; returns the task record."""
     task = SweepTask(payload["experiment"],
                      tuple(tuple(p) for p in payload["params"]),
                      payload["logical_seed"], payload["seed"])
     telemetry.reset()
     driver = resolve_driver(task.experiment)
     out_dir = payload.get("out_dir")
-    preempt_events = payload.get("preempt_events")
     # Wall-clock by design: per-task wall_seconds is operator-facing
     # profiling data, excluded from every determinism comparison
     # (aggregate_records drops it; see WALL_CLOCK_METRICS).
     started = time.perf_counter()  # reprolint: disable=RPL002
-    if isinstance(driver, CheckpointableDriver) and out_dir is not None:
-        outcome = _run_checkpointable(task, driver, out_dir,
-                                      preempt_events)
-        if outcome.get("preempted"):
-            return outcome
-        result = outcome["result"]
-    else:
-        if preempt_events is not None:
-            raise ValueError(
-                f"driver {task.experiment!r} is not checkpointable (or "
-                f"no --out directory for part-checkpoints); "
-                f"--preempt-events needs both")
-        result = driver(task.seed, task.param_dict)
+    result = driver(task.seed, task.param_dict)
     record = {
         "task_id": task.task_id,
         "fingerprint": task.fingerprint(),
@@ -181,65 +147,13 @@ def run_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     if out_dir is not None:
         checkpoint = Path(out_dir) / TASK_DIR / f"{task.task_id}.json"
         atomic_write_json(checkpoint, record)
-        part = Path(out_dir) / TASK_DIR / f"{task.task_id}{PART_SUFFIX}"
-        if part.exists():
-            part.unlink()  # finished: the partial state is superseded
     return record
 
 
-def _part_path(out_dir: Any, task: SweepTask) -> Path:
-    return Path(out_dir) / TASK_DIR / f"{task.task_id}{PART_SUFFIX}"
-
-
-def _run_checkpointable(task: SweepTask, driver: Any, out_dir: Any,
-                        preempt_events: Optional[int]) -> Dict[str, Any]:
-    """Advance one checkpointable task, resuming from and/or writing a
-    partial engine checkpoint.  Returns ``{"result": record}`` on
-    completion or a preempted marker dict."""
-    from ..checkpoint import CheckpointError
-    from ..netsim.engine import Simulator
-    part = _part_path(out_dir, task)
-    world = None
-    if part.exists():
-        try:
-            sim, world, meta = Simulator.restore(part)
-            if meta.get("task_fingerprint") != task.fingerprint():
-                world = None  # different spec wrote this; start over
-        except CheckpointError:
-            world = None  # truncated/corrupt (crashed mid-write family)
-        if world is None:
-            part.unlink()
-    if world is None:
-        world = driver.build(task.seed, task.param_dict)
-    entry_events = world.sim.events_executed
-    while not world.done:
-        if preempt_events is not None:
-            budget = preempt_events - (world.sim.events_executed
-                                       - entry_events)
-            if budget <= 0:
-                world.sim.snapshot(
-                    part, state=world,
-                    meta={"task_id": task.task_id,
-                          "task_fingerprint": task.fingerprint()})
-                return {"preempted": True,
-                        "task_id": task.task_id,
-                        "fingerprint": task.fingerprint(),
-                        "events_executed": world.sim.events_executed,
-                        "sim_time": world.sim.now,
-                        "part_checkpoint": str(part)}
-            step = min(PREEMPT_STEP_EVENTS, budget)
-        else:
-            step = PREEMPT_STEP_EVENTS
-        driver.advance(world, max_events=step)
-    return {"result": driver.finish(world)}
-
-
-def _task_payload(task: SweepTask, out_dir: Optional[Path],
-                  preempt_events: Optional[int] = None) -> Dict:
+def _task_payload(task: SweepTask, out_dir: Optional[Path]) -> Dict:
     return {"experiment": task.experiment, "params": list(task.params),
             "logical_seed": task.logical_seed, "seed": task.seed,
-            "out_dir": None if out_dir is None else str(out_dir),
-            "preempt_events": preempt_events}
+            "out_dir": None if out_dir is None else str(out_dir)}
 
 
 def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
@@ -272,8 +186,8 @@ def _load_checkpoint(path: Path, task: SweepTask) -> Optional[Dict]:
 
 def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
               resume: bool = False,
-              progress: Optional[Callable[[str], None]] = None,
-              preempt_events: Optional[int] = None) -> SweepResult:
+              progress: Optional[Callable[[str], None]] = None
+              ) -> SweepResult:
     """Run every task of ``spec``; returns the aggregated result.
 
     ``workers <= 1`` executes inline (no pool — simplest to debug and
@@ -281,23 +195,12 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
     :class:`ProcessPoolExecutor`.  With ``out_dir`` set, per-task
     checkpoints and ``sweep_summary.json`` are written there; with
     ``resume=True``, tasks whose checkpoints match are skipped.
-
-    ``preempt_events`` bounds each checkpointable task to that many
-    engine events per invocation: tasks that hit the budget park an
-    engine checkpoint in ``tasks/<id>.part.ckpt`` and are reported in
-    :attr:`SweepResult.preempted`; a later ``resume=True`` run (with or
-    without a budget) restores and continues them.  Requires ``out_dir``
-    and checkpointable drivers.
     """
     say = progress if progress is not None else (lambda message: None)
     out_path = None if out_dir is None else Path(out_dir)
     tasks = spec.tasks()
     # Sweep-level wall time: reporting only, never aggregated.
     started = time.perf_counter()  # reprolint: disable=RPL002
-
-    if preempt_events is not None and out_path is None:
-        raise ValueError("preempt_events requires an out_dir for the "
-                         "partial checkpoints")
 
     done: Dict[str, Dict[str, Any]] = {}
     pending: List[SweepTask] = []
@@ -310,14 +213,9 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
                 done[task.task_id] = record
                 continue
             say(f"[sweep] stale checkpoint for {task.task_id}; re-running")
-        elif not resume and checkpoint is not None:
-            # Fresh (non-resume) sweep: no leftovers — neither finished
-            # records nor partial engine checkpoints survive.
-            if checkpoint.exists():
-                checkpoint.unlink()
-            part = _part_path(out_path, task)
-            if part.exists():
-                part.unlink()
+        elif not resume and checkpoint is not None and checkpoint.exists():
+            # Fresh (non-resume) sweep: no finished record survives.
+            checkpoint.unlink()
         pending.append(task)
     skipped = len(done)
     if skipped:
@@ -325,26 +223,17 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
             f"complete, running {len(pending)}")
 
     errors: List[Dict[str, str]] = []
-    preempted: List[Dict[str, Any]] = []
 
     def collect(task: SweepTask, record: Dict[str, Any]) -> None:
-        if record.get("preempted"):
-            preempted.append(record)
-            say(f"[sweep] preempted {task.task_id} at "
-                f"{record['events_executed']} events "
-                f"(partial checkpoint parked)")
-        else:
-            done[task.task_id] = record
-            say(f"[sweep] done {task.task_id}")
+        done[task.task_id] = record
+        say(f"[sweep] done {task.task_id}")
 
     if workers > 1 and len(pending) > 1:
         say(f"[sweep] running {len(pending)} task(s) on "
             f"{workers} workers")
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(task,
-                        pool.submit(run_task,
-                                    _task_payload(task, out_path,
-                                                  preempt_events)))
+                        pool.submit(run_task, _task_payload(task, out_path)))
                        for task in pending]
             for task, future in futures:
                 try:
@@ -370,8 +259,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
         for task in pending:
             say(f"[sweep] running {task.task_id}")
             try:
-                collect(task, run_task(
-                    _task_payload(task, out_path, preempt_events)))
+                collect(task, run_task(_task_payload(task, out_path)))
             except (KeyError, ValueError, TypeError) as exc:
                 # Known failure shapes: unknown driver name, a parameter
                 # point the driver rejects, or a bad signature.
@@ -396,7 +284,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
         merged_metrics=merged,
         executed=len(records) - skipped, skipped=skipped,
         wall_seconds=time.perf_counter() - started,  # reprolint: disable=RPL002
-        out_dir=out_path, errors=errors, preempted=preempted)
+        out_dir=out_path, errors=errors)
     if out_path is not None:
         result.write_summary(out_path / SUMMARY_NAME)
     return result

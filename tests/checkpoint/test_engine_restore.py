@@ -1,5 +1,5 @@
-"""Whole-engine restore equivalence: figure3 worlds, sweep preemption,
-and the serve driver.
+"""Whole-engine restore equivalence: figure3 worlds and the serve
+driver.
 
 These tests exercise the headline guarantee in-process (the CI
 ``crash-restore`` job does it again with real SIGKILLed processes via
@@ -23,7 +23,6 @@ from repro.experiments.figure3 import (Figure3Config, advance_world,
                                        finish_world)
 from repro.netsim import flows as flows_module
 from repro.netsim.engine import Simulator
-from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.runner import stable_metrics
 
 CONFIG = Figure3Config(duration_s=8.0, seed=11)
@@ -135,61 +134,6 @@ class TestQueueRestore:
         monkeypatch.undo()
         with pytest.raises(CheckpointError, match="_QueuedEvent"):
             Simulator.restore(path)
-
-
-class TestSweepPreemption:
-    # duration must clear the _summarize attack window (attack start
-    # 5 s + 2 s settle), or finish-time summarization has no samples.
-    SPEC = dict(experiment="figure3_fastflex", seeds=[0, 1],
-                base_params={"duration_s": 10.0})
-
-    def test_preempted_sweep_matches_straight_run(self, tmp_path):
-        straight = run_sweep(SweepSpec(**self.SPEC),
-                             out_dir=tmp_path / "straight")
-        out = tmp_path / "preempted"
-        chunks = run_sweep(SweepSpec(**self.SPEC), out_dir=out,
-                           preempt_events=2500)
-        assert len(chunks.preempted) == 2
-        assert chunks.summary()["preempted"] == 2
-        assert (out / "tasks").glob("*.part.ckpt")
-        rounds = 0
-        while chunks.preempted:
-            rounds += 1
-            assert rounds < 10, "preempted sweep never converged"
-            chunks = run_sweep(SweepSpec(**self.SPEC), out_dir=out,
-                               resume=True, preempt_events=2500)
-        assert json.dumps(chunks.aggregates, sort_keys=True) == \
-            json.dumps(straight.aggregates, sort_keys=True)
-        assert json.dumps(stable_metrics(chunks.merged_metrics),
-                          sort_keys=True) == \
-            json.dumps(stable_metrics(straight.merged_metrics),
-                       sort_keys=True)
-        # Completion superseded the partial checkpoints.
-        assert list((out / "tasks").glob("*.part.ckpt")) == []
-
-    def test_fresh_sweep_discards_stale_partials(self, tmp_path):
-        out = tmp_path / "fresh"
-        preempted = run_sweep(SweepSpec(**self.SPEC), out_dir=out,
-                              preempt_events=2000)
-        assert preempted.preempted
-        partials = list((out / "tasks").glob("*.part.ckpt"))
-        assert partials
-        # A non-resume sweep must not silently continue old state.
-        complete = run_sweep(SweepSpec(**self.SPEC), out_dir=out)
-        assert not complete.preempted
-        assert len(complete.records) == 2
-
-    def test_preempt_without_out_dir_refused(self):
-        with pytest.raises(ValueError, match="out_dir"):
-            run_sweep(SweepSpec(**self.SPEC), preempt_events=100)
-
-    def test_preempt_with_plain_driver_is_task_error(self, tmp_path):
-        result = run_sweep(
-            SweepSpec(experiment="figure3", seeds=[0],
-                      base_params={"duration_s": 6.0}),
-            out_dir=tmp_path / "plain", preempt_events=100)
-        assert len(result.errors) == 1
-        assert "not checkpointable" in result.errors[0]["error"]
 
 
 class TestServeDriver:

@@ -64,6 +64,23 @@ class TestCli:
         assert main(["all", "--duration", "8", "--seed", "3"]) == 0
         assert "mean under attack" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["figure3", "--duration", "-5"],
+        ["figure3", "--duration", "nan"],
+        ["serve", "--duration", "nan", "--no-commands"]])
+    def test_horizon_that_is_not_positive_exits_two(self, argv):
+        """Regression: ``-5`` printed an empty series and exited 0, and
+        ``nan`` never terminated (hence a subprocess with a timeout)."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro"] + argv, capture_output=True,
+            text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        errors = [line for line in done.stderr.splitlines()
+                  if "duration_s must be > 0" in line]
+        assert len(errors) == 1
+        assert done.stdout == ""
+
 
 class TestRuntimeImports:
     def test_runtime_is_standard_library_only(self):

@@ -161,3 +161,14 @@ class TestRunBothMetricsIsolation:
         # the failed run's partial state are merged back too
         assert snapshot["fluid_updates_total"]["value"] > 0
         assert snapshot["partial_total"]["value"] == 3
+
+
+class TestConfigHorizon:
+    @pytest.mark.parametrize("duration", [float("nan"), 0.0, -5.0])
+    def test_horizon_that_is_not_positive_rejected(self, duration):
+        """A NaN horizon never ends a run (``now >= nan`` is false)."""
+        with pytest.raises(ValueError, match="duration_s must be > 0"):
+            Figure3Config(duration_s=duration)
+
+    def test_infinite_horizon_allowed(self):
+        assert Figure3Config(duration_s=float("inf")).duration_s > 0

@@ -83,7 +83,7 @@ def test_unknown_rule_code_exits_two(tmp_path):
     assert "RPL999" in proc.stderr
 
 
-def test_list_rules_names_all_ten():
+def test_list_rules_names_all_nine():
     proc = run_lint("--list-rules")
     assert proc.returncode == 0
     for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005",

@@ -43,7 +43,7 @@ PER_FILE_CODES = tuple(code for code in rule_codes()
                        if code not in PROJECT_CODES)
 
 
-def test_all_ten_rules_are_registered():
+def test_all_nine_rules_are_registered():
     assert rule_codes() == ["RPL001", "RPL002", "RPL003", "RPL004",
                             "RPL005", "RPL006", "RPL007", "RPL009",
                             "RPL010"]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import telemetry
 from repro.sweep import (SweepSpec, register_driver, run_sweep,
                         stable_metrics)
@@ -126,6 +128,23 @@ class TestTelemetryIsolation:
         assert len(result.errors) == 1
         assert "boom" in result.errors[0]["error"]
         assert len(result.records) == 2
+
+
+class TestFigure3Drivers:
+    @pytest.mark.parametrize("experiment", [
+        "figure3", "figure3_baseline", "figure3_fastflex"])
+    def test_run_ending_before_the_attack_window_omits_its_scalars(
+            self, experiment):
+        """Regression: a 6 s run ends before the attack window [7, 6)
+        opens; the driver simulated it and then raised summarizing it."""
+        result = run_sweep(SweepSpec(experiment=experiment, seeds=[0],
+                                     base_params={"duration_s": 6.0}))
+        assert result.ok, result.errors
+        (record,) = result.records
+        scalars = record["result"]["scalars"]
+        assert not [name for name in scalars
+                    if name.endswith("_during_attack") or name == "gap"]
+        assert any(name.endswith("_attacker_rolls") for name in scalars)
 
 
 class TestWorkerParity:
