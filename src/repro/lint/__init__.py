@@ -3,24 +3,23 @@ and mutation contracts.
 
 Usage::
 
-    python -m repro.lint [paths] [--project] [--json]
+    python -m repro.lint [paths] [--json]
                          [--select RPL001,...] [--ignore RPL005]
 
 See :mod:`repro.lint.core` for the per-file framework and the
 :class:`ProjectRule` API, :mod:`repro.lint.project` for the
-whole-program layer (symbol table, import graph, AST cache),
+whole-program layer (module names and the symbol table),
 :mod:`repro.lint.rules` for the individual contracts, and DESIGN.md
 "Enforced invariants" for the rule table.
 """
 
 from .core import (Finding, FileContext, LintResult, ProjectRule, Rule,
-                   all_rules, lint_paths, lint_project, lint_source,
-                   register, rule_codes, select_rules)
+                   all_rules, lint_paths, lint_source, register,
+                   rule_codes, select_rules)
 from .project import ProjectContext, ProjectFile
 
 __all__ = [
     "FileContext", "Finding", "LintResult", "ProjectContext",
     "ProjectFile", "ProjectRule", "Rule", "all_rules", "lint_paths",
-    "lint_project", "lint_source", "register", "rule_codes",
-    "select_rules",
+    "lint_source", "register", "rule_codes", "select_rules",
 ]

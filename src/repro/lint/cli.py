@@ -5,12 +5,9 @@ errors, 2 usage/configuration error.  ``--json`` emits one sorted,
 round-trippable JSON object on stdout; CI redirects it to a file as
 both gate and artifact.
 
-Project mode (``--project``) additionally runs the cross-module rules
-(RPL007+) over the whole tree; it defaults **on** when any path
-argument is a directory — a full-tree run is exactly when whole-program
-contracts are checkable — and off for single-file invocations (editor
-integrations), where cross-module analysis would see only a fragment.
-``--no-project`` forces it off.
+Every run is whole-program: the per-file rules and the cross-module
+rules (RPL007, RPL010) both see exactly the files named on the command
+line, so the paths you lint decide what each contract covers.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .core import all_rules, lint_paths
@@ -40,14 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to lint "
                              "(default: src scripts)")
-    parser.add_argument("--project", action="store_true", default=None,
-                        dest="project",
-                        help="run cross-module project rules too "
-                             "(default: on when any path is a "
-                             "directory)")
-    parser.add_argument("--no-project", action="store_false",
-                        dest="project",
-                        help="per-file rules only, even on directories")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit findings as one JSON object")
     parser.add_argument("--select", metavar="CODES", default=None,
@@ -70,13 +58,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     paths = args.paths if args.paths else DEFAULT_PATHS
-    project = args.project
-    if project is None:
-        project = any(Path(path).is_dir() for path in paths)
     try:
         result = lint_paths(paths, select=_parse_codes(args.select),
-                            ignore=_parse_codes(args.ignore),
-                            project=project)
+                            ignore=_parse_codes(args.ignore))
     except ValueError as exc:  # unknown rule codes
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -86,7 +70,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "findings": [f.to_dict() for f in result.findings],
             "suppressed": result.suppressed,
             "files_checked": result.files_checked,
-            "project": project,
             "parse_errors": [{"path": p, "error": e}
                              for p, e in result.parse_errors],
         }

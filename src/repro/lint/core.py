@@ -19,9 +19,8 @@ Architecture
 * :class:`ProjectRule` — a check over the *whole parsed tree* (a
   :class:`~repro.lint.project.ProjectContext`): cross-module contracts
   like duplicated constants or checkpoint-globals coverage that no
-  single file can witness.  Project rules run only in project mode
-  (``lint_paths(..., project=True)`` / the CLI's ``--project``, which
-  defaults on for directory arguments).
+  single file can witness.  They see exactly the files passed to
+  :func:`lint_paths`: the paths you lint decide what a contract covers.
 * :class:`FileContext` — parsed source plus the suppression table
   extracted from ``# reprolint: disable=RPL0xx`` comments.
 * :func:`lint_paths` / :func:`lint_source` — the drivers; both return a
@@ -38,7 +37,7 @@ Suppression syntax (the sanctioned escape hatch; see DESIGN.md
   rule for the whole file.
 
 Everything here is stdlib-only (``ast`` + ``tokenize``) by design: the
-linter gates CI on py3.9 and must not drag in dependencies.
+linter gates CI and must not drag in dependencies.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Type)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .project import ProjectContext, ProjectFile
+    from .project import ProjectContext
 
 _DIRECTIVE = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*=\s*([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)")
@@ -166,11 +165,10 @@ class ProjectRule(Rule):
     """Base class: one cross-module contract check over the whole tree.
 
     Subclasses override :meth:`check_project` and receive a
-    :class:`~repro.lint.project.ProjectContext` (import graph, symbol
+    :class:`~repro.lint.project.ProjectContext` (module names, symbol
     table, every parsed file).  Findings may land in any file; the
     driver applies that file's inline suppressions and this rule's
-    ``exempt_paths`` per finding.  Per-file runs skip project rules
-    entirely — they need the whole program to say anything sound.
+    ``exempt_paths`` per finding.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -178,11 +176,6 @@ class ProjectRule(Rule):
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         raise NotImplementedError
-
-    def file_finding(self, pf: "ProjectFile", node: ast.AST,
-                     message: str) -> Finding:
-        """A finding anchored in one project file (its display path)."""
-        return self.finding(pf.ctx, node, message)
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -273,19 +266,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     return sorted(out)
 
 
-def lint_file(path: Path, rules: Sequence[Rule],
-              result: LintResult) -> None:
-    display = path.as_posix()
-    try:
-        source = path.read_text(encoding="utf-8")
-        ctx = FileContext.from_source(source, display)
-    except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-        result.parse_errors.append((display, str(exc)))
-        return
-    result.files_checked += 1
-    _check_context(ctx, rules, result)
-
-
 def _check_context(ctx: FileContext, rules: Sequence[Rule],
                    result: LintResult) -> None:
     for rule in rules:
@@ -317,38 +297,25 @@ def _check_project(project: "ProjectContext", rules: Sequence[Rule],
 
 def lint_paths(paths: Sequence[str],
                select: Optional[Iterable[str]] = None,
-               ignore: Optional[Iterable[str]] = None,
-               project: bool = False) -> LintResult:
+               ignore: Optional[Iterable[str]] = None) -> LintResult:
     """Lint every Python file under ``paths``; the main entry point.
 
-    With ``project=True`` the tree is parsed once into a
-    :class:`~repro.lint.project.ProjectContext`, per-file rules run
-    over its cached contexts, and the cross-module
-    :class:`ProjectRule` checks run over the whole program.
+    The tree is parsed once into a
+    :class:`~repro.lint.project.ProjectContext`; per-file rules run
+    over its parsed files, then the cross-module :class:`ProjectRule`
+    checks run over the whole program.
     """
+    from .project import ProjectContext
     rules = select_rules(select, ignore)
     result = LintResult()
-    if project:
-        from .project import ProjectContext
-        tree = ProjectContext.build(paths)
-        result.parse_errors.extend(tree.parse_errors)
-        for pf in tree.files:
-            result.files_checked += 1
-            _check_context(pf.ctx, rules, result)
-        _check_project(tree, rules, result)
-    else:
-        for path in iter_python_files(paths):
-            lint_file(path, rules, result)
+    tree = ProjectContext.build(paths)
+    result.parse_errors.extend(tree.parse_errors)
+    for pf in tree.files:
+        result.files_checked += 1
+        _check_context(pf.ctx, rules, result)
+    _check_project(tree, rules, result)
     result.findings.sort()
     return result
-
-
-def lint_project(paths: Sequence[str],
-                 select: Optional[Iterable[str]] = None,
-                 ignore: Optional[Iterable[str]] = None) -> LintResult:
-    """Whole-program lint of ``paths``: :func:`lint_paths` with
-    ``project=True`` (the full-tree / CI entry point)."""
-    return lint_paths(paths, select=select, ignore=ignore, project=True)
 
 
 def lint_source(source: str, display_path: str = "<snippet>",

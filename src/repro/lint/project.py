@@ -4,40 +4,31 @@ Per-file rules (:class:`~repro.lint.core.Rule`) see one AST at a time,
 so every contract that *spans* modules — a constant duplicated into
 three files, a module-level ID sequence the checkpoint globals segment
 doesn't know about — was unenforceable before this layer existed.
-:class:`ProjectContext` parses the full ``src/`` + ``scripts/`` tree
-once and exposes what the project rules
-(:class:`~repro.lint.core.ProjectRule`) need:
+:class:`ProjectContext` parses every file passed to the linter once and
+exposes what the project rules (:class:`~repro.lint.core.ProjectRule`)
+need:
 
 * **Module naming** — each file's dotted module name, derived by
   climbing ``__init__.py`` ancestors (``src/repro/shard/workers.py``
   → ``repro.shard.workers``; a bare script → its stem).
-* **Import graph** — directed edges between *project* modules, with
-  relative imports resolved (:class:`~repro.lint.rules.common
-  .ImportMap` with the module name) and edges to ancestor packages
-  added (importing a submodule executes the package ``__init__`` —
-  Python semantics, and exactly how ``checkpoint.service`` reaches the
-  booster catalog).
 * **Symbol table** — top-level bindings per module, with
   :meth:`resolve_expr` evaluating literal displays through
   cross-module ``from``-imports (``WALL_CLOCK_METRICS =
   (PHASE_METRIC, ...)`` resolves to concrete strings even though
-  ``PHASE_METRIC`` lives two modules away).
-* **AST cache** — parses are memoized on ``(path, content-hash)``, so
-  repeated project builds (editor integrations, the test suite) re-read
-  bytes but re-parse only files whose content actually changed.
+  ``PHASE_METRIC`` lives two modules away).  Relative imports resolve
+  through :class:`~repro.lint.rules.common.ImportMap` given the
+  file's module name.
 
 Everything is deterministic: files are visited in sorted path order,
-graph sets are exposed through sorted accessors, and two builds over an
-unchanged tree yield findings in identical order (pinned by tests).
+and two builds over an unchanged tree yield findings in identical
+order (pinned by tests).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .core import FileContext, iter_python_files
 
@@ -50,22 +41,7 @@ if TYPE_CHECKING:
 #: Sentinel for "this expression is not statically resolvable".
 UNRESOLVED = object()
 
-#: Parse memo: (display path, content sha256) -> parsed FileContext.
-#: Keyed on content so an edited file re-parses and an untouched one is
-#: returned by identity (the cache-invalidation tests pin both).
-_AST_CACHE: Dict[Tuple[str, str], FileContext] = {}
-
 _RESOLVE_DEPTH = 5
-
-
-def clear_ast_cache() -> None:
-    """Drop every memoized parse (test isolation hook)."""
-    _AST_CACHE.clear()
-
-
-def content_hash(source: str) -> str:
-    """The cache key component for one file's content."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def module_name_for(path: Path) -> Tuple[str, bool]:
@@ -95,13 +71,9 @@ def module_name_for(path: Path) -> Tuple[str, bool]:
 class ProjectFile:
     """One parsed file plus its project-level identity."""
 
-    def __init__(self, path: Path, module: str, is_package: bool,
-                 digest: str, ctx: FileContext,
+    def __init__(self, module: str, ctx: FileContext,
                  imports: "ImportMap") -> None:
-        self.path = path
         self.module = module
-        self.is_package = is_package
-        self.content_hash = digest
         self.ctx = ctx
         self.imports = imports
 
@@ -110,14 +82,8 @@ class ProjectFile:
         return self.ctx.display_path
 
 
-def _ancestors(module: str) -> Iterable[str]:
-    parts = module.split(".")
-    for end in range(1, len(parts)):
-        yield ".".join(parts[:end])
-
-
 class ProjectContext:
-    """The whole parsed tree: modules, import graph, symbol table."""
+    """The whole parsed tree: modules and their symbol table."""
 
     def __init__(self, files: List[ProjectFile],
                  parse_errors: List[Tuple[str, str]]) -> None:
@@ -129,14 +95,12 @@ class ProjectContext:
             self.modules.setdefault(pf.module, pf)
         self._by_path: Dict[str, ProjectFile] = {
             pf.display_path: pf for pf in self.files}
-        self._imports: Dict[str, Set[str]] = {}
-        self._build_graph()
         self._constants: Dict[Tuple[str, str], object] = {}
 
     # -- construction ---------------------------------------------------
     @classmethod
     def build(cls, paths: Sequence[str]) -> "ProjectContext":
-        """Parse every Python file under ``paths`` (memoized)."""
+        """Parse every Python file under ``paths``."""
         from .rules.common import ImportMap
         files: List[ProjectFile] = []
         parse_errors: List[Tuple[str, str]] = []
@@ -144,21 +108,13 @@ class ProjectContext:
             display = path.as_posix()
             try:
                 source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
+                ctx = FileContext.from_source(source, display)
+            except (OSError, SyntaxError, UnicodeDecodeError) as exc:
                 parse_errors.append((display, str(exc)))
                 continue
-            digest = content_hash(source)
-            ctx = _AST_CACHE.get((display, digest))
-            if ctx is None:
-                try:
-                    ctx = FileContext.from_source(source, display)
-                except SyntaxError as exc:
-                    parse_errors.append((display, str(exc)))
-                    continue
-                _AST_CACHE[(display, digest)] = ctx
             module, is_package = module_name_for(path)
             files.append(ProjectFile(
-                path, module, is_package, digest, ctx,
+                module, ctx,
                 ImportMap(ctx.tree, module=module, is_package=is_package)))
         return cls(files, parse_errors)
 
@@ -166,7 +122,6 @@ class ProjectContext:
     def file_for(self, display_path: str) -> Optional[ProjectFile]:
         return self._by_path.get(display_path)
 
-    # -- import graph ---------------------------------------------------
     def _project_target(self, dotted: str) -> Optional[str]:
         """The longest prefix of ``dotted`` that is a project module
         (``repro.netsim.flows.FlowSet`` → ``repro.netsim.flows``)."""
@@ -176,50 +131,6 @@ class ProjectContext:
             if candidate in self.modules:
                 return candidate
         return None
-
-    def _build_graph(self) -> None:
-        for pf in self.files:
-            edges: Set[str] = set()
-            targets = list(pf.imports.imported)
-            # `from pkg import sub` may bind a submodule, not an attr;
-            # the longest-prefix lookup keeps whichever actually exists.
-            targets.extend(f"{module}.{symbol}" for module, symbol
-                           in pf.imports.symbols.values())
-            for dotted in targets:
-                target = self._project_target(dotted)
-                if target is None or target == pf.module:
-                    continue
-                edges.add(target)
-                # Importing a submodule executes its ancestor package
-                # __init__ files; model those edges explicitly.
-                for ancestor in _ancestors(target):
-                    if ancestor in self.modules \
-                            and ancestor != pf.module:
-                        edges.add(ancestor)
-            self._imports[pf.module] = edges
-
-    def imports_of(self, module: str) -> List[str]:
-        """Project modules ``module`` imports, sorted."""
-        return sorted(self._imports.get(module, ()))
-
-    def closure(self, roots: Iterable[str]) -> Set[str]:
-        """Modules reachable from ``roots`` through import edges, with
-        the implicit module→ancestor-package edges Python's import
-        machinery adds (importing ``a.b.c`` executes ``a`` and
-        ``a.b``)."""
-        seen: Set[str] = set()
-        stack = [root for root in sorted(set(roots))
-                 if root in self.modules]
-        while stack:
-            module = stack.pop()
-            if module in seen:
-                continue
-            seen.add(module)
-            neighbors: Set[str] = set(self._imports.get(module, ()))
-            neighbors.update(ancestor for ancestor in _ancestors(module)
-                             if ancestor in self.modules)
-            stack.extend(sorted(neighbors - seen))
-        return seen
 
     # -- symbol table ---------------------------------------------------
     def module_assignments(self, module: str) -> Dict[str, ast.expr]:

@@ -1,7 +1,7 @@
 """Shared AST helpers for reprolint rules.
 
-The rules that guard module APIs (``random``, ``time``, ``datetime``,
-``numpy.random``) need to see through import aliasing: ``import random
+The rules that guard module APIs (``random``, ``time``, ``datetime``)
+need to see through import aliasing: ``import random
 as rnd`` followed by ``rnd.random()`` is the same contract violation as
 the unaliased call.  :class:`ImportMap` records, per file, which local
 names are bound to which canonical dotted modules (and which names were
@@ -12,7 +12,7 @@ Project rules (:mod:`repro.lint.project`) construct the map with the
 file's own dotted module name, which additionally resolves *relative*
 imports (``from ..checkpoint import pack_state`` inside
 ``repro.shard.region`` binds ``pack_state`` to ``repro.checkpoint``) so
-the cross-module import graph sees through package-relative edges.
+the symbol table follows package-relative ``from``-imports.
 """
 
 from __future__ import annotations
@@ -46,29 +46,22 @@ class ImportMap:
                  is_package: bool = False) -> None:
         self._module = module
         self._is_package = is_package
-        #: local alias -> canonical dotted module ("np" -> "numpy").
+        #: local alias -> canonical dotted module ("dt" -> "datetime").
         self.modules: Dict[str, str] = {}
         #: local name -> (canonical module, original symbol name).
         self.symbols: Dict[str, Tuple[str, str]] = {}
-        #: every module path the file *executes* on import, full dotted
-        #: form — `import pkg.sub.deep` binds only "pkg" locally but
-        #: runs pkg, pkg.sub, and pkg.sub.deep (the import graph needs
-        #: the deep path; the binding maps need the local name).
-        self.imported: List[str] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for item in node.names:
                     local = item.asname or item.name.split(".")[0]
-                    # `import numpy.random` binds "numpy"; with asname
+                    # `import os.path` binds "os"; with asname
                     # the alias names the full dotted submodule.
                     self.modules[local] = (item.name if item.asname
                                           else item.name.split(".")[0])
-                    self.imported.append(item.name)
             elif isinstance(node, ast.ImportFrom):
                 base = self._from_base(node)
                 if base is None:
                     continue
-                self.imported.append(base)
                 for item in node.names:
                     local = item.asname or item.name
                     self.symbols[local] = (base, item.name)
@@ -97,7 +90,7 @@ class ImportMap:
 
         ``rnd.Random`` -> ("random", "Random"); with ``from random
         import Random as R``, ``R`` -> ("random", "Random"); for
-        ``np.random.rand`` -> ("numpy.random", "rand").  None when the
+        ``os.path.join`` -> ("os.path", "join").  None when the
         head is not an imported module/symbol.
         """
         parts = dotted_parts(func)
@@ -112,18 +105,11 @@ class ImportMap:
             symbol = self.symbols.get(head)
             if symbol is None:
                 return None
-            # `from numpy import random as nr; nr.rand()` — the symbol
+            # `from os import path as p; p.join()` — the symbol
             # is itself a module; extend the dotted path through it.
             module = f"{symbol[0]}.{symbol[1]}"
         dotted = (module,) + parts[1:]
         return ".".join(dotted[:-1]), dotted[-1]
-
-    def from_imports_of(self, tree: ast.Module,
-                        module: str) -> Iterator[ast.ImportFrom]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == module \
-                    and node.level == 0:
-                yield node
 
 
 def iter_calls(tree: ast.Module) -> Iterator[ast.Call]:

@@ -5,9 +5,9 @@ decision in the simulator derives from ``Simulator.rng`` or from an
 explicitly seed-derived ``random.Random`` stream.  Module-global RNG
 calls (``random.random()``), unseeded constructions
 (``random.Random()``), ``random.seed`` (mutates shared global state),
-``SystemRandom`` (OS entropy), the ``numpy.random`` global API, and
-dynamic ``__import__("random")`` (the exact PR 3 topology.py bug) all
-break cross-run and cross-worker reproducibility.
+``SystemRandom`` (OS entropy), and dynamic ``__import__("random")``
+(the exact PR 3 topology.py bug) all break cross-run and cross-worker
+reproducibility.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from typing import Iterator
 
 from ..core import FileContext, Finding, Rule, register
 from .common import ImportMap, iter_calls
-
-#: numpy.random symbols that are legitimate when explicitly seeded.
-_NUMPY_SEEDED_OK = {"Generator", "SeedSequence", "default_rng",
-                    "PCG64", "Philox", "MT19937", "SFC64"}
 
 
 def _is_string_arg(call: ast.Call, value: str) -> bool:
@@ -61,41 +57,29 @@ class UnseededRandomnessRule(Rule):
 
     def _check_resolved(self, ctx: FileContext, call: ast.Call,
                         module: str, symbol: str) -> Iterator[Finding]:
-        if module == "random":
-            if symbol == "Random":
-                if not call.args and not call.keywords:
-                    yield self.finding(
-                        ctx, call,
-                        "random.Random() without a seed argument seeds "
-                        "from OS entropy; pass a seed derived from the "
-                        "run's seed (e.g. derive_seed or "
-                        "f\"stream:{sim.seed}\")")
-            elif symbol == "SystemRandom":
+        if module != "random":
+            return
+        if symbol == "Random":
+            if not call.args and not call.keywords:
                 yield self.finding(
                     ctx, call,
-                    "random.SystemRandom draws OS entropy and can never "
-                    "be reproduced; use a seeded random.Random")
-            elif symbol == "seed":
-                yield self.finding(
-                    ctx, call,
-                    "random.seed() mutates the shared module-global RNG; "
-                    "construct a private seeded random.Random instead")
-            else:
-                yield self.finding(
-                    ctx, call,
-                    f"random.{symbol}() draws from the module-global RNG "
-                    f"shared by every caller in the process; draw from a "
-                    f"seeded random.Random passed in (rng parameter)")
-        elif module == "numpy.random" or module.startswith("numpy.random."):
-            if symbol == "default_rng":
-                if not call.args and not call.keywords:
-                    yield self.finding(
-                        ctx, call,
-                        "numpy.random.default_rng() without a seed is "
-                        "entropy-seeded; pass an explicit seed")
-            elif symbol not in _NUMPY_SEEDED_OK:
-                yield self.finding(
-                    ctx, call,
-                    f"numpy.random.{symbol}() uses numpy's process-"
-                    f"global RNG; use numpy.random.default_rng(seed) "
-                    f"and draw from the returned Generator")
+                    "random.Random() without a seed argument seeds "
+                    "from OS entropy; pass a seed derived from the "
+                    "run's seed (e.g. derive_seed or "
+                    "f\"stream:{sim.seed}\")")
+        elif symbol == "SystemRandom":
+            yield self.finding(
+                ctx, call,
+                "random.SystemRandom draws OS entropy and can never "
+                "be reproduced; use a seeded random.Random")
+        elif symbol == "seed":
+            yield self.finding(
+                ctx, call,
+                "random.seed() mutates the shared module-global RNG; "
+                "construct a private seeded random.Random instead")
+        else:
+            yield self.finding(
+                ctx, call,
+                f"random.{symbol}() draws from the module-global RNG "
+                f"shared by every caller in the process; draw from a "
+                f"seeded random.Random passed in (rng parameter)")

@@ -72,8 +72,8 @@ class DuplicatedConstantRule(ProjectRule):
                 continue
             for pf, node in sites:
                 others = ", ".join(m for m in modules if m != pf.module)
-                yield self.file_finding(
-                    pf, node,
+                yield self.finding(
+                    pf.ctx, node,
                     f"constant {name} is defined with the same value in "
                     f"{len(modules)} modules (also in {others}); define "
                     f"it once and import it — duplicated literals drift "

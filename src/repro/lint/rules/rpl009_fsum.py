@@ -10,7 +10,7 @@ as a one-ulp drift between the sharded and single-process runs, the
 worst kind of failure to bisect.
 
 Within aggregation modules (any file under a ``shard/`` or ``sweep/``
-directory, or whose module docstring names ``fsum``) the rule flags:
+directory) the rule flags:
 
 * ``sum(...)`` calls — unless the iterable is provably integral (a
   comprehension whose element is a ``len(...)`` call or an int
@@ -34,11 +34,8 @@ _PATH_FRAGMENTS = ("/shard/", "/sweep/")
 
 
 def _is_aggregation_module(ctx: FileContext) -> bool:
-    posix = ctx.display_path
-    if any(fragment in f"/{posix}" for fragment in _PATH_FRAGMENTS):
-        return True
-    doc = ast.get_docstring(ctx.tree) or ""
-    return "fsum" in doc
+    posix = f"/{ctx.display_path}"
+    return any(fragment in posix for fragment in _PATH_FRAGMENTS)
 
 
 def _int_blessed(arg: ast.expr) -> bool:

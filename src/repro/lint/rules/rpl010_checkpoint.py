@@ -1,28 +1,28 @@
-"""RPL010 — state reachable from checkpoint roots must be picklable.
+"""RPL010 — checkpointed state must be picklable.
 
 The checkpoint format (PR 9) pickles everything ``pack_state`` /
 ``save_checkpoint`` reach, plus a globals segment that re-seats the
 module-level ``itertools.count`` ID sequences listed in
 ``GLOBAL_SEQUENCES``.  Two failure modes slip past per-file analysis:
 
-* an object in the import closure of a checkpointing module grows an
-  unpicklable attribute — a ``lambda`` default, an ``open()`` handle,
-  a live generator — and the first ``save`` after that change dies (or
-  worse, the restore silently rebuilds different behavior);
+* an object a checkpoint can reach grows an unpicklable attribute —
+  a ``lambda`` default, an ``open()`` handle, a live generator — and
+  the first ``save`` after that change dies (or worse, the restore
+  silently rebuilds different behavior);
 * someone adds a module-level ``itertools.count`` sequence without
   registering it, so restored runs re-issue IDs from zero and the
   byte-identity gate fails a window later.
 
-The rule therefore works from the *project*: the checkpoint scope is
-the import closure of every module that calls ``pack_state`` /
-``save_checkpoint`` / ``snapshot``.  Inside that scope it flags
+The rule therefore works from the *project*: its scope is every linted
+module outside ``exempt_paths``.  Over ``src`` + ``scripts`` that is
+every module a checkpoint can reach, plus the scripts.  It flags
 
 * ``lambda`` values bound to ``self.<attr>``, class-level, or
   module-level names (closures don't pickle);
 * ``open(...)`` calls bound to ``self.<attr>`` or module level (file
   handles don't pickle; locals are fine — they die with the frame);
 * generator expressions bound the same way (generators don't pickle);
-* module-level ``itertools.count(...)`` assignments in scope whose
+* module-level ``itertools.count(...)`` assignments whose
   ``(module, attr)`` pair is missing from ``GLOBAL_SEQUENCES``.
 
 Modules that *implement* the machinery (checkpoint, telemetry, lint
@@ -33,35 +33,10 @@ itself) are exempt — they own the contract.  Projects with no
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from ..core import Finding, ProjectRule, register
 from ..project import UNRESOLVED, ProjectContext, ProjectFile
-
-_ROOT_CALLS = ("pack_state", "save_checkpoint", "snapshot")
-
-
-def _root_modules(project: ProjectContext) -> List[str]:
-    roots: List[str] = []
-    for pf in project.files:
-        if project.modules.get(pf.module) is not pf:
-            continue
-        for node in ast.walk(pf.ctx.tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name in _ROOT_CALLS:
-                    roots.append(pf.module)
-                    break
-    return roots
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _registered_sequences(
@@ -136,34 +111,30 @@ def _simple_assigns(node: ast.stmt) -> Iterator[
 class CheckpointSafetyRule(ProjectRule):
     code = "RPL010"
     name = "checkpoint-safety"
-    description = ("state reachable from pack_state/save_checkpoint "
-                   "roots must pickle: no lambda/open()/generator "
-                   "bindings, and module-level itertools.count "
-                   "sequences must be in GLOBAL_SEQUENCES")
+    description = ("checkpointed state must pickle: no "
+                   "lambda/open()/generator bindings, and module-level "
+                   "itertools.count sequences must be in "
+                   "GLOBAL_SEQUENCES")
     exempt_paths = ("repro/telemetry/", "repro/checkpoint/",
                     "repro/lint/")
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        scope = project.closure(_root_modules(project))
-        if not scope:
-            return
         registered = _registered_sequences(project)
         for pf in project.files:
-            if pf.module not in scope \
-                    or project.modules.get(pf.module) is not pf:
-                continue
-            yield from self._check_module(project, pf, registered)
+            if project.modules.get(pf.module) is not pf:
+                continue  # shadowed duplicate module name
+            yield from self._check_module(pf, registered)
 
-    def _check_module(self, project: ProjectContext, pf: ProjectFile,
+    def _check_module(self, pf: ProjectFile,
                       registered: Optional[Set[Tuple[str, str]]]
                       ) -> Iterator[Finding]:
         for where, value, stmt in _iter_bindings(pf.ctx.tree):
             kind = _unpicklable_kind(value)
             if kind is not None:
-                yield self.file_finding(
-                    pf, stmt,
-                    f"{kind} bound at {where} is reachable from a "
-                    f"checkpoint root and does not pickle; bind a "
+                yield self.finding(
+                    pf.ctx, stmt,
+                    f"{kind} bound at {where} does not pickle, so a "
+                    f"checkpoint that reaches it fails; bind a "
                     f"module-level function / path / list instead")
         if registered is None:
             return
@@ -173,8 +144,8 @@ class CheckpointSafetyRule(ProjectRule):
                     and _is_itertools_count(node.value, pf):
                 attr = node.targets[0].id
                 if (pf.module, attr) not in registered:
-                    yield self.file_finding(
-                        pf, node,
+                    yield self.finding(
+                        pf.ctx, node,
                         f"module-level itertools.count {attr!r} is not "
                         f"registered in GLOBAL_SEQUENCES; restored "
                         f"runs would re-issue IDs from its initial "

@@ -18,9 +18,7 @@ from repro.checkpoint import CheckpointError, save_checkpoint
 from repro.checkpoint.service import (SCENARIOS, EngineService,
                                       _command_reader, serve_main)
 from repro.experiments.figure3 import (Figure3Config, advance_world,
-                                       attach_attack, build_world,
-                                       detach_attack, fail_link,
-                                       finish_world)
+                                       build_world, finish_world)
 from repro.netsim import flows as flows_module
 from repro.netsim.engine import Simulator
 from repro.sweep.runner import stable_metrics

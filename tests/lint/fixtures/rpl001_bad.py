@@ -2,8 +2,6 @@
 import importlib
 import random
 
-import numpy as np
-
 
 def jitter():
     return random.random()  # EXPECT: RPL001
@@ -19,14 +17,6 @@ def os_entropy():
 
 def reseed_global():
     random.seed(42)  # EXPECT: RPL001
-
-
-def numpy_global():
-    return np.random.rand(4)  # EXPECT: RPL001
-
-
-def numpy_unseeded():
-    return np.random.default_rng()  # EXPECT: RPL001
 
 
 def smuggled():

@@ -1,8 +1,6 @@
 """Seeded streams only; RPL001 stays quiet."""
 import random
 
-import numpy as np
-
 from repro.sweep.spec import derive_seed
 
 
@@ -16,10 +14,6 @@ def derived_stream(experiment, params, logical_seed):
 
 def labeled_stream(sim):
     return random.Random(f"probe:{sim.seed}")
-
-
-def numpy_stream(seed):
-    return np.random.default_rng(seed)
 
 
 def draw(rng):

@@ -91,32 +91,12 @@ def test_list_rules_names_all_nine():
         assert code in proc.stdout
 
 
-def test_project_mode_defaults_on_for_directories(tmp_path):
-    (tmp_path / "a.py").write_text(
-        'PAIR = ("x", "y")\n')
-    (tmp_path / "b.py").write_text(
-        'PAIR = ("x", "y")\n')
-    proc = run_lint(str(tmp_path), "--select", "RPL007", "--json")
-    payload = json.loads(proc.stdout)
-    assert payload["project"] is True
-    assert proc.returncode == 1
-    assert [f["rule"] for f in payload["findings"]] == ["RPL007",
-                                                        "RPL007"]
-
-
-def test_project_mode_defaults_off_for_single_files(tmp_path):
-    target = tmp_path / "a.py"
-    target.write_text('PAIR = ("x", "y")\n')
-    proc = run_lint(str(target), "--select", "RPL007", "--json")
-    payload = json.loads(proc.stdout)
-    assert payload["project"] is False
-    assert proc.returncode == 0
-    assert payload["findings"] == []
-
-
-def test_no_project_forces_per_file_mode(tmp_path):
+def test_project_rules_run_on_single_file_arguments(tmp_path):
     (tmp_path / "a.py").write_text('PAIR = ("x", "y")\n')
     (tmp_path / "b.py").write_text('PAIR = ("x", "y")\n')
-    proc = run_lint(str(tmp_path), "--no-project", "--select",
-                    "RPL007")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = run_lint(str(tmp_path / "a.py"), str(tmp_path / "b.py"),
+                    "--select", "RPL007", "--json")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    assert [f["rule"] for f in payload["findings"]] == ["RPL007",
+                                                        "RPL007"]

@@ -13,20 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_paths
-from repro.lint.project import (ProjectContext, clear_ast_cache,
-                                UNRESOLVED, module_name_for)
+from repro.lint.project import (ProjectContext, UNRESOLVED,
+                                module_name_for)
 
 from .test_rules import expected_lines
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parent.parent.parent
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_ast_cache()
-    yield
-    clear_ast_cache()
 
 
 def write_tree(root, files):
@@ -54,51 +47,6 @@ def test_module_names_climb_init_ancestors(tmp_path):
         tmp_path / "src/pkg/sub/__init__.py") == ("pkg.sub", True)
     assert module_name_for(
         tmp_path / "scripts/check_thing.py") == ("check_thing", False)
-
-
-# ----------------------------------------------------------------------
-# Import graph
-# ----------------------------------------------------------------------
-
-def test_graph_resolves_relative_imports(tmp_path):
-    root = write_tree(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/alpha.py": "from .beta import helper\n",
-        "pkg/beta.py": "def helper():\n    return 1\n",
-        "pkg/gamma.py": "from . import alpha\n",
-    })
-    project = ProjectContext.build([str(root / "pkg")])
-    assert project.imports_of("pkg.alpha") == ["pkg", "pkg.beta"]
-    assert project.imports_of("pkg.gamma") == ["pkg", "pkg.alpha"]
-
-
-def test_graph_adds_ancestor_package_edges(tmp_path):
-    root = write_tree(tmp_path, {
-        "pkg/__init__.py": "from . import sub\n",
-        "pkg/sub/__init__.py": "VALUE = 1\n",
-        "pkg/other.py": "import pkg.sub.deep\n",
-        "pkg/sub/deep.py": "",
-    })
-    project = ProjectContext.build([str(root / "pkg")])
-    # Importing pkg.sub.deep executes pkg and pkg.sub on the way down.
-    assert project.imports_of("pkg.other") == ["pkg", "pkg.sub",
-                                               "pkg.sub.deep"]
-
-
-def test_closure_walks_transitive_and_implicit_edges(tmp_path):
-    root = write_tree(tmp_path, {
-        "pkg/__init__.py": "from . import catalog\n",
-        "pkg/catalog.py": "UNPICKLABLE = None\n",
-        "pkg/sub/__init__.py": "",
-        "pkg/sub/root.py": "from ..catalog import UNPICKLABLE\n",
-        "pkg/orphan.py": "",
-    })
-    project = ProjectContext.build([str(root / "pkg")])
-    scope = project.closure(["pkg.sub.root"])
-    # pkg.sub.root -> pkg.catalog (relative import), plus the implicit
-    # ancestors pkg.sub and pkg; pkg/__init__ then pulls catalog too.
-    assert scope == {"pkg.sub.root", "pkg.sub", "pkg", "pkg.catalog"}
-    assert "pkg.orphan" not in scope
 
 
 # ----------------------------------------------------------------------
@@ -134,42 +82,12 @@ def test_dynamic_values_stay_unresolved(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# AST cache: content-hash keyed, invalidated only by edits
-# ----------------------------------------------------------------------
-
-def test_cache_reuses_parses_and_invalidates_on_edit(tmp_path):
-    root = write_tree(tmp_path, {
-        "pkg/__init__.py": "",
-        "pkg/stable.py": "A = 1\n",
-        "pkg/edited.py": "B = 2\n",
-    })
-    first = ProjectContext.build([str(root / "pkg")])
-    second = ProjectContext.build([str(root / "pkg")])
-    by_path_first = {pf.display_path: pf for pf in first.files}
-    by_path_second = {pf.display_path: pf for pf in second.files}
-    for display, pf in by_path_first.items():
-        # Unchanged content -> the very same parsed FileContext object.
-        assert by_path_second[display].ctx is pf.ctx
-
-    (root / "pkg/edited.py").write_text("B = 3\n")
-    third = ProjectContext.build([str(root / "pkg")])
-    by_path_third = {pf.display_path: pf for pf in third.files}
-    for display, pf in by_path_first.items():
-        same = by_path_third[display].ctx is pf.ctx
-        assert same == ("edited" not in display)
-    assert (by_path_third[str((root / "pkg/edited.py").as_posix())]
-            .content_hash
-            != by_path_first[str((root / "pkg/edited.py").as_posix())]
-            .content_hash)
-
-
-# ----------------------------------------------------------------------
 # Determinism: identical finding order across repeated runs
 # ----------------------------------------------------------------------
 
 def test_finding_order_is_stable_across_builds():
     target = str(FIXTURES / "rpl007_bad")
-    runs = [lint_paths([target], select=["RPL007"], project=True)
+    runs = [lint_paths([target], select=["RPL007"])
             for _ in range(3)]
     keys = [[(f.path, f.line, f.col, f.rule, f.message)
              for f in run.findings] for run in runs]
@@ -199,7 +117,7 @@ def test_bad_package_flags_each_marked_line(code):
     package = FIXTURES / f"{code.lower()}_bad"
     want = package_expectations(package, code)
     assert want, f"{package.name} declares no EXPECT markers"
-    result = lint_paths([str(package)], select=[code], project=True)
+    result = lint_paths([str(package)], select=[code])
     assert result.parse_errors == []
     got = Counter((f.path, f.line) for f in result.findings)
     assert got == want, (
@@ -210,7 +128,7 @@ def test_bad_package_flags_each_marked_line(code):
 @pytest.mark.parametrize("code", PACKAGE_CODES)
 def test_good_package_is_clean(code):
     package = FIXTURES / f"{code.lower()}_good"
-    result = lint_paths([str(package)], select=[code], project=True)
+    result = lint_paths([str(package)], select=[code])
     assert result.parse_errors == []
     assert result.findings == [], "\n".join(
         str(f) for f in result.findings)
@@ -220,17 +138,10 @@ def test_wall_clock_triplication_regression():
     """The exact PR-8/9 drift: three hand-copied WALL_CLOCK_METRICS
     definitions — every definition site must flag."""
     result = lint_paths([str(FIXTURES / "rpl007_bad")],
-                        select=["RPL007"], project=True)
+                        select=["RPL007"])
     flagged = {Path(f.path).name for f in result.findings}
     assert flagged == {"runner.py", "check_restore_gate.py",
                        "check_sweep_gate.py"}
     assert all("WALL_CLOCK_METRICS" in f.message
                for f in result.findings)
 
-
-def test_project_rules_skip_per_file_mode():
-    """Without project=True the cross-module rules stay silent even on
-    a tree full of violations."""
-    result = lint_paths([str(FIXTURES / "rpl007_bad")],
-                        select=["RPL007"], project=False)
-    assert result.findings == []

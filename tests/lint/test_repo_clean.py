@@ -1,5 +1,5 @@
 """The repo's own src + scripts trees must be lint-clean — per-file
-rules *and* the whole-program pass."""
+rules *and* the cross-module contracts."""
 
 from pathlib import Path
 
@@ -19,8 +19,7 @@ def test_src_tree_has_no_findings():
 def test_full_tree_is_clean_in_project_mode():
     """What CI runs: `python -m repro.lint src scripts` — the per-file
     rules plus the cross-module contracts (RPL007–RPL010)."""
-    result = lint_paths([str(REPO / "src"), str(REPO / "scripts")],
-                        project=True)
+    result = lint_paths([str(REPO / "src"), str(REPO / "scripts")])
     assert result.parse_errors == []
     assert result.findings == [], (
         "reprolint findings in src/scripts (fix them or suppress "

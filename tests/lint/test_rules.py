@@ -36,11 +36,19 @@ def expected_lines(source: str, code: str) -> Counter:
 
 #: Rules whose contract spans modules; their fixtures are *packages*
 #: under fixtures/ (exercised by tests/lint/test_project.py) rather
-#: than single-file pairs.  RPL009 is per-file but path-scoped, so it
-#: keeps a flat pair (the fixture opts in via its docstring).
+#: than single-file pairs.
 PROJECT_CODES = ("RPL007", "RPL010")
 PER_FILE_CODES = tuple(code for code in rule_codes()
                        if code not in PROJECT_CODES)
+
+
+def display_path(path: Path) -> str:
+    """Where a flat fixture is linted as living.  RPL009 covers
+    ``shard/`` and ``sweep/`` by path alone, so its pair is linted as
+    if it sat under ``shard/``."""
+    if path.name.startswith("rpl009_"):
+        path = path.parent / "shard" / path.name
+    return path.as_posix()
 
 
 def test_all_nine_rules_are_registered():
@@ -67,7 +75,7 @@ def test_bad_fixture_flags_each_marked_line(code):
     source = path.read_text()
     want = expected_lines(source, code)
     assert want, f"{path.name} declares no EXPECT markers"
-    result = lint_source(source, display_path=path.as_posix(),
+    result = lint_source(source, display_path=display_path(path),
                          select=[code])
     assert result.parse_errors == []
     assert all(f.rule == code for f in result.findings)
@@ -80,7 +88,7 @@ def test_bad_fixture_flags_each_marked_line(code):
 @pytest.mark.parametrize("code", PER_FILE_CODES)
 def test_good_fixture_is_clean(code):
     path = FIXTURES / f"{code.lower()}_good.py"
-    result = lint_source(path.read_text(), display_path=path.as_posix(),
+    result = lint_source(path.read_text(), display_path=display_path(path),
                          select=[code])
     assert result.parse_errors == []
     assert result.findings == [], "\n".join(
@@ -148,6 +156,18 @@ def test_rpl003_exempts_contract_implementers():
                           select=["RPL003"])
     assert inside.findings == []
     assert [f.line for f in outside.findings] == [2]
+
+
+def test_rpl009_is_scoped_by_path_alone():
+    """A docstring naming fsum does not opt a module in; only a
+    ``shard/`` or ``sweep/`` path does."""
+    source = '"""Folds with math.fsum."""\ntotal = sum(samples)\n'
+    inside = lint_source(source, display_path="src/repro/sweep/x.py",
+                         select=["RPL009"])
+    outside = lint_source(source, display_path="src/repro/core/x.py",
+                          select=["RPL009"])
+    assert [f.line for f in inside.findings] == [2]
+    assert outside.findings == []
 
 
 def test_findings_are_sorted_and_stable():
