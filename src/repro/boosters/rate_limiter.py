@@ -70,8 +70,6 @@ class RateLimiterProgram(GatedProgram):
             events.popleft()
 
     # ------------------------------------------------------------------
-    supports_batch = True
-
     def process_enabled(self, switch: ProgrammableSwitch,
                         packet: Packet) -> ProgramResult:
         if packet.kind != PacketKind.DATA:
@@ -97,37 +95,6 @@ class RateLimiterProgram(GatedProgram):
             self.packets_dropped += 1
             return Drop("global_rate_limit")
         return None
-
-    def process_batch_enabled(self, switch: ProgrammableSwitch,
-                              batch) -> None:
-        """In-order replay of :meth:`process_enabled` with hoisted
-        lookups.  The per-packet RNG draw order is part of the
-        determinism contract, so the drop coin is flipped packet by
-        packet, exactly as on the sequential path."""
-        now = switch.sim.now
-        rng = switch.sim.rng.random
-        events_by_tenant = self._events
-        limit_for = self.booster.limit_for
-        data = PacketKind.DATA
-        for i, packet in batch.survivors():
-            if packet.kind is not data:
-                continue
-            tenant = packet.headers.get(TENANT_HEADER)
-            if tenant is None:
-                continue
-            events = events_by_tenant.setdefault(tenant, deque())
-            self._expire(events, now)
-            events.append((now, packet.size_bytes))
-            limit = limit_for(tenant)
-            if limit is None:
-                continue
-            global_rate = self.global_rate(tenant)
-            if global_rate <= limit:
-                continue
-            drop_probability = 1.0 - limit / global_rate
-            if rng() < drop_probability:
-                self.packets_dropped += 1
-                batch.drop(i, "global_rate_limit")
 
     def export_state(self) -> Dict:
         return {"events": {tenant: list(events)

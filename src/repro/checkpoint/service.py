@@ -64,13 +64,18 @@ SCENARIOS = {
 }
 
 
-def _check_cadence(step_events: int, checkpoint_every_events: int) -> None:
+def _check_cadence(step_events: int, checkpoint_every_events: int,
+                   checkpoint_dir: Optional[Path]) -> None:
     if step_events < 1:
         raise ValueError("step_events must be >= 1")
     if checkpoint_every_events < 0:
         raise ValueError(
             f"checkpoint_every_events must be >= 0 (0 = explicit "
             f"checkpoints only), got {checkpoint_every_events}")
+    if checkpoint_every_events and checkpoint_dir is None:
+        raise ValueError(
+            "checkpoint_every_events needs a checkpoint directory "
+            "(--checkpoint-dir)")
 
 
 class EngineService:
@@ -86,7 +91,7 @@ class EngineService:
         if scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}")
-        _check_cadence(step_events, checkpoint_every_events)
+        _check_cadence(step_events, checkpoint_every_events, checkpoint_dir)
         self.scenario = scenario
         self.step_events = step_events
         self.checkpoint_every_events = checkpoint_every_events
@@ -110,7 +115,7 @@ class EngineService:
                         ) -> "EngineService":
         """Resume a service from an engine checkpoint written by
         :meth:`checkpoint` (or any ``world.sim.snapshot``)."""
-        _check_cadence(step_events, checkpoint_every_events)
+        _check_cadence(step_events, checkpoint_every_events, checkpoint_dir)
         sim, world, meta = Simulator.restore(path)
         if world is None or not hasattr(world, "config"):
             raise CheckpointError(

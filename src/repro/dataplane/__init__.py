@@ -16,8 +16,7 @@ from .hashpipe import HashPipe
 from .parser import BASE_FIELDS, ROUTING_PARSER, HeaderParser
 from .pipeline import (MatchActionTable, MatchKind, PipelineLayoutError,
                        StageLayout, TableEntry, layout_tables)
-from .registers import (RegisterArray, encode_keys, hash_batch, salt_seed,
-                        stable_hash)
+from .registers import RegisterArray, salt_seed, stable_hash
 from .resources import (DIMENSIONS, EDGE_SWITCH, TOFINO_LIKE,
                         ResourceExhausted, ResourceLedger, ResourceVector)
 from .sketch import CountMinSketch
@@ -29,7 +28,6 @@ __all__ = [
     "MatchActionTable", "MatchKind", "PacketBatch", "PipelineLayoutError",
     "ROUTING_PARSER", "RegisterArray", "ResourceExhausted",
     "ResourceLedger", "ResourceVector", "StageLayout", "TOFINO_LIKE",
-    "TableEntry", "TcpState", "encode_keys", "hash_batch",
-    "layout_tables", "loss_survival_probability", "salt_seed",
-    "stable_hash",
+    "TableEntry", "TcpState", "layout_tables",
+    "loss_survival_probability", "salt_seed", "stable_hash",
 ]

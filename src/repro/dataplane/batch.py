@@ -13,13 +13,12 @@ module provides the batch currency the rest of the repo speaks:
 * an alive/drop mask so pipeline stages can pre-filter vectorized
   (flagged-source masks, bloom membership masks) before any per-packet
   program logic runs — see ``ProgrammableSwitch.receive_batch``.
-* re-exports of the salt-folded CRC hash kernels
-  (:func:`~repro.dataplane.registers.hash_batch`) that the batched
-  sketch / bloom / HashPipe update paths share.
 
-Batch kernels are contractually byte-identical to their sequential
-twins (the ``*_batch_reference`` methods); the property tests in
-``tests/dataplane/test_batch.py`` enforce this over 50 seeds.
+The structures' batch kernels each fold the salt prefix into the CRC
+seed (:func:`~repro.dataplane.registers.salt_seed`) and hash inline.
+They are contractually byte-identical to the scalar calls they replace;
+the property tests in ``tests/dataplane/test_batch.py`` enforce this
+over 50 seeds.
 """
 
 from __future__ import annotations
@@ -30,15 +29,10 @@ from operator import is_
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from .registers import encode_keys, hash_batch, salt_seed, stable_hash
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.packet import Packet
 
-__all__ = [
-    "PacketBatch", "encode_keys", "hash_batch",
-    "salt_seed", "stable_hash",
-]
+__all__ = ["PacketBatch"]
 
 #: Column name -> array typecode for the numeric columns.
 _NUMERIC_COLUMNS = {
@@ -107,10 +101,6 @@ class PacketBatch:
         self._columns: Dict[str, Any] = {}
         self._data_mask: Optional[bytearray] = None
         self._data_alive = 0
-
-    @classmethod
-    def from_packets(cls, packets: Sequence["Packet"]) -> "PacketBatch":
-        return cls(packets)
 
     # ------------------------------------------------------------------
     # Columns (lazy, cached)
@@ -217,10 +207,6 @@ class PacketBatch:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.packets)
-
-    def alive_indices(self) -> List[int]:
-        alive = self.alive
-        return [i for i in range(len(alive)) if alive[i]]
 
     def alive_count(self) -> int:
         return self._alive_n

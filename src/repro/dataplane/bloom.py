@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from .registers import RegisterArray, salt_seed, stable_hash
 from .resources import ResourceVector
@@ -58,7 +58,7 @@ class BloomFilter:
         return stable_hash(key, salt) % self.size_bits
 
     # ------------------------------------------------------------------
-    # Batch kernels (see DESIGN.md "Batch data plane"): bit writes are
+    # Batch kernel (see DESIGN.md "Batch data plane"): bit writes are
     # idempotent, so each unique key is encoded and hashed exactly once
     # per salt; end state is byte-identical to the sequential loop.
     # ------------------------------------------------------------------
@@ -76,26 +76,10 @@ class BloomFilter:
         self.inserted += len(keys)
         self.mutations += 1
 
-    def contains_batch(self, keys: Sequence[Any]) -> List[bool]:
-        """Vectorized membership test; unique keys are hashed once."""
-        crc = zlib.crc32
-        size = self.size_bits
-        cells = self.bits._cells
-        seeds = [salt_seed(salt) for salt in range(self.n_hashes)]
-        cache: Dict[Any, bool] = {}
-        for key in dict.fromkeys(keys):
-            kb = repr(key).encode()
-            cache[key] = all(cells[crc(kb, seed) % size] for seed in seeds)
-        return [cache[key] for key in keys]
-
     def add_batch_reference(self, keys: Sequence[Any]) -> None:
         """Sequential twin of :meth:`add_batch` (property-test oracle)."""
         for key in keys:
             self.add(key)
-
-    def contains_batch_reference(self, keys: Sequence[Any]) -> List[bool]:
-        """Sequential twin of :meth:`contains_batch`."""
-        return [key in self for key in keys]
 
     def clear(self) -> None:
         self.bits.clear()

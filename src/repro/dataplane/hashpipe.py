@@ -88,7 +88,7 @@ class HashPipe:
         # The final carried entry falls off the pipe (approximation error).
 
     # ------------------------------------------------------------------
-    # Batch kernels (see DESIGN.md "Batch data plane").  The eviction
+    # Batch kernel (see DESIGN.md "Batch data plane").  The eviction
     # discipline is order-dependent, so the batch path replays packets in
     # order — the vectorization is in the hashing: each key resolves to
     # its per-stage slot object once *ever* (persistent memos; slot
@@ -158,27 +158,6 @@ class HashPipe:
             # A still-carried entry falls off the pipe, as in update().
         self.total += batch_total
 
-    def estimate_batch(self, keys: Sequence[Hashable]) -> List[int]:
-        """Vectorized :meth:`estimate`; unique keys are hashed once."""
-        cache: Dict[Hashable, int] = {}
-        out: List[int] = []
-        stages = self._stages
-        slots = self.slots_per_stage
-        crc = zlib.crc32
-        seeds = [salt_seed(stage) for stage in range(self.n_stages)]
-        for key in keys:
-            value = cache.get(key)
-            if value is None:
-                kb = repr(key).encode()
-                value = 0
-                for seed, stage in zip(seeds, stages):
-                    slot = stage[crc(kb, seed) % slots]
-                    if slot.key == key:
-                        value += slot.count
-                cache[key] = value
-            out.append(value)
-        return out
-
     def update_batch_reference(self, keys: Sequence[Hashable],
                                counts: Optional[Sequence[int]] = None
                                ) -> None:
@@ -189,11 +168,6 @@ class HashPipe:
         else:
             for key, count in zip(keys, counts):
                 self.update(key, count)
-
-    def estimate_batch_reference(self,
-                                 keys: Sequence[Hashable]) -> List[int]:
-        """Sequential twin of :meth:`estimate_batch`."""
-        return [self.estimate(key) for key in keys]
 
     def estimate(self, key: Hashable) -> int:
         """Sum of this key's counters across stages (never over-counts a

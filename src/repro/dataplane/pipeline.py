@@ -142,40 +142,6 @@ class MatchActionTable:
             return self.default_action, {}
         return best.action, best.params
 
-    def lookup_batch(self, keys: Sequence[Any]
-                     ) -> List[Tuple[str, Dict[str, Any]]]:
-        """Vectorized :meth:`lookup` over a key column.
-
-        Exact tables resolve each key with one dict probe; scan-mode
-        tables memoize per unique key so the entry list is walked once
-        per distinct key rather than once per packet.
-        """
-        index = self._exact_index
-        if index is not None:
-            default = (self.default_action, {})
-            out: List[Tuple[str, Dict[str, Any]]] = []
-            for key in keys:
-                try:
-                    entry = index.get(key)
-                except TypeError:
-                    entry = None
-                out.append(default if entry is None
-                           else (entry.action, entry.params))
-            return out
-        cache: Dict[Any, Tuple[str, Dict[str, Any]]] = {}
-        out = []
-        for key in keys:
-            try:
-                result = cache.get(key)
-            except TypeError:
-                out.append(self.lookup(key))
-                continue
-            if result is None:
-                result = self.lookup(key)
-                cache[key] = result
-            out.append(result)
-        return out
-
     def __len__(self) -> int:
         return len(self._entries)
 

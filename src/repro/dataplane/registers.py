@@ -10,7 +10,7 @@ switches (Section 3.4).
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
 
 from .resources import ResourceVector
 
@@ -34,32 +34,14 @@ _SALT_SEEDS: Dict[int, int] = {}
 
 
 def salt_seed(salt: int) -> int:
-    """CRC32 state with the salt prefix folded in (see :func:`hash_batch`)."""
+    """CRC32 state with the salt prefix folded in:
+    ``crc32(repr(key).encode(), salt_seed(salt)) == stable_hash(key, salt)``.
+    The batch kernels hash through this."""
     seed = _SALT_SEEDS.get(salt)
     if seed is None:
         seed = zlib.crc32(f"{salt}|".encode())
         _SALT_SEEDS[salt] = seed
     return seed
-
-
-def encode_keys(values: Sequence[Any]) -> List[bytes]:
-    """Encode each key once (``repr`` + UTF-8); reusable across salts."""
-    return [repr(v).encode() for v in values]
-
-
-def hash_batch(values: Sequence[Any], salt: int = 0,
-               encoded: Optional[Sequence[bytes]] = None) -> List[int]:
-    """Vectorized :func:`stable_hash`: bitwise-identical results, one
-    CRC pass over the column with the salt prefix folded into the seed.
-
-    Pass ``encoded`` (from :func:`encode_keys`) when hashing the same
-    column under several salts so each key is encoded exactly once.
-    """
-    seed = salt_seed(salt)
-    crc = zlib.crc32
-    if encoded is None:
-        return [crc(repr(v).encode(), seed) for v in values]
-    return [crc(kb, seed) for kb in encoded]
 
 
 class RegisterArray:
@@ -108,18 +90,8 @@ class RegisterArray:
         return self.read(index)
 
     # ------------------------------------------------------------------
-    # Batch kernels (see DESIGN.md "Batch data plane")
+    # Batch kernel (see DESIGN.md "Batch data plane")
     # ------------------------------------------------------------------
-    def index_batch(self, keys: Sequence[Any], salt: int = 0,
-                    encoded: Optional[Sequence[bytes]] = None) -> List[int]:
-        """Vectorized :meth:`index_for` over a key column."""
-        size = self.size
-        return [h % size for h in hash_batch(keys, salt, encoded)]
-
-    def read_batch(self, indices: Sequence[int]) -> List[int]:
-        cells = self._cells
-        return [cells[self._check_index(i)] for i in indices]
-
     def add_batch(self, indices: Sequence[int],
                   deltas: Sequence[int]) -> None:
         """Saturating add of ``deltas[i]`` at ``indices[i]``.
@@ -148,20 +120,6 @@ class RegisterArray:
             self._check_index(index)
             new = cells[index] + delta
             cells[index] = max_value if new > max_value else new
-
-    def write_batch(self, indices: Sequence[int],
-                    values: Sequence[int]) -> None:
-        """Clamped writes; the last write to a repeated index wins, as it
-        would under sequential :meth:`write` calls."""
-        if len(indices) != len(values):
-            raise ValueError(
-                f"{self.name}: index/value column length mismatch "
-                f"({len(indices)} vs {len(values)})")
-        cells = self._cells
-        max_value = self.max_value
-        for index, value in zip(indices, values):
-            self._check_index(index)
-            cells[index] = max(0, min(int(value), max_value))
 
     def clear(self) -> None:
         self._cells = [0] * self.size

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .registers import RegisterArray, salt_seed
 from .resources import ResourceVector
@@ -60,7 +60,7 @@ class CountMinSketch:
                    for salt, row in enumerate(self.rows))
 
     # ------------------------------------------------------------------
-    # Batch kernels (see DESIGN.md "Batch data plane"): byte-identical
+    # Batch kernel (see DESIGN.md "Batch data plane"): byte-identical
     # end state to the sequential loop, one key encode + one CRC pass
     # per (row, unique key), one saturating write per touched cell.
     # ------------------------------------------------------------------
@@ -103,23 +103,6 @@ class CountMinSketch:
                           deltas)
         self.total += batch_total
 
-    def query_batch(self, keys: Sequence[Any]) -> List[int]:
-        """Vectorized :meth:`estimate`; each unique key is hashed once."""
-        cache: Dict[Any, int] = {}
-        out: List[int] = []
-        rows = self.rows
-        crc = zlib.crc32
-        seeds = [salt_seed(salt) for salt in range(self.depth)]
-        for key in keys:
-            value = cache.get(key)
-            if value is None:
-                kb = repr(key).encode()
-                value = min(row.read(crc(kb, seed) % row.size)
-                            for seed, row in zip(seeds, rows))
-                cache[key] = value
-            out.append(value)
-        return out
-
     def update_batch_reference(self, keys: Sequence[Any],
                                counts: Optional[Sequence[int]] = None
                                ) -> None:
@@ -130,10 +113,6 @@ class CountMinSketch:
         else:
             for key, count in zip(keys, counts):
                 self.update(key, count)
-
-    def query_batch_reference(self, keys: Sequence[Any]) -> List[int]:
-        """Sequential twin of :meth:`query_batch`."""
-        return [self.estimate(key) for key in keys]
 
     def clear(self) -> None:
         for row in self.rows:

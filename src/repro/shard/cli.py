@@ -77,13 +77,16 @@ def shard_main(argv=None) -> int:
         parser.error("--resume needs --checkpoint DIR")
 
     kwargs = {} if args.duration is None else {"duration_s": args.duration}
-    if args.scenario == "figure3":
-        scenario = figure3_scenario(seed=args.seed, **kwargs)
-    else:
-        scenario = random_scenario(seed=args.seed,
-                                   n_switches=args.switches,
-                                   n_hosts=args.hosts,
-                                   n_flows=args.flows, **kwargs)
+    try:
+        if args.scenario == "figure3":
+            scenario = figure3_scenario(seed=args.seed, **kwargs)
+        else:
+            scenario = random_scenario(seed=args.seed,
+                                       n_switches=args.switches,
+                                       n_hosts=args.hosts,
+                                       n_flows=args.flows, **kwargs)
+    except ValueError as exc:  # a scenario parameter out of range
+        parser.error(str(exc))
 
     telemetry.reset()
     try:

@@ -81,6 +81,11 @@ class ShardScenario:
     sample_period_s: float = 0.5
     tcp_tau: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(
+                f"duration_s must be finite and > 0, got {self.duration_s}")
+
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
@@ -155,6 +160,11 @@ def random_scenario(seed: int = 0, n_switches: int = 50,
     how many distinct hosts originate flows (bounding Dijkstra-tree
     count at path-assignment time).
     """
+    for name, value, least in (("n_switches", n_switches, 1),
+                               ("n_hosts", n_hosts, 1),
+                               ("n_flows", n_flows, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(f"random_scenario:{seed}")
     # Rebuild the exact topology the builders will construct (cheap: no
     # simulator events) so flow endpoints can be sampled with locality.

@@ -111,7 +111,9 @@ def test_count_min_sketch_round_trip(tmp_path, seed):
     more = _keys(rng)
     sketch.update_batch(more)
     restored.update_batch(more)
-    assert restored.query_batch(more) == sketch.query_batch(more)
+    assert restored.export_state() == sketch.export_state()
+    assert ([restored.estimate(k) for k in more]
+            == [sketch.estimate(k) for k in more])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -122,7 +124,7 @@ def test_bloom_filter_round_trip(tmp_path, seed):
     restored = round_trip(tmp_path, {"bloom": bloom}, seed)["bloom"]
     assert restored.export_state() == bloom.export_state()
     probe = _keys(rng)
-    assert restored.contains_batch(probe) == bloom.contains_batch(probe)
+    assert [k in restored for k in probe] == [k in bloom for k in probe]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -135,7 +137,9 @@ def test_hashpipe_round_trip(tmp_path, seed):
     more = _keys(rng, 64)
     pipe.update_batch(more)
     restored.update_batch(more)
-    assert restored.estimate_batch(more) == pipe.estimate_batch(more)
+    assert restored.export_state() == pipe.export_state()
+    assert ([restored.estimate(k) for k in more]
+            == [pipe.estimate(k) for k in more])
     assert restored.top_k(5) == pipe.top_k(5)
 
 

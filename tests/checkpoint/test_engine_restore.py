@@ -280,3 +280,19 @@ class TestServeDriver:
         err = capsys.readouterr().err
         assert err.startswith("serve: checkpoint_every_events must be >= 0")
         assert len(err.splitlines()) == 1
+
+    def test_cli_auto_checkpoint_without_directory_exits_two(self, capsys):
+        """Regression: the service ran until its first auto-checkpoint
+        and then died with a CheckpointError traceback."""
+        assert serve_main(["--no-commands", "--duration", "0.5",
+                           "--checkpoint-every-events", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: checkpoint_every_events needs a "
+                              "checkpoint directory")
+        assert len(err.splitlines()) == 1
+
+    def test_restore_checks_checkpoint_directory_before_reading(
+            self, tmp_path):
+        with pytest.raises(ValueError, match="needs a checkpoint directory"):
+            EngineService.from_checkpoint(tmp_path / "absent.ckpt",
+                                          checkpoint_every_events=100)

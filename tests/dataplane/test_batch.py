@@ -5,9 +5,9 @@ Every vectorized method on the data-plane structures (``update_batch``,
 equivalent sequence of scalar calls produces — the contract that lets the
 batch engine swap paths freely.  These tests drive both paths with the
 same randomized workloads over 50 seeds and compare exported state and
-query results, including the nasty edges: ``width_bits=1`` saturation,
-table-full LRU eviction, and runs of repeated keys that exercise
-HashPipe's run-coalescing.
+scalar queries (``estimate``, ``in``), including the nasty edges:
+``width_bits=1`` saturation, table-full LRU eviction, and runs of
+repeated keys that exercise HashPipe's run-coalescing.
 """
 
 import random
@@ -16,8 +16,7 @@ import zlib
 import pytest
 
 from repro.dataplane import (BloomFilter, CountMinSketch, FlowTable,
-                             HashPipe, PacketBatch, RegisterArray,
-                             encode_keys, hash_batch, salt_seed,
+                             HashPipe, PacketBatch, RegisterArray, salt_seed,
                              stable_hash)
 
 SEEDS = range(50)
@@ -37,19 +36,6 @@ def random_keys(rng, n, universe=40):
 
 
 class TestHashBatch:
-    @pytest.mark.parametrize("salt", [0, 1, 7, 123])
-    def test_matches_stable_hash(self, salt):
-        values = ["a", "b", ("x", 1), 42, 3.5, None, "a"]
-        assert hash_batch(values, salt) == [stable_hash(v, salt)
-                                            for v in values]
-
-    def test_precomputed_encoding_path(self):
-        values = [("f", i) for i in range(20)]
-        encoded = encode_keys(values)
-        for salt in (0, 3):
-            assert (hash_batch(values, salt, encoded=encoded)
-                    == [stable_hash(v, salt) for v in values])
-
     def test_salt_seed_composes_crc(self):
         # The decomposition the whole vectorization rests on:
         # crc32(a + b) == crc32(b, crc32(a)).
@@ -57,6 +43,9 @@ class TestHashBatch:
             seed = salt_seed(salt)
             assert zlib.crc32(b"payload", seed) == zlib.crc32(
                 f"{salt}|".encode() + b"payload")
+            for key in ("a", ("x", 1), 42, 3.5, None):
+                assert (zlib.crc32(repr(key).encode(), seed)
+                        == stable_hash(key, salt))
 
 
 class TestSketchBatch:
@@ -76,7 +65,8 @@ class TestSketchBatch:
         assert batch_sk.export_state() == seq_sk.export_state()
         assert batch_sk.total == seq_sk.total
         probe = random_keys(rng, 30)
-        assert batch_sk.query_batch(probe) == seq_sk.query_batch_reference(probe)
+        assert ([batch_sk.estimate(k) for k in probe]
+                == [seq_sk.estimate(k) for k in probe])
 
     def test_width_bits_1_saturates_identically(self):
         batch_sk = CountMinSketch("b", width=8, depth=2, width_bits=1)
@@ -85,7 +75,7 @@ class TestSketchBatch:
         batch_sk.update_batch(keys)
         seq_sk.update_batch_reference(keys)
         assert batch_sk.export_state() == seq_sk.export_state()
-        assert max(batch_sk.query_batch(["a"])) <= 1
+        assert batch_sk.estimate("a") <= 1
 
     def test_default_counts_are_ones(self):
         sk = CountMinSketch("b", width=32, depth=2)
@@ -112,10 +102,7 @@ class TestBloomBatch:
         assert batch_bf.export_state() == seq_bf.export_state()
         assert batch_bf.inserted == seq_bf.inserted
         probe = random_keys(rng, 60, universe=80)
-        assert (batch_bf.contains_batch(probe)
-                == seq_bf.contains_batch_reference(probe))
-        assert (batch_bf.contains_batch(probe)
-                == [k in seq_bf for k in probe])
+        assert [k in batch_bf for k in probe] == [k in seq_bf for k in probe]
 
 
 class TestHashPipeBatch:
@@ -133,8 +120,8 @@ class TestHashPipeBatch:
         assert batch_hp.export_state() == seq_hp.export_state()
         assert batch_hp.total == seq_hp.total
         probe = random_keys(rng, 30, universe=30)
-        assert (batch_hp.estimate_batch(probe)
-                == seq_hp.estimate_batch_reference(probe))
+        assert ([batch_hp.estimate(k) for k in probe]
+                == [seq_hp.estimate(k) for k in probe])
         assert batch_hp.heavy_hitters(1) == seq_hp.heavy_hitters(1)
 
     def test_run_coalescing_equals_split_updates(self):
@@ -192,21 +179,12 @@ class TestRegisterBatch:
         seq_ra = RegisterArray("b", size=32, width_bits=width_bits)
         keys = random_keys(rng, rng.randrange(1, 100))
         salt = rng.randrange(4)
-        indices = batch_ra.index_batch(keys, salt)
-        assert indices == [seq_ra.index_for(k, salt) for k in keys]
+        indices = [seq_ra.index_for(k, salt) for k in keys]
         deltas = [rng.randrange(0, 5) for _ in keys]
         batch_ra.add_batch(indices, deltas)
         for index, delta in zip(indices, deltas):
             seq_ra.add(index, delta)
         assert batch_ra.export_state() == seq_ra.export_state()
-        assert (batch_ra.read_batch(range(32))
-                == [seq_ra.read(i) for i in range(32)])
-
-    def test_write_batch_last_write_wins(self):
-        ra = RegisterArray("b", size=8, width_bits=8)
-        ra.write_batch([3, 3, 5], [10, 20, 999])
-        assert ra.read(3) == 20
-        assert ra.read(5) == 255  # clamped to max_value
 
     def test_add_batch_rejects_negative_deltas(self):
         ra = RegisterArray("b", size=8)
@@ -247,6 +225,6 @@ class TestPacketBatch:
         batch.consume(3)
         assert batch.dropped == 1 and batch.consumed == 1
         assert batch.alive_count() == 2
-        assert batch.alive_indices() == [0, 2]
+        assert list(batch.alive) == [1, 0, 1, 0]
         assert [i for i, _ in batch.survivors()] == [0, 2]
         assert batch.packets[1].dropped == "why"  # first reason wins

@@ -67,19 +67,6 @@ class TestTable:
         table.insert(lambda k: True, "second", priority=3)
         assert table.lookup("anything")[0] == "first"
 
-    def test_lookup_batch_matches_scalar_lookup(self):
-        table = MatchActionTable("t")
-        table.insert("k1", "drop")
-        table.insert("k2", "forward", params={"port": 9})
-        keys = ["k1", "k2", "k3", "k1"]
-        assert table.lookup_batch(keys) == [table.lookup(k) for k in keys]
-
-    def test_lookup_batch_ternary_memoizes_per_key(self):
-        table = MatchActionTable("t", match_kind=MatchKind.TERNARY)
-        table.insert(lambda k: k.startswith("10."), "internal", priority=2)
-        keys = ["10.0.0.1", "192.168.0.1", "10.0.0.1"]
-        assert table.lookup_batch(keys) == [table.lookup(k) for k in keys]
-
     def test_memory_kind_depends_on_match(self):
         exact = MatchActionTable("e", MatchKind.EXACT, max_entries=100,
                                  entry_bytes=10)

@@ -1,4 +1,5 @@
-"""``python -m repro shard``: flag validation and the one-region anchor."""
+"""``python -m repro shard``: flag and scenario validation, and the
+one-region anchor."""
 
 from __future__ import annotations
 
@@ -22,10 +23,20 @@ def usage_error(capsys, argv):
     (["--workers", "0"], "workers must be >= 1"),
     (["--window", "-1"], "window_s must be positive"),
     (["--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
+    (["--scenario", "random", "--switches", "0"], "n_switches must be >= 1"),
+    (["--scenario", "random", "--hosts", "0"], "n_hosts must be >= 1"),
+    (["--scenario", "random", "--flows", "-3"], "n_flows must be >= 0"),
+    (["--duration", "-1"], "duration_s must be finite and > 0"),
+    (["--duration", "0"], "duration_s must be finite and > 0"),
+    (["--duration", "nan"], "duration_s must be finite and > 0"),
+    (["--scenario", "random", "--duration", "0"],
+     "duration_s must be finite and > 0"),
 ])
 def test_bad_flag_is_a_usage_error_not_a_traceback(capsys, flags, message):
+    # A later --duration overrides SHORT's.
     err = usage_error(capsys, SHORT + flags)
     assert f"error: {message}" in err
+    assert err.count("error:") == 1
     assert "Traceback" not in err
 
 
