@@ -2,9 +2,11 @@
 
 Public surface:
 
-* :func:`save_checkpoint` / :func:`load_checkpoint` /
-  :func:`peek_checkpoint` — the file-level API (versioned, fingerprinted,
-  atomically written containers; see :mod:`repro.checkpoint.format`).
+* :func:`save_checkpoint` / :func:`load_checkpoint` — the file-level
+  API: one :func:`pack_state` blob as the payload of a versioned,
+  fingerprinted, atomically written container (see
+  :mod:`repro.checkpoint.format`, whose ``read_header`` inspects a
+  checkpoint without reading its payload).
 * :class:`CheckpointError` — every failure mode (unwritable, corrupt,
   truncated, version-mismatched, unpicklable state) raises this.
 * ``Simulator.snapshot()`` / ``Simulator.restore()`` — the engine-level
@@ -18,14 +20,14 @@ checkpoint captures, the fingerprint scheme, and what invalidates one.
 """
 
 from .core import (GLOBAL_SEQUENCES, capture_globals, load_checkpoint,
-                   pack_state, peek_checkpoint, restore_globals,
-                   save_checkpoint, unpack_state)
+                   pack_state, restore_globals, save_checkpoint,
+                   unpack_state)
 from .format import FORMAT_VERSION, CheckpointError
 from .pickler import CheckpointPickler, CheckpointUnpickler
 
 __all__ = [
     "CheckpointError", "CheckpointPickler", "CheckpointUnpickler",
     "FORMAT_VERSION", "GLOBAL_SEQUENCES", "capture_globals",
-    "load_checkpoint", "pack_state", "peek_checkpoint", "restore_globals",
-    "save_checkpoint", "unpack_state",
+    "load_checkpoint", "pack_state", "restore_globals", "save_checkpoint",
+    "unpack_state",
 ]

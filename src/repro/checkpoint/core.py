@@ -1,7 +1,8 @@
 """Engine checkpoint/restore: capture everything a deterministic run needs.
 
-``save_checkpoint`` serializes three layers into one container (see
-:mod:`repro.checkpoint.format`):
+``save_checkpoint`` writes one :func:`pack_state` blob as the payload of
+one container (see :mod:`repro.checkpoint.format`).  The blob holds two
+layers:
 
 * **Simulation state** — an arbitrary picklable object graph rooted at
   whatever the caller passes (typically a
@@ -11,23 +12,22 @@
   routing cache, fluid allocator, flow tables, sketches, bloom filters,
   mode-protocol timers, attacker state, and every RNG — pickled with
   exact heap order and tie-break sequence numbers.
-* **Telemetry** — the process-wide registry snapshot and full trace
-  state, captured by value here and referenced symbolically from inside
-  the state segment (see :mod:`repro.checkpoint.pickler`).
-* **Global sequences** — the module-level ID generators
-  (``flow_id``/``pkt_id``/transfer/trace ids).  These are
-  process-wide ``itertools.count`` objects that the pickled world does
-  *not* own; without capturing them a restored process would re-issue
-  IDs from 1 and diverge from an uninterrupted run the moment a new
-  flow or packet is created (flow IDs are TE tie-breakers, so this is
-  behavior, not cosmetics).
+* **Globals** — the process-wide telemetry registry snapshot and trace
+  state (captured by value here and referenced symbolically from inside
+  the state graph, see :mod:`repro.checkpoint.pickler`), plus the
+  module-level ID generators (``flow_id``/``pkt_id``/transfer/trace
+  ids).  These are process-wide ``itertools.count`` objects that the
+  pickled world does *not* own; without capturing them a restored
+  process would re-issue IDs from 1 and diverge from an uninterrupted
+  run the moment a new flow or packet is created (flow IDs are TE
+  tie-breakers, so this is behavior, not cosmetics).
 
-Restore inverts the layers in order: globals first (so metric
-references resolve against restored families), then the state segment.
-The restore contract is documented in DESIGN.md ("Checkpoint format &
-restore contract"); the headline property — kill -9 mid-run, restore,
-finish, get byte-identical stable metrics and figure outputs — is
-enforced by ``scripts/check_restore.py`` in CI.
+:func:`unpack_state` inverts the layers in order: globals first (so
+metric references resolve against restored families), then the state
+graph.  The restore contract is documented in DESIGN.md ("Checkpoint
+format & restore contract"); the headline property — kill -9 mid-run,
+restore, finish, get byte-identical stable metrics and figure outputs —
+is enforced by ``scripts/check_restore.py`` in CI.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from importlib import import_module
 from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry
-from .format import (CheckpointError, PathLike, read_container, read_header,
+from .format import (CheckpointError, PathLike, read_container,
                      write_container)
 from .pickler import dump_state, load_state
 
@@ -105,17 +105,15 @@ def save_checkpoint(path: PathLike, state: Any,
     observationally free: a run that checkpoints N times is
     byte-identical to one that never does.
     """
-    globals_blob = dump_state(capture_globals())
-    state_blob = dump_state(state)
-    return write_container(path, globals_blob, state_blob, dict(meta or {}))
+    return write_container(path, pack_state(state), dict(meta or {}))
 
 
 def pack_state(state: Any,
                globals_bundle: Optional[Dict[str, Any]] = None) -> bytes:
     """Serialize ``state`` plus the process-global bundle into one
-    in-memory blob — the wire format the sharded coordinator uses for
-    region checkpoints and final state collection (``save_checkpoint``
-    minus the file container).  Packing mutates nothing.
+    in-memory blob — the payload of an engine checkpoint and the wire
+    format the sharded coordinator uses for region checkpoints and final
+    state collection.  Packing mutates nothing.
 
     ``globals_bundle`` lets a caller that already holds a
     :func:`capture_globals` snapshot (e.g. a resident region worker
@@ -134,25 +132,22 @@ def unpack_state(blob: bytes,
     """Invert :func:`pack_state`: restore the globals bundle into this
     process (telemetry registry, trace, ID sequences), then unpickle and
     return the state graph.  (Restoring first is load-bearing: the state
-    segment references metric families symbolically, and resolution
+    graph references metric families symbolically, and resolution
     requires them to exist — see :mod:`repro.checkpoint.pickler`.)
+    Another container's payload (a shard checkpoint's, a sweep task's)
+    raises :class:`CheckpointError`.
 
     When ``globals_out`` is given, the embedded bundle is also copied
     into it — so a caller that swaps per-region globals bundles (the
     resident shard workers) can hold the blob's bundle without paying a
     second :func:`capture_globals`.
     """
-    globals_blob, state_blob = pickle.loads(blob)
+    globals_blob, state_blob = load_state(blob)
     bundle = load_state(globals_blob)
     restore_globals(bundle)
     if globals_out is not None:
         globals_out.update(bundle)
     return load_state(state_blob)
-
-
-def peek_checkpoint(path: PathLike) -> Dict[str, Any]:
-    """The header of a checkpoint (cheap: no payload read, no unpickle)."""
-    return read_header(path)
 
 
 def load_checkpoint(path: PathLike) -> Tuple[Any, Dict[str, Any]]:
@@ -163,7 +158,5 @@ def load_checkpoint(path: PathLike) -> Tuple[Any, Dict[str, Any]]:
     after this call the process is, for every deterministic observable,
     the process that wrote the checkpoint.
     """
-    header, globals_blob, state_blob = read_container(path)
-    restore_globals(load_state(globals_blob))
-    state = load_state(state_blob)
-    return state, dict(header.get("meta", {}))
+    header, payload = read_container(path)
+    return unpack_state(payload), dict(header["meta"])

@@ -1,27 +1,29 @@
 """The on-disk checkpoint container: versioned, fingerprinted, atomic.
 
-A checkpoint file is a one-line ASCII JSON header followed by two raw
-binary segments::
+Every resume file in the tree is one of these containers: engine
+checkpoints, the shard's ``shard.ckpt`` and the sweep's
+``tasks/<task_id>.ckpt``.  A container is a one-line ASCII JSON header
+followed by one raw payload::
 
-    {"magic": "repro-checkpoint", "version": 1,
-     "globals_bytes": N, "state_bytes": M,
-     "fingerprint": "sha256:...", "meta": {...}}\n
-    <N bytes: pickled globals bundle (telemetry + sequence counters)>
-    <M bytes: pickled simulation state (telemetry-by-reference)>
+    {"fingerprint": "sha256:...", "magic": "repro-checkpoint",
+     "meta": {...}, "payload_bytes": N, "version": 2}\n
+    <N bytes: the payload>
 
 The header stays human-readable (``head -1 file.ckpt`` tells you what a
-checkpoint contains and when it was taken, in simulation time) while the
-payload stays compact.  The fingerprint is the SHA-256 of both payload
-segments concatenated, so truncation, bit rot, and partially written
-files are all detected before any unpickling happens — a corrupted
+file holds and, for an engine checkpoint, when it was taken in
+simulation time) while the payload is opaque bytes: a ``pack_state``
+blob for an engine checkpoint, the pickled region blobs for a shard
+checkpoint, a task record's JSON for a sweep task.  Every header field
+is type-checked and the fingerprint is the SHA-256 of the payload, so
+truncation, bit rot, trailing garbage and partially written files are
+all detected before a caller sees a payload byte — a corrupted
 checkpoint is rejected with :class:`CheckpointError`, never silently
 restored.
 
-Writes are atomic: the container is assembled in a temp file alongside
-the target and moved into place with ``os.replace``, the same pattern
-the sweep runner uses for task records.  A crash mid-write (the whole
-point of checkpoints) therefore leaves either the previous checkpoint or
-none, never a torn one.
+Writes go through :func:`atomic_write`: a temp file beside the target,
+fsynced, then moved into place with ``os.replace``.  A crash mid-write
+(the whole point of checkpoints) therefore leaves either the previous
+file or none, never a torn one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
 MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -42,45 +44,47 @@ class CheckpointError(RuntimeError):
     """Raised when a checkpoint cannot be written, read, or trusted."""
 
 
-def fingerprint_payload(globals_blob: bytes, state_blob: bytes) -> str:
-    digest = hashlib.sha256()
-    digest.update(globals_blob)
-    digest.update(state_blob)
-    return f"sha256:{digest.hexdigest()}"
+def fingerprint_payload(payload: bytes) -> str:
+    return f"sha256:{hashlib.sha256(payload).hexdigest()}"
 
 
-def write_container(path: PathLike, globals_blob: bytes, state_blob: bytes,
-                    meta: Dict[str, Any]) -> str:
-    """Atomically write one checkpoint container; returns the fingerprint."""
+def atomic_write(path: PathLike, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so that readers see the old file or
+    the new one, never a torn one: a same-directory temp file, fsynced,
+    then ``os.replace``.  Raises ``OSError``; no temp file survives."""
     path = Path(path)
-    fingerprint = fingerprint_payload(globals_blob, state_blob)
-    header = {
-        "magic": MAGIC,
-        "version": FORMAT_VERSION,
-        "globals_bytes": len(globals_blob),
-        "state_bytes": len(state_blob),
-        "fingerprint": fingerprint,
-        "meta": meta,
-    }
-    header_line = json.dumps(header, sort_keys=True) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header_line.encode("ascii"))
-            fh.write(globals_blob)
-            fh.write(state_blob)
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
     finally:
         if tmp.exists():  # only on failure before os.replace
             try:
                 tmp.unlink()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+
+
+def write_container(path: PathLike, payload: bytes,
+                    meta: Dict[str, Any]) -> str:
+    """Atomically write one checkpoint container; returns the fingerprint."""
+    fingerprint = fingerprint_payload(payload)
+    header = {
+        "magic": MAGIC,
+        "version": FORMAT_VERSION,
+        "payload_bytes": len(payload),
+        "fingerprint": fingerprint,
+        "meta": meta,
+    }
+    header_line = json.dumps(header, sort_keys=True) + "\n"
+    try:
+        atomic_write(path, header_line.encode("ascii") + payload)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
     return fingerprint
 
 
@@ -107,40 +111,47 @@ def read_header(path: PathLike) -> Dict[str, Any]:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format version {version!r} "
             f"(this build reads version {FORMAT_VERSION})")
-    for field in ("globals_bytes", "state_bytes", "fingerprint"):
+    for field, kind in (("payload_bytes", int), ("fingerprint", str),
+                        ("meta", dict)):
         if field not in header:
             raise CheckpointError(f"{path}: header missing {field!r}")
+        value = header[field]
+        # bool is an int subclass; a size must be a real, non-negative int.
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                or (kind is int and value < 0)):
+            raise CheckpointError(
+                f"{path}: header {field!r} is not a valid "
+                f"{kind.__name__}: {value!r}")
     return header
 
 
-def read_container(path: PathLike
-                   ) -> Tuple[Dict[str, Any], bytes, bytes]:
-    """Read and verify a container; returns (header, globals, state).
+def read_container(path: PathLike) -> Tuple[Dict[str, Any], bytes]:
+    """Read and verify a container; returns ``(header, payload)``.
 
-    Both payload segments are length- and fingerprint-checked before
-    being returned, so callers may unpickle them without re-validating.
+    The payload is length- and fingerprint-checked before it is
+    returned, so callers may decode it without re-validating.
     """
     path = Path(path)
     header = read_header(path)
+    size: int = header["payload_bytes"]
     try:
         with open(path, "rb") as fh:
             fh.readline(1 << 20)  # header, already validated
-            globals_blob = fh.read(int(header["globals_bytes"]))
-            state_blob = fh.read(int(header["state_bytes"]))
-            trailing = fh.read(1)
+            found = os.fstat(fh.fileno()).st_size - fh.tell()
+            # Sized from the file, never from the header alone: a forged
+            # payload_bytes must not make this allocate.
+            payload = fh.read(size) if found == size else b""
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if (len(globals_blob) != header["globals_bytes"]
-            or len(state_blob) != header["state_bytes"]):
+    if found < size:
         raise CheckpointError(
-            f"{path}: truncated - expected "
-            f"{header['globals_bytes'] + header['state_bytes']} payload "
-            f"bytes, found {len(globals_blob) + len(state_blob)}")
-    if trailing:
+            f"{path}: truncated - expected {size} payload bytes, "
+            f"found {found}")
+    if found > size:
         raise CheckpointError(f"{path}: trailing garbage after payload")
-    actual = fingerprint_payload(globals_blob, state_blob)
+    actual = fingerprint_payload(payload)
     if actual != header["fingerprint"]:
         raise CheckpointError(
             f"{path}: fingerprint mismatch - file is corrupt "
             f"(header {header['fingerprint']}, payload {actual})")
-    return header, globals_blob, state_blob
+    return header, payload

@@ -14,7 +14,7 @@ belongs to the process-wide layer as a symbolic reference (a pickle
 restoring process's own telemetry layer.  The registry's *values* travel
 separately in the checkpoint's globals bundle (see
 :mod:`repro.checkpoint.core`), which is restored before the state
-segment is unpickled — so by the time a reference resolves, the family
+graph is unpickled — so by the time a reference resolves, the family
 it names exists and carries the checkpointed value.
 
 Metric objects owned by isolated registries (tests) do not match the
@@ -142,7 +142,7 @@ def dump_state(state: Any) -> bytes:
 
 
 def load_state(blob: bytes) -> Any:
-    """Unpickle a state segment produced by :func:`dump_state`."""
+    """Unpickle a blob produced by :func:`dump_state`."""
     previous_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(previous_limit, _PICKLE_RECURSION_LIMIT))
     try:

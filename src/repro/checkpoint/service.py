@@ -45,7 +45,7 @@ import queue
 import sys
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
 
 from .. import telemetry
 from ..netsim.engine import Simulator
@@ -91,21 +91,15 @@ class EngineService:
         if scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {scenario!r}; have {sorted(SCENARIOS)}")
-        _check_cadence(step_events, checkpoint_every_events, checkpoint_dir)
-        self.scenario = scenario
-        self.step_events = step_events
-        self.checkpoint_every_events = checkpoint_every_events
-        self.checkpoint_dir = checkpoint_dir
-        self.stream = stream
-        self.stopped = False
-        self.commands: "queue.Queue[Dict[str, Any]]" = queue.Queue()
         system, _ = SCENARIOS[scenario]
-        config = Figure3Config(seed=seed, duration_s=duration_s)
-        if stream is not None:
-            _TRACE.enable()
-        self.world = build_world(system, config,
-                                 launch_attacker=launch_attacker)
-        self._next_checkpoint = checkpoint_every_events
+
+        def build() -> Tuple[str, Any]:
+            config = Figure3Config(seed=seed, duration_s=duration_s)
+            return scenario, build_world(system, config,
+                                         launch_attacker=launch_attacker)
+
+        self._setup(build, step_events, checkpoint_every_events,
+                    checkpoint_dir, stream)
 
     @classmethod
     def from_checkpoint(cls, path: Path, step_events: int = 500,
@@ -115,32 +109,38 @@ class EngineService:
                         ) -> "EngineService":
         """Resume a service from an engine checkpoint written by
         :meth:`checkpoint` (or any ``world.sim.snapshot``)."""
-        _check_cadence(step_events, checkpoint_every_events, checkpoint_dir)
-        sim, world, meta = Simulator.restore(path)
-        if world is None or not hasattr(world, "config"):
-            raise CheckpointError(
-                f"{path}: checkpoint has no scenario world attached")
+        def restore() -> Tuple[str, Any]:
+            _sim, world, meta = Simulator.restore(path)
+            if world is None or not hasattr(world, "config"):
+                raise CheckpointError(
+                    f"{path}: checkpoint has no scenario world attached")
+            return str(meta.get("scenario", f"figure3_{world.system}")), world
+
         service = cls.__new__(cls)
-        service.scenario = str(meta.get("scenario",
-                                        f"figure3_{world.system}"))
-        service.step_events = step_events
-        service.checkpoint_every_events = checkpoint_every_events
-        service.checkpoint_dir = checkpoint_dir
-        service.stream = stream
-        service.stopped = False
-        service.commands = queue.Queue()
-        service.world = world
-        if stream is not None:
-            _TRACE.enable()
-        executed = sim.events_executed
-        if checkpoint_every_events:
-            # Next multiple strictly after the restored position.
-            service._next_checkpoint = (
-                (executed // checkpoint_every_events) + 1
-            ) * checkpoint_every_events
-        else:
-            service._next_checkpoint = 0
+        service._setup(restore, step_events, checkpoint_every_events,
+                       checkpoint_dir, stream)
         return service
+
+    def _setup(self, open_world: Callable[[], Tuple[str, Any]],
+               step_events: int, checkpoint_every_events: int,
+               checkpoint_dir: Optional[Path],
+               stream: Optional[TextIO]) -> None:
+        """The one place a service's fields are set, for both
+        constructors: the cadence is checked before any world is built
+        or restored, and ``open_world`` builds or restores it."""
+        _check_cadence(step_events, checkpoint_every_events, checkpoint_dir)
+        self.step_events = step_events
+        self.checkpoint_every_events = checkpoint_every_events
+        self.checkpoint_dir = checkpoint_dir
+        self.stream = stream
+        self.stopped = False
+        self.commands: "queue.Queue[Dict[str, Any]]" = queue.Queue()
+        if stream is not None:
+            _TRACE.enable()  # before a build, so experiment_start streams
+        self.scenario, self.world = open_world()
+        if stream is not None:
+            _TRACE.enable()  # a restore re-seats the checkpoint's trace state
+        self._schedule_next_checkpoint()
 
     # ------------------------------------------------------------------
     # Output stream
@@ -183,14 +183,20 @@ class EngineService:
                     "path": str(path), "fingerprint": fingerprint})
         return Path(path)
 
+    def _schedule_next_checkpoint(self) -> None:
+        """The next multiple of the cadence strictly after the events
+        executed so far (0 when auto-checkpointing is off)."""
+        interval = self.checkpoint_every_events
+        executed = self.world.sim.events_executed
+        self._next_checkpoint = (
+            ((executed // interval) + 1) * interval if interval else 0)
+
     def _maybe_auto_checkpoint(self) -> None:
         if not self.checkpoint_every_events:
             return
-        executed = self.world.sim.events_executed
-        if executed >= self._next_checkpoint:
+        if self.world.sim.events_executed >= self._next_checkpoint:
             self.checkpoint()
-            interval = self.checkpoint_every_events
-            self._next_checkpoint = ((executed // interval) + 1) * interval
+            self._schedule_next_checkpoint()
 
     # ------------------------------------------------------------------
     # Commands
@@ -358,64 +364,58 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    opened: List[TextIO] = []  # files this call opened and must close
 
-    stream: Optional[TextIO] = None
-    stream_needs_close = False
-    if args.stream == "-":
-        stream = sys.stdout
-    elif args.stream is not None:
-        stream = open(args.stream, "w")
-        stream_needs_close = True
-
-    try:
-        if args.restore is not None:
-            service = EngineService.from_checkpoint(
-                Path(args.restore), step_events=args.step_events,
-                checkpoint_every_events=args.checkpoint_every_events,
-                checkpoint_dir=(None if args.checkpoint_dir is None
-                                else Path(args.checkpoint_dir)),
-                stream=stream)
-        else:
-            telemetry.reset()
-            service = EngineService(
-                args.scenario, seed=args.seed, duration_s=args.duration,
-                step_events=args.step_events,
-                checkpoint_every_events=args.checkpoint_every_events,
-                checkpoint_dir=(None if args.checkpoint_dir is None
-                                else Path(args.checkpoint_dir)),
-                stream=stream, launch_attacker=args.attack)
-    except (CheckpointError, ValueError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        if stream_needs_close and stream is not None:
-            stream.close()
-        return 2
-
-    reader: Optional[threading.Thread] = None
-    command_fh: Optional[TextIO] = None
-    if not args.no_commands:
-        command_fh = (sys.stdin if args.commands == "-"
-                      else open(args.commands))
-        reader = threading.Thread(target=_command_reader,
-                                  args=(command_fh, service), daemon=True)
-        reader.start()
+    def open_arg(name: str, mode: str, std: TextIO) -> TextIO:
+        if name == "-":
+            return std
+        opened.append(open(name, mode))
+        return opened[-1]
 
     try:
+        try:
+            # Both files open before any world is built, so a bad path
+            # is a usage error rather than a traceback after the build.
+            stream = (None if args.stream is None
+                      else open_arg(args.stream, "w", sys.stdout))
+            command_fh = (None if args.no_commands
+                          else open_arg(args.commands, "r", sys.stdin))
+            checkpoint_dir = (None if args.checkpoint_dir is None
+                              else Path(args.checkpoint_dir))
+            if args.restore is not None:
+                service = EngineService.from_checkpoint(
+                    Path(args.restore), step_events=args.step_events,
+                    checkpoint_every_events=args.checkpoint_every_events,
+                    checkpoint_dir=checkpoint_dir, stream=stream)
+            else:
+                telemetry.reset()
+                service = EngineService(
+                    args.scenario, seed=args.seed, duration_s=args.duration,
+                    step_events=args.step_events,
+                    checkpoint_every_events=args.checkpoint_every_events,
+                    checkpoint_dir=checkpoint_dir, stream=stream,
+                    launch_attacker=args.attack)
+        except (OSError, CheckpointError, ValueError) as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
+
+        if command_fh is not None:
+            threading.Thread(target=_command_reader,
+                             args=(command_fh, service), daemon=True).start()
         result = service.run()
-    finally:
-        if command_fh is not None and command_fh is not sys.stdin:
-            command_fh.close()
 
-    if args.metrics_out is not None:
-        telemetry.metrics().write_json(args.metrics_out)
-    if args.report_out is not None and result is not None:
-        from ..experiments.figure3 import format_report
-        report = format_report({service.world.system: result},
-                               service.world.config)
-        with open(args.report_out, "w") as fh:
-            fh.write(report + "\n")
-    if stream_needs_close and stream is not None:
-        stream.close()
-    return 0
+        if args.metrics_out is not None:
+            telemetry.metrics().write_json(args.metrics_out)
+        if args.report_out is not None and result is not None:
+            from ..experiments.figure3 import format_report
+            report = format_report({service.world.system: result},
+                                   service.world.config)
+            with open(args.report_out, "w") as fh:
+                fh.write(report + "\n")
+        return 0
+    finally:
+        for handle in opened:
+            handle.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

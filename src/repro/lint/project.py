@@ -2,7 +2,7 @@
 
 Per-file rules (:class:`~repro.lint.core.Rule`) see one AST at a time,
 so every contract that *spans* modules — a constant duplicated into
-three files, a module-level ID sequence the checkpoint globals segment
+three files, a module-level ID sequence the checkpoint globals bundle
 doesn't know about — was unenforceable before this layer existed.
 :class:`ProjectContext` parses every file passed to the linter once and
 exposes what the project rules (:class:`~repro.lint.core.ProjectRule`)

@@ -1,7 +1,7 @@
 """RPL010 — checkpointed state must be picklable.
 
-The checkpoint format (PR 9) pickles everything ``pack_state`` /
-``save_checkpoint`` reach, plus a globals segment that re-seats the
+A checkpoint pickles everything ``pack_state`` /
+``save_checkpoint`` reach, plus a globals bundle that re-seats the
 module-level ``itertools.count`` ID sequences listed in
 ``GLOBAL_SEQUENCES``.  Two failure modes slip past per-file analysis:
 

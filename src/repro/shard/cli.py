@@ -17,6 +17,7 @@ import math
 import sys
 
 from .. import telemetry
+from ..checkpoint import CheckpointError
 from .coordinator import run_sharded
 from .scenario import figure3_scenario, random_scenario, run_single
 
@@ -95,7 +96,9 @@ def shard_main(argv=None) -> int:
                              checkpoint_dir=args.checkpoint,
                              resume=args.resume,
                              checkpoint_every=args.checkpoint_every)
-    except ValueError as exc:  # a flag run_sharded rejects
+    except (ValueError, CheckpointError) as exc:
+        # A flag run_sharded rejects, or a --resume checkpoint that is
+        # corrupt or from another configuration.
         parser.error(str(exc))
     print(f"[shard] {record['mode']}: {args.scenario} seed={args.seed} "
           f"regions={record['n_regions']} workers={record['workers']} "

@@ -91,11 +91,11 @@ def _write_checkpoint(checkpoint_dir: Path, config: Dict[str, Any],
                       pending: List[Dict[str, Any]]) -> None:
     """One fingerprinted container per barrier, atomically replaced:
     the run configuration and resume time in the header's ``meta``, the
-    region blobs plus pending injections in the state segment.  (The
-    globals segment stays empty — every region blob embeds its own.)"""
+    region blobs (each a ``pack_state`` blob carrying its own globals)
+    plus pending injections as the payload."""
     payload = pickle.dumps((blobs, pending),
                            protocol=pickle.HIGHEST_PROTOCOL)
-    write_container(checkpoint_dir / CHECKPOINT_NAME, b"", payload,
+    write_container(checkpoint_dir / CHECKPOINT_NAME, payload,
                     dict(config, next_t=next_t))
 
 
@@ -109,8 +109,8 @@ def _load_checkpoint(checkpoint_dir: Path, config: Dict[str, Any]
     path = checkpoint_dir / CHECKPOINT_NAME
     if not path.exists():
         return None
-    header, _globals, payload = read_container(path)
-    meta = dict(header.get("meta", {}))
+    header, payload = read_container(path)
+    meta = dict(header["meta"])
     next_t = meta.pop("next_t", None)
     if meta != config:
         raise ValueError(

@@ -12,16 +12,16 @@ and runs each through :func:`run_task`:
    whatever state they inherited from the parent);
 2. resolve and call the driver with the task's derived seed and params;
 3. snapshot the registry into the task record;
-4. write the record to ``<out>/tasks/<task_id>.json`` atomically
-   (temp file + ``os.replace``), which doubles as the crash-safe
-   checkpoint.
+4. write the record's JSON as the payload of a checkpoint container,
+   ``<out>/tasks/<task_id>.ckpt`` (see :mod:`repro.checkpoint.format`),
+   which doubles as the crash-safe checkpoint.
 
-Resume: with ``resume=True`` a task whose checkpoint exists, parses,
-and carries the task's exact fingerprint is *skipped* and its record
-reloaded; anything else (missing, truncated by a crash, produced by a
-different spec) is re-run.  Without ``resume``, stale task checkpoints
-for this spec are removed first so a finished directory always reflects
-exactly one coherent sweep.
+Resume: with ``resume=True`` a task whose container verifies and whose
+header meta names the task's exact id and fingerprint is *skipped* and
+its record reloaded; anything else (missing, truncated by a crash, bit
+rot, produced by a different spec) is re-run.  Without ``resume``,
+stale task checkpoints for this spec are removed first so a finished
+directory always reflects exactly one coherent sweep.
 
 Determinism: per-task seeds are derived, not shared; records are sorted
 by ``task_id`` before aggregation; metric snapshots merge through the
@@ -36,12 +36,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 import json
-import os
 from pathlib import Path
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 from .. import telemetry
+from ..checkpoint.format import (CheckpointError, atomic_write,
+                                 read_container, write_container)
 from ..telemetry import WALL_CLOCK_METRICS, MetricsRegistry
 from .aggregate import aggregate_records
 from .drivers import resolve_driver
@@ -111,7 +112,7 @@ class SweepResult:
 
     def write_summary(self, path) -> Path:
         path = Path(path)
-        atomic_write_json(path, self.summary())
+        atomic_write(path, _json_bytes(self.summary()))
         return path
 
 
@@ -145,8 +146,8 @@ def run_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "metrics": telemetry.metrics().snapshot(),
     }
     if out_dir is not None:
-        checkpoint = Path(out_dir) / TASK_DIR / f"{task.task_id}.json"
-        atomic_write_json(checkpoint, record)
+        write_container(Path(out_dir) / TASK_DIR / f"{task.task_id}.ckpt",
+                        _json_bytes(record), _task_meta(task))
     return record
 
 
@@ -156,27 +157,25 @@ def _task_payload(task: SweepTask, out_dir: Optional[Path]) -> Dict:
             "out_dir": None if out_dir is None else str(out_dir)}
 
 
-def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` as pretty JSON via a same-directory temp file +
-    ``os.replace`` so readers never observe a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    os.replace(tmp, path)
+def _json_bytes(payload: Dict[str, Any]) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True, default=str)
+            + "\n").encode("ascii")
+
+
+def _task_meta(task: SweepTask) -> Dict[str, str]:
+    return {"task_id": task.task_id, "fingerprint": task.fingerprint()}
 
 
 def _load_checkpoint(path: Path, task: SweepTask) -> Optional[Dict]:
-    """The record at ``path`` iff it is a finished run of exactly
-    ``task`` (same id *and* fingerprint); None otherwise."""
+    """The record at ``path`` iff its container verifies and names
+    exactly ``task`` (same id *and* fingerprint); None otherwise, so a
+    tampered, truncated or foreign file is re-run, never trusted."""
     try:
-        record = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (record.get("task_id") == task.task_id
-            and record.get("fingerprint") == task.fingerprint()):
-        return record
+        header, payload = read_container(path)
+        if header["meta"] == _task_meta(task):
+            return json.loads(payload)
+    except (CheckpointError, ValueError):
+        pass
     return None
 
 
@@ -206,7 +205,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
     pending: List[SweepTask] = []
     for task in tasks:
         checkpoint = (None if out_path is None else
-                      out_path / TASK_DIR / f"{task.task_id}.json")
+                      out_path / TASK_DIR / f"{task.task_id}.ckpt")
         if resume and checkpoint is not None and checkpoint.exists():
             record = _load_checkpoint(checkpoint, task)
             if record is not None:

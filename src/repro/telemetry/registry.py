@@ -362,6 +362,29 @@ class MetricsRegistry:
             metric.reset()
 
     # ------------------------------------------------------------------
+    def _family_from_snap(self, name: str,
+                          family: Dict[str, Any]) -> Metric:
+        """Get or create the family one :meth:`snapshot` entry describes:
+        its kind, description and label names, and for a histogram the
+        first bucket bounds recorded on its value or any child."""
+        kind = family.get("kind", Counter.kind)
+        description = family.get("description", "")
+        labelnames = tuple(family.get("labelnames", ()))
+        if kind == Histogram.kind:
+            bounds: Optional[Tuple[float, ...]] = None
+            for candidate in [family["value"]] + list(
+                    family.get("labels", {}).values()):
+                if isinstance(candidate, dict) and candidate.get("bounds"):
+                    bounds = tuple(candidate["bounds"])
+                    break
+            return self.histogram(name, description, labelnames,
+                                  buckets=bounds or DEFAULT_BUCKETS)
+        if kind == Counter.kind:
+            return self.counter(name, description, labelnames)
+        if kind == Gauge.kind:
+            return self.gauge(name, description, labelnames)
+        raise MetricError(f"{name!r}: unknown metric kind {kind!r}")
+
     def merge(self,
               *snapshots: Dict[str, Dict[str, Any]]) -> "MetricsRegistry":
         """Fold one or more :meth:`snapshot` dicts into this registry.
@@ -393,12 +416,9 @@ class MetricsRegistry:
         sharding the same tasks over a different worker count could
         change the merged snapshot's key set.
         """
-        kinds: Dict[str, Callable[[str, str, Iterable[str]], Metric]] = {
-            Counter.kind: self.counter, Gauge.kind: self.gauge}
         for snap in snapshots:
             for name in sorted(snap):
                 family = snap[name]
-                kind = family.get("kind", Counter.kind)
                 value = family["value"]
                 live_labels = {
                     joined: child
@@ -406,25 +426,7 @@ class MetricsRegistry:
                     if not _zero_snap(child)}
                 if _zero_snap(value) and not live_labels:
                     continue
-                labelnames = tuple(family.get("labelnames", ()))
-                metric: Metric
-                if kind == Histogram.kind:
-                    bounds: Optional[Tuple[float, ...]] = None
-                    for candidate in [family.get("value")] + list(
-                            family.get("labels", {}).values()):
-                        if isinstance(candidate, dict) and \
-                                candidate.get("bounds"):
-                            bounds = tuple(candidate["bounds"])
-                            break
-                    metric = self.histogram(
-                        name, family.get("description", ""), labelnames,
-                        buckets=bounds or DEFAULT_BUCKETS)
-                elif kind in kinds:
-                    metric = kinds[kind](
-                        name, family.get("description", ""), labelnames)
-                else:
-                    raise MetricError(
-                        f"{name!r}: cannot merge unknown kind {kind!r}")
+                metric = self._family_from_snap(name, family)
                 if not _zero_snap(value):
                     metric._merge_snap(value)
                 for joined, child in live_labels.items():
@@ -457,27 +459,8 @@ class MetricsRegistry:
             metric.reset()
         for name in sorted(snapshot):
             family = snapshot[name]
-            kind = family.get("kind", Counter.kind)
-            labelnames = tuple(family.get("labelnames", ()))
-            description = family.get("description", "")
             value = family["value"]
-            metric: Metric
-            if kind == Histogram.kind:
-                bounds: Optional[Tuple[float, ...]] = None
-                for candidate in [value] + list(
-                        family.get("labels", {}).values()):
-                    if isinstance(candidate, dict) and candidate.get("bounds"):
-                        bounds = tuple(candidate["bounds"])
-                        break
-                metric = self.histogram(name, description, labelnames,
-                                        buckets=bounds or DEFAULT_BUCKETS)
-            elif kind == Counter.kind:
-                metric = self.counter(name, description, labelnames)
-            elif kind == Gauge.kind:
-                metric = self.gauge(name, description, labelnames)
-            else:
-                raise MetricError(
-                    f"{name!r}: cannot restore unknown kind {kind!r}")
+            metric = self._family_from_snap(name, family)
             metric._reset_value()
             if not _zero_snap(value):
                 metric._merge_snap(value)

@@ -15,8 +15,10 @@ import pytest
 
 from repro import telemetry
 from repro.checkpoint import CheckpointError, save_checkpoint
+from repro.checkpoint.format import write_container
 from repro.checkpoint.service import (SCENARIOS, EngineService,
                                       _command_reader, serve_main)
+from repro.experiments import figure3
 from repro.experiments.figure3 import (Figure3Config, advance_world,
                                        build_world, finish_world)
 from repro.netsim import flows as flows_module
@@ -84,6 +86,14 @@ class TestFigure3KillRestore:
         path = tmp_path / "other.ckpt"
         save_checkpoint(path, {"state": "no simulator here"})
         with pytest.raises(CheckpointError, match="Simulator"):
+            Simulator.restore(path)
+
+    def test_restore_refuses_another_containers_payload(self, tmp_path):
+        """Shard and sweep files share the container; their payloads are
+        not pack_state blobs and must not restore."""
+        path = tmp_path / "task.ckpt"
+        write_container(path, b'{"task_id": "t"}\n', {"task_id": "t"})
+        with pytest.raises(CheckpointError, match="unpickle"):
             Simulator.restore(path)
 
 
@@ -289,6 +299,24 @@ class TestServeDriver:
         err = capsys.readouterr().err
         assert err.startswith("serve: checkpoint_every_events needs a "
                               "checkpoint directory")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--stream", "/nonexistent/dir/x", "--no-commands"],
+        ["--commands", "/nonexistent"],
+    ])
+    def test_cli_unopenable_file_exits_two_before_building(
+            self, capsys, monkeypatch, flags):
+        """Regression: --commands was opened only after the world was
+        built, and either bad path ended in a FileNotFoundError
+        traceback."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("world built before the files opened")
+        monkeypatch.setattr(figure3, "build_world", no_build)
+        assert serve_main(flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ")
+        assert "/nonexistent" in err
         assert len(err.splitlines()) == 1
 
     def test_restore_checks_checkpoint_directory_before_reading(

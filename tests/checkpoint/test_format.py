@@ -11,17 +11,27 @@ import json
 import pytest
 
 from repro.checkpoint import (CheckpointError, FORMAT_VERSION,
-                              load_checkpoint, peek_checkpoint,
-                              save_checkpoint)
+                              load_checkpoint, pack_state, save_checkpoint)
 from repro.checkpoint.format import (MAGIC, read_container, read_header,
                                      write_container)
 
 
+SIMPLE_STATE = {"answer": 42, "items": [1, 2, 3]}
+
+
 def write_simple(tmp_path, meta=None):
     path = tmp_path / "simple.ckpt"
-    save_checkpoint(path, {"answer": 42, "items": [1, 2, 3]},
-                    meta=meta or {"label": "simple"})
+    save_checkpoint(path, SIMPLE_STATE, meta=meta or {"label": "simple"})
     return path
+
+
+def rewrite_header(path, **fields):
+    """Replace header fields of the container at ``path``, keeping its
+    payload bytes."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header.update(fields)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
 class TestRoundTrip:
@@ -41,13 +51,20 @@ class TestRoundTrip:
 
     def test_peek_reads_meta_without_payload(self, tmp_path):
         path = write_simple(tmp_path, meta={"sim_time": 1.5})
-        header = peek_checkpoint(path)
+        header = read_header(path)
         assert header["meta"]["sim_time"] == 1.5
 
     def test_fingerprint_returned_matches_header(self, tmp_path):
         path = tmp_path / "fp.ckpt"
         fingerprint = save_checkpoint(path, {"x": 1})
-        assert peek_checkpoint(path)["fingerprint"] == fingerprint
+        assert read_header(path)["fingerprint"] == fingerprint
+
+    def test_payload_is_the_pack_state_blob(self, tmp_path):
+        """An engine checkpoint is one pack_state blob in a container."""
+        path = write_simple(tmp_path)
+        header, payload = read_container(path)
+        assert payload == pack_state(SIMPLE_STATE)
+        assert header["payload_bytes"] == len(payload)
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         write_simple(tmp_path)
@@ -73,20 +90,16 @@ class TestRejection:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "magic.ckpt"
-        header = {"magic": "other-format", "version": 1,
-                  "globals_bytes": 0, "state_bytes": 0,
-                  "fingerprint": "sha256:0"}
+        header = {"magic": "other-format", "version": FORMAT_VERSION,
+                  "payload_bytes": 0, "fingerprint": "sha256:0",
+                  "meta": {}}
         path.write_bytes((json.dumps(header) + "\n").encode())
         with pytest.raises(CheckpointError, match="magic"):
             read_header(path)
 
     def test_future_version_refused(self, tmp_path):
         path = write_simple(tmp_path)
-        raw = path.read_bytes()
-        header_line, payload = raw.split(b"\n", 1)
-        header = json.loads(header_line)
-        header["version"] = FORMAT_VERSION + 1
-        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        rewrite_header(path, version=FORMAT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
@@ -100,7 +113,7 @@ class TestRejection:
     def test_single_flipped_byte_detected(self, tmp_path):
         path = write_simple(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[-10] ^= 0xFF  # bit rot deep inside the state segment
+        raw[-10] ^= 0xFF  # bit rot deep inside the payload
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="fingerprint"):
             load_checkpoint(path)
@@ -115,19 +128,37 @@ class TestRejection:
     def test_header_missing_field(self, tmp_path):
         path = tmp_path / "partial.ckpt"
         header = {"magic": MAGIC, "version": FORMAT_VERSION,
-                  "globals_bytes": 0}
+                  "fingerprint": "sha256:0", "meta": {}}
         path.write_bytes((json.dumps(header) + "\n").encode())
-        with pytest.raises(CheckpointError, match="state_bytes"):
+        with pytest.raises(CheckpointError, match="payload_bytes"):
             read_header(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("payload_bytes", "abc"), ("payload_bytes", None),
+        ("payload_bytes", -1), ("payload_bytes", True),
+        ("payload_bytes", 1.5), ("fingerprint", None),
+        ("meta", [1, 2]), ("meta", "label"), ("meta", None),
+    ])
+    def test_mistyped_header_field(self, tmp_path, field, value):
+        path = write_simple(tmp_path)
+        rewrite_header(path, **{field: value})
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+    def test_forged_payload_size_is_truncation(self, tmp_path):
+        """The payload is sized from the file, so a huge declared size
+        is refused without being allocated."""
+        path = write_simple(tmp_path)
+        rewrite_header(path, payload_bytes=1 << 60)
+        with pytest.raises(CheckpointError, match="truncat"):
+            load_checkpoint(path)
+
     def test_corruption_rejected_before_unpickle(self, tmp_path):
-        # The state segment is arbitrary pickle; a fingerprint failure
-        # must surface before pickle ever sees the bytes.  Plant a
-        # pickle bomb marker that would raise if unpickled.
+        # The payload is arbitrary pickle; a fingerprint failure must
+        # surface before pickle ever sees the bytes.  Plant a pickle bomb
+        # marker that would raise if unpickled.
         path = tmp_path / "bomb.ckpt"
-        globals_blob = b"\x00" * 32
-        state_blob = b"\x00" * 64
-        write_container(path, globals_blob, state_blob, {})
+        write_container(path, b"\x00" * 96, {})
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01
         path.write_bytes(bytes(raw))

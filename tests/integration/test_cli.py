@@ -164,7 +164,7 @@ class TestSweepCli:
         assert "2 task(s) (2 executed" in capsys.readouterr().out
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["executed"] == 2
-        assert len(list((out / "tasks").glob("*.json"))) == 2
+        assert len(list((out / "tasks").glob("*.ckpt"))) == 2
         (group,) = summary["aggregates"].values()
         assert group["scalars"]["gap"]["n"] == 2
 

@@ -8,7 +8,8 @@ import shutil
 
 import pytest
 
-from repro.checkpoint import CheckpointError, peek_checkpoint
+from repro.checkpoint import CheckpointError
+from repro.checkpoint.format import read_header
 from repro.shard import coordinator, figure3_scenario, run_sharded
 from repro.shard.coordinator import CHECKPOINT_NAME
 from repro.shard.workers import ResidentRegionHost
@@ -48,10 +49,10 @@ class TestCheckpointWrites:
         scenario = scenario_for()
         run_sharded(scenario, n_regions=2, checkpoint_dir=tmp_path)
         assert os.listdir(tmp_path) == [CHECKPOINT_NAME]
-        header = peek_checkpoint(tmp_path / CHECKPOINT_NAME)
+        header = read_header(tmp_path / CHECKPOINT_NAME)
         assert header["meta"]["next_t"] == scenario.duration_s
         assert header["meta"]["n_regions"] == 2
-        assert header["state_bytes"] > 0
+        assert header["payload_bytes"] > 0
 
     def test_checkpoint_every_skips_intermediate_barriers(self, tmp_path):
         """With an interval, state serializes only when a checkpoint is
@@ -64,7 +65,7 @@ class TestCheckpointWrites:
         assert transport["windows"] == 4
         assert transport["checkpoints_written"] == 2
         assert transport["messages"]["checkpoint"] == 4  # 2 regions x 2
-        header = peek_checkpoint(tmp_path / CHECKPOINT_NAME)
+        header = read_header(tmp_path / CHECKPOINT_NAME)
         assert header["meta"]["next_t"] == scenario.duration_s
 
     def test_checkpoint_every_must_be_positive(self):
@@ -97,7 +98,7 @@ class TestResume:
             with pytest.raises(RuntimeError, match="simulated"):
                 run_sharded(scenario, n_regions=2, checkpoint_dir=crashed)
             monkeypatch.setattr(coordinator, "_barrier_hook", None)
-            header = peek_checkpoint(crashed / CHECKPOINT_NAME)
+            header = read_header(crashed / CHECKPOINT_NAME)
             assert header["meta"]["next_t"] == 0.5 * k
             for workers in (1, 2):
                 # The resumed run checkpoints too: give each its own copy.
@@ -133,7 +134,7 @@ class TestResume:
                         checkpoint_every=2)
         monkeypatch.setattr(ResidentRegionHost, "window", real)
 
-        header = peek_checkpoint(tmp_path / CHECKPOINT_NAME)
+        header = read_header(tmp_path / CHECKPOINT_NAME)
         assert header["meta"]["next_t"] == 1.0  # barrier 2 of 4
 
         resumed = run_sharded(scenario, n_regions=2,
@@ -164,7 +165,7 @@ class TestResume:
         monkeypatch.setattr(os, "replace", real)
 
         assert os.listdir(tmp_path) == [CHECKPOINT_NAME]
-        assert peek_checkpoint(
+        assert read_header(
             tmp_path / CHECKPOINT_NAME)["meta"]["next_t"] == 0.5
         resumed = run_sharded(scenario, n_regions=2,
                               checkpoint_dir=tmp_path, resume=True)

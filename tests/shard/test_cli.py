@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.shard.cli import shard_main
+from repro.shard.coordinator import CHECKPOINT_NAME
 
 SHORT = ["--duration", "2"]
 
@@ -47,6 +48,22 @@ def test_resume_under_a_different_configuration_is_a_usage_error(
     err = usage_error(capsys, SHORT + ["--regions", "3", "--resume"]
                       + checkpoint)
     assert "different shard configuration" in err
+
+
+def test_resume_from_a_corrupt_checkpoint_is_a_usage_error(
+        capsys, tmp_path):
+    """Regression: one flipped bit in shard.ckpt ended in a
+    CheckpointError traceback and exit 1."""
+    checkpoint = ["--checkpoint", str(tmp_path)]
+    assert shard_main(SHORT + checkpoint) == 0
+    path = tmp_path / CHECKPOINT_NAME
+    data = bytearray(path.read_bytes())
+    data[-100] ^= 0x01
+    path.write_bytes(bytes(data))
+    err = usage_error(capsys, SHORT + ["--resume"] + checkpoint)
+    assert "fingerprint mismatch" in err
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
 
 
 def test_one_region_compare_is_byte_identical(capsys):

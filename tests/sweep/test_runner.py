@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.checkpoint.format import read_header
 from repro.sweep import (SweepSpec, register_driver, run_sweep,
                         stable_metrics)
 from repro.sweep.runner import TASK_DIR
@@ -40,9 +41,9 @@ def toy_spec(**kwargs):
 class TestCheckpoints:
     def test_one_checkpoint_per_task(self, tmp_path):
         result = run_sweep(toy_spec(), out_dir=tmp_path)
-        files = sorted((tmp_path / TASK_DIR).glob("*.json"))
+        files = sorted((tmp_path / TASK_DIR).glob("*.ckpt"))
         assert len(files) == 3
-        ids = {json.loads(f.read_text())["task_id"] for f in files}
+        ids = {read_header(f)["meta"]["task_id"] for f in files}
         assert ids == {r["task_id"] for r in result.records}
 
     def test_summary_written(self, tmp_path):
@@ -76,7 +77,7 @@ class TestResume:
     def test_resume_reruns_only_missing(self, tmp_path):
         result = run_sweep(toy_spec(), out_dir=tmp_path)
         victim = (tmp_path / TASK_DIR
-                  / f"{result.records[1]['task_id']}.json")
+                  / f"{result.records[1]['task_id']}.ckpt")
         victim.unlink()
         second = run_sweep(toy_spec(), out_dir=tmp_path, resume=True)
         assert second.executed == 1
@@ -85,8 +86,37 @@ class TestResume:
     def test_resume_reruns_corrupt_checkpoint(self, tmp_path):
         result = run_sweep(toy_spec(), out_dir=tmp_path)
         victim = (tmp_path / TASK_DIR
-                  / f"{result.records[0]['task_id']}.json")
+                  / f"{result.records[0]['task_id']}.ckpt")
         victim.write_text("{ truncated by a crash")
+        second = run_sweep(toy_spec(), out_dir=tmp_path, resume=True)
+        assert second.executed == 1
+        assert second.skipped == 2
+
+    def test_resume_reruns_a_record_with_one_changed_digit(self, tmp_path):
+        """Bit rot that leaves valid JSON behind must not be trusted:
+        the tampered task re-runs and the aggregates come out right."""
+        first = run_sweep(toy_spec(), out_dir=tmp_path)
+        task_id = first.records[1]["task_id"]
+        (victim,) = (tmp_path / TASK_DIR).glob(f"{task_id}.*")
+        raw = bytearray(victim.read_bytes())
+        at = raw.index(b'"value": ', raw.index(b'"scalars"')) + 9
+        assert raw[at:at + 2] == b"2\n"  # seed 1 x scale 2
+        raw[at] = ord("9")
+        victim.write_bytes(bytes(raw))
+        second = run_sweep(toy_spec(), out_dir=tmp_path, resume=True)
+        assert second.executed == 1
+        assert second.skipped == 2
+        assert second.aggregates == first.aggregates
+
+    @pytest.mark.parametrize("damage", ["truncated", "another_task"])
+    def test_resume_reruns_an_untrusted_container(self, tmp_path, damage):
+        """A truncated container fails verification; a whole one copied
+        from another task verifies but names the wrong task."""
+        result = run_sweep(toy_spec(), out_dir=tmp_path)
+        other, victim = (tmp_path / TASK_DIR / f"{r['task_id']}.ckpt"
+                         for r in result.records[:2])
+        victim.write_bytes(other.read_bytes() if damage == "another_task"
+                           else victim.read_bytes()[:-40])
         second = run_sweep(toy_spec(), out_dir=tmp_path, resume=True)
         assert second.executed == 1
         assert second.skipped == 2
