@@ -15,7 +15,7 @@ Subcommands regenerate the paper's figures:
   telemetry; restart after a crash with ``--restore CKPT``.  See
   :mod:`repro.checkpoint.service` for its flags.
 * ``shard``   — sharded region simulation: partition a scenario's
-  topology into regions advanced in conservative time windows
+  topology into regions advanced in lockstep windows
   (``python -m repro shard --regions N --workers K``); see
   :mod:`repro.shard.cli` for its flags.
 

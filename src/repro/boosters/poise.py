@@ -17,7 +17,7 @@ table.  Enforcement is always on for protected destinations; a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.booster import Booster, GatedProgram
 from ..core.dataflow import DataflowGraph
@@ -43,6 +43,18 @@ def _allow_any_context(ctx: Dict[str, Any]) -> bool:
 
 
 @dataclass(frozen=True)
+class _RequireContext:
+    """Predicate: the context carries every ``(key, value)`` pair.  A
+    frozen callable rather than a closure, for the same picklability
+    reason as :func:`_allow_any_context`."""
+
+    required: Tuple[Tuple[str, Any], ...]
+
+    def __call__(self, ctx: Dict[str, Any]) -> bool:
+        return all(ctx.get(key) == value for key, value in self.required)
+
+
+@dataclass(frozen=True)
 class AccessPolicy:
     """One context-aware rule: predicate -> allow/deny."""
 
@@ -58,14 +70,9 @@ class AccessPolicy:
     def require(cls, name: str, dsts: List[str],
                 **required_context: Any) -> "AccessPolicy":
         """Allow only packets whose context carries the given values."""
-        required = dict(required_context)
-
-        def predicate(ctx: Dict[str, Any]) -> bool:
-            return all(ctx.get(key) == value
-                       for key, value in required.items())
-
         return cls(name=name, protected_dsts=frozenset(dsts),
-                   predicate=predicate, allow=True, priority=10)
+                   predicate=_RequireContext(tuple(required_context.items())),
+                   allow=True, priority=10)
 
     @classmethod
     def deny_all(cls, name: str, dsts: List[str]) -> "AccessPolicy":

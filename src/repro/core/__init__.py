@@ -12,8 +12,7 @@ from .booster import Booster, BoosterRegistry, GatedProgram
 from .controller import (BoosterVerificationError, Deployment,
                          FastFlexController)
 from .dataflow import DataflowEdge, DataflowGraph
-from .equivalence import (EquivalenceClasses, equivalent, merge_parsers,
-                          parser_covers)
+from .equivalence import EquivalenceClasses, merge_parsers
 from .mode_protocol import (NETWORK_WIDE_SCOPE, ModeChangeAgent,
                             install_mode_agents)
 from .modes import (DEFAULT_MODE, ModeChangeEvent, ModeEventBus,
@@ -45,7 +44,7 @@ __all__ = [
     "ProgramFactory", "RepurposeRecord", "ScalingManager", "Scheduler",
     "SchedulerError", "StabilityGuard", "StateTransferAgent",
     "StateTransferService", "SyncStats", "TeResult", "TransferResult",
-    "equivalent", "greedy_min_max_te", "install_mode_agents", "link_loads",
-    "max_link_utilization", "merge_parsers", "parser_covers",
+    "greedy_min_max_te", "install_mode_agents", "link_loads",
+    "max_link_utilization", "merge_parsers",
     "rebalance_excluding_links", "state_to_words", "words_to_state",
 ]

@@ -14,9 +14,8 @@ authors with different names, different internal structure, or different
 cosmetic parameters therefore canonicalize to the same signature when
 and only when they compute the same function on packets.
 
-Parsers get a relaxation: a parser that extracts a *superset* of another
-parser's fields can serve it, and two overlapping parsers can be merged
-into their union (the analyzer exploits both).
+Parsers get a relaxation: every booster's parser is merged into one
+union parser (:func:`merge_parsers`), which serves them all.
 """
 
 from __future__ import annotations
@@ -26,26 +25,6 @@ from typing import Dict, List, Tuple
 
 from ..dataplane.parser import HeaderParser
 from .ppm import PpmKind, PpmSignature, PpmSpec
-
-
-def equivalent(a: PpmSpec, b: PpmSpec) -> bool:
-    """True iff the two PPMs compute the same function (shareable)."""
-    if a.kind != b.kind:
-        return False
-    if a.kind == PpmKind.PARSER:
-        # Exact-field equality here; subsumption/merging is a separate,
-        # directional relation handled by the analyzer.
-        return _parser_fields(a) == _parser_fields(b)
-    return a.signature() == b.signature()
-
-
-def parser_covers(a: PpmSpec, b: PpmSpec) -> bool:
-    """True iff parser ``a`` extracts every field parser ``b`` needs."""
-    if a.kind != PpmKind.PARSER or b.kind != PpmKind.PARSER:
-        return False
-    base_a, custom_a = _parser_fields(a)
-    base_b, custom_b = _parser_fields(b)
-    return base_b <= base_a and custom_b <= custom_a
 
 
 def merge_parsers(specs: List[PpmSpec], name: str = "") -> PpmSpec:
@@ -93,24 +72,3 @@ class EquivalenceClasses:
         for spec in specs:
             classes.groups.setdefault(spec.signature(), []).append(spec)
         return classes
-
-    def shareable(self) -> List[List[PpmSpec]]:
-        """Groups with more than one member — actual sharing wins."""
-        return [members for members in self.groups.values()
-                if len(members) > 1]
-
-    def representative(self, signature: PpmSignature) -> PpmSpec:
-        return self.groups[signature][0]
-
-    def savings(self):
-        """Resource vector saved by installing one instance per class
-        instead of one per member."""
-        from ..dataplane.resources import ResourceVector
-        saved = ResourceVector.zero()
-        for members in self.groups.values():
-            for extra in members[1:]:
-                saved = saved + extra.requirement
-        return saved
-
-    def __len__(self) -> int:
-        return len(self.groups)

@@ -17,6 +17,7 @@ the paper exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..netsim.switch import ProgrammableSwitch, SwitchProgram
@@ -123,35 +124,38 @@ class ScalingManager:
                 if switch.has_program(name):
                     snapshot[name] = switch.get_program(name).export_state()
             if snapshot:
-                def note(result: TransferResult) -> None:
-                    record.state_transfer_ok = result.success
-
                 record.state_transfer_id = self.state_service.send(
                     switch.name, transfer_state_to, snapshot,
-                    on_complete=note)
+                    on_complete=partial(_note_transfer, record))
         for name in remove:
             if switch.has_program(name):
                 switch.remove_program(name)
-
-        def finish() -> None:
-            for factory in install:
-                program = factory()
-                switch.install_program(program)
-                record.installed.append(program.name)
-            record.completed_at = self.sim.now
-            if _TRACE.enabled:
-                _TRACE.emit(
-                    "repurpose_complete", sim_time=self.sim.now,
-                    switch=record.switch,
-                    elapsed_s=self.sim.now - record.started_at,
-                    installed=record.installed,
-                    state_transfer_ok=record.state_transfer_ok)
-            if on_complete is not None:
-                on_complete(record)
-
+        # Callbacks are partials of named functions, not closures, so a
+        # world checkpointed mid-repurpose still pickles.
         switch.begin_reconfiguration(
             0.0 if hitless else self.reconfig_seconds,
-            hitless=hitless, on_complete=finish)
+            hitless=hitless,
+            on_complete=partial(self._finish, switch, record, install,
+                                on_complete))
+
+    def _finish(self, switch: ProgrammableSwitch, record: RepurposeRecord,
+                install: List[ProgramFactory],
+                on_complete: Optional[Callable[[RepurposeRecord], None]]
+                ) -> None:
+        for factory in install:
+            program = factory()
+            switch.install_program(program)
+            record.installed.append(program.name)
+        record.completed_at = self.sim.now
+        if _TRACE.enabled:
+            _TRACE.emit(
+                "repurpose_complete", sim_time=self.sim.now,
+                switch=record.switch,
+                elapsed_s=self.sim.now - record.started_at,
+                installed=record.installed,
+                state_transfer_ok=record.state_transfer_ok)
+        if on_complete is not None:
+            on_complete(record)
 
     # ------------------------------------------------------------------
     def scale_out(self, program_name: str, from_switch: str,
@@ -179,19 +183,25 @@ class ScalingManager:
             raise KeyError(
                 f"{from_switch} has no program {program_name!r} to copy")
         state = source.get_program(program_name).export_state()
-
-        def seed(result: TransferResult) -> None:
-            ok = result.success
-            if ok:
-                program.import_state(result.payload["state"])
-            if on_ready is not None:
-                on_ready(ok)
-
         self.state_service.send(from_switch, to_switch,
                                 {"program": program_name, "state": state},
-                                on_complete=seed)
+                                on_complete=partial(_seed_program, program,
+                                                    on_ready))
 
     def instances_of(self, program_name: str) -> List[str]:
         """Switches currently running the named program."""
         return [name for name in self.topo.switch_names
                 if self.topo.switch(name).has_program(program_name)]
+
+
+def _note_transfer(record: RepurposeRecord, result: TransferResult) -> None:
+    record.state_transfer_ok = result.success
+
+
+def _seed_program(program: SwitchProgram,
+                  on_ready: Optional[Callable[[bool], None]],
+                  result: TransferResult) -> None:
+    if result.success:
+        program.import_state(result.payload["state"])
+    if on_ready is not None:
+        on_ready(result.success)

@@ -296,18 +296,17 @@ class CriticalStateReplicator:
         if not snapshot:
             return
         self.snapshots_sent += 1
-
-        def store(result: TransferResult) -> None:
-            if result.success:
-                replica_switch = self.topo.switch(self.replica)
-                stored = replica_switch.scratch.setdefault("replica_store", {})
-                stored[self.primary] = {
-                    "time": result.completed_at,
-                    "snapshot": result.payload,
-                }
-
         self.service.send(self.primary, self.replica, snapshot,
-                          on_complete=store)
+                          on_complete=self._store)
+
+    def _store(self, result: TransferResult) -> None:
+        if result.success:
+            replica_switch = self.topo.switch(self.replica)
+            stored = replica_switch.scratch.setdefault("replica_store", {})
+            stored[self.primary] = {
+                "time": result.completed_at,
+                "snapshot": result.payload,
+            }
 
     def restore_to(self, target: str) -> bool:
         """Install the replica's latest snapshot onto ``target``'s

@@ -1,17 +1,16 @@
-"""Packet parsers and deparsers as shareable pipeline components.
+"""Parser field-set declarations for shareable pipeline components.
 
-Parsers/deparsers are the third class of shareable modules Section 3.1
-names.  A :class:`HeaderParser` declares which fields a booster needs off
-the wire; two boosters whose field sets are compatible can share one
-parser instance, and the analyzer merges them.
+Parsers are the third class of shareable modules Section 3.1 names.  A
+:class:`HeaderParser` declares which fields a booster needs off the
+wire and what that costs; the analyzer merges every booster's parser
+declaration into one union parser (``repro.core.equivalence.merge_parsers``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable
+from typing import FrozenSet, Iterable
 
-from ..netsim.packet import Packet
 from .resources import ResourceVector
 
 #: Fields extractable from the base packet (everything else must live in
@@ -24,7 +23,7 @@ BASE_FIELDS: FrozenSet[str] = frozenset({
 
 @dataclass(frozen=True)
 class HeaderParser:
-    """A declarative parser over base fields plus custom headers."""
+    """A validated parser field set: base fields plus custom headers."""
 
     name: str
     base_fields: FrozenSet[str]
@@ -42,52 +41,9 @@ class HeaderParser:
            custom: Iterable[str] = ()) -> "HeaderParser":
         return cls(name, frozenset(base), frozenset(custom))
 
-    # ------------------------------------------------------------------
-    def parse(self, packet: Packet) -> Dict[str, Any]:
-        """Extract the declared fields from a packet."""
-        values: Dict[str, Any] = {}
-        for field_name in self.base_fields:
-            values[field_name] = getattr(packet, field_name)
-        for field_name in self.custom_fields:
-            values[field_name] = packet.headers.get(field_name)
-        return values
-
-    def deparse(self, packet: Packet, values: Dict[str, Any]) -> None:
-        """Write custom-field values back onto the packet."""
-        for field_name, value in values.items():
-            if field_name in self.base_fields:
-                setattr(packet, field_name, value)
-            else:
-                packet.headers[field_name] = value
-
-    # ------------------------------------------------------------------
-    def covers(self, other: "HeaderParser") -> bool:
-        """True iff this parser extracts everything ``other`` needs."""
-        return (other.base_fields <= self.base_fields
-                and other.custom_fields <= self.custom_fields)
-
-    def merged_with(self, other: "HeaderParser",
-                    name: str = "") -> "HeaderParser":
-        """The union parser serving both field sets (what sharing installs)."""
-        return HeaderParser(
-            name or f"{self.name}+{other.name}",
-            self.base_fields | other.base_fields,
-            self.custom_fields | other.custom_fields)
-
     def resource_requirement(self) -> ResourceVector:
         # Parsers run in the dedicated parser block of RMT hardware, not
         # in match-action stages; they cost only state memory.
         n_fields = len(self.base_fields) + len(self.custom_fields)
         return ResourceVector(stages=0, sram_mb=0.01 * n_fields,
                               tcam_kb=0, alus=0)
-
-    def __str__(self) -> str:
-        return (f"HeaderParser({self.name!r}, "
-                f"base={sorted(self.base_fields)}, "
-                f"custom={sorted(self.custom_fields)})")
-
-
-#: The parser every routing program already needs; boosters whose parsers
-#: are covered by it are free.
-ROUTING_PARSER = HeaderParser.of(
-    "routing", base=("src", "dst", "proto", "sport", "dport", "ttl"))

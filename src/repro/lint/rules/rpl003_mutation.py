@@ -71,7 +71,7 @@ class DirectMutationRule(Rule):
                         yield self.finding(
                             ctx, target,
                             f"del on .{target.value.attr}[...] bypasses "  # type: ignore[attr-defined]
-                            f"Topology.remove_link()/remove_switch() and "
+                            f"Topology.remove_link()/remove_node() and "
                             f"leaves Topology.version stale")
             elif isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
@@ -102,7 +102,7 @@ class DirectMutationRule(Rule):
                 ctx, target,
                 f"subscript write to .{target.value.attr}[...] bypasses "  # type: ignore[attr-defined]
                 f"the Topology mutators (add_duplex_link/remove_link/"
-                f"add_switch/remove_switch)")
+                f"add_switch/remove_node)")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 yield from self._check_target(ctx, element)

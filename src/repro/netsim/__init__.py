@@ -16,8 +16,8 @@ from .node import Host, Node
 from .packet import (DEFAULT_TTL, FlowKey, Packet, PacketKind, Protocol,
                      TcpFlags, make_probe)
 from .routecache import RouteCache, SsspTree
-from .routing import (NoRouteError, Path, all_shortest_paths,
-                      clear_flow_route, default_path_for,
+from .routing import (NoRouteError, Path, clear_flow_route,
+                      default_path_for,
                       install_fast_reroute_alternates,
                       install_flow_route, install_host_routes,
                       install_path_route, install_switch_routes,
@@ -43,7 +43,7 @@ __all__ = [
     "SwitchStats",
     "TcpFlags", "TimeSeries", "Topology", "TracerouteClient",
     "TracerouteResult", "US", "abilene_like",
-    "all_shortest_paths", "clear_flow_route",
+    "clear_flow_route",
     "default_path_for", "install_flow_route",
     "fat_tree", "figure2_topology",
     "install_fast_reroute_alternates", "install_host_routes",

@@ -51,7 +51,7 @@ class Node:
     def retire(self) -> None:
         """Cancel all owned scheduled work; called on topology removal.
 
-        Without this, ``Topology.remove_switch`` left monitor samples,
+        Without this, ``Topology.remove_node`` left monitor samples,
         periodic agents, and queued link events live in the event queue,
         firing against a node no longer in ``Topology.nodes``.
         """

@@ -94,7 +94,7 @@ class SsspTree:
     for single-path reconstruction (identical to the path networkx's
     Dijkstra reports); ``preds`` holds *all* equal-cost predecessors
     (what ``nx.dijkstra_predecessor_and_distance`` returns), used for
-    ECMP next-hop installation and all-shortest-paths enumeration.
+    ECMP next-hop installation.
     """
 
     __slots__ = ("root", "dist", "parent", "preds")
@@ -300,34 +300,6 @@ class RouteCache:
                              targets={dst for dst in dsts if dst in adj})
         return {dst: tree.path_to(dst) if dst in adj else None
                 for dst in dsts}
-
-    def all_shortest_node_paths(self, src: str,
-                                dst: str) -> Optional[List[NodePath]]:
-        """Every equal-cost shortest path, in deterministic order.
-
-        Enumerated from the cached predecessor lists by depth-first
-        expansion over *sorted* predecessors — same path set as
-        ``nx.all_shortest_paths``, documented (sorted) tie-break order.
-        """
-        self._sync()
-        adj = self._adjacency()
-        if src not in adj or dst not in adj:
-            return None
-        tree = self.sssp_tree(src)
-        if dst not in tree.dist:
-            return None
-        preds = tree.preds
-        results: List[NodePath] = []
-        stack: List[Tuple[str, Tuple[str, ...]]] = [(dst, (dst,))]
-        while stack:
-            node, suffix = stack.pop()
-            if node == src:
-                results.append(suffix)
-                continue
-            # Reverse-sorted pushes pop in sorted order.
-            for pred in sorted(preds[node], reverse=True):
-                stack.append((pred, (pred,) + suffix))
-        return results
 
     # ------------------------------------------------------------------
     # Yen layer (k shortest loop-free paths)

@@ -114,14 +114,6 @@ def shortest_path(topo: Topology, src: str, dst: str) -> Path:
     return Path(nodes)
 
 
-def all_shortest_paths(topo: Topology, src: str, dst: str) -> List[Path]:
-    """Every equal-cost shortest path (deterministic sorted-DFS order)."""
-    node_paths = topo.route_cache.all_shortest_node_paths(src, dst)
-    if node_paths is None:
-        raise NoRouteError(f"no path {src} -> {dst}")
-    return [Path(nodes) for nodes in node_paths]
-
-
 def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> List[Path]:
     """Up to ``k`` loop-free paths in increasing delay order (Yen's).
 

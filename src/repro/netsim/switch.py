@@ -608,16 +608,18 @@ class ProgrammableSwitch(Node):
             raise ValueError("reconfiguration duration must be >= 0")
         if not hitless:
             self.reconfiguring = True
-
-        def _finish() -> None:
-            self.reconfiguring = False
-            self.notify_neighbors_of_reconfig(clearing=True)
-            if on_complete is not None:
-                on_complete()
-
         # Node-owned so topology removal cancels the completion timer
         # instead of leaving it to fire against a removed switch.
-        self.own(self.sim.schedule(duration_s, _finish))
+        self.own(self.sim.schedule(duration_s, self._end_reconfiguration,
+                                   on_complete))
+
+    def _end_reconfiguration(self,
+                             on_complete: Optional[Callable[[], None]]
+                             ) -> None:
+        self.reconfiguring = False
+        self.notify_neighbors_of_reconfig(clearing=True)
+        if on_complete is not None:
+            on_complete()
 
     def handle_reconfig_notice(self, packet: Packet) -> None:
         """Process a neighbor's reconfiguration notice."""

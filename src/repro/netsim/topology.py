@@ -133,7 +133,7 @@ class Topology:
         for neighbor in list(node.links):
             self.remove_link(name, neighbor)
         # Sweep one-directional leftovers still pointing at the node
-        # (e.g. a half-removed duplex pair or an external stitch).
+        # (e.g. a half-removed duplex pair).
         for key in [k for k in self.links if name in k]:
             link = self.links.pop(key)
             link.src.links.pop(link.dst.name, None)
@@ -141,21 +141,6 @@ class Topology:
         node.retire()
         del self.nodes[name]
         self._mark_mutated()
-
-    def remove_switch(self, name: str) -> None:
-        """Remove a node and every link incident to it.
-
-        Historical name — it now accepts *any* node, because hosts were
-        previously impossible to remove (the old implementation
-        type-checked the target as a switch while ``remove_link``
-        handled host links fine).  :meth:`remove_host` and
-        :meth:`remove_node` are equivalent spellings.
-        """
-        self.remove_node(name)
-
-    def remove_host(self, name: str) -> None:
-        """Remove a host and every link incident to it."""
-        self.remove_node(name)
 
     def _check_fresh(self, name: str) -> None:
         if name in self.nodes:
@@ -175,8 +160,8 @@ class Topology:
         programmability but *without* installed programs or routing
         state; hosts keep their gateway only when the gateway is also
         included.  Cut links (one endpoint outside the member set) are
-        not copied — the sharded layer stitches those with boundary
-        portals (see ``repro.shard.region``).
+        not copied — no region's allocator charges them (see
+        ``repro.shard.region``).
         """
         members = set(node_names)
         missing = members - set(self.nodes)

@@ -1,4 +1,4 @@
-"""Sharded region simulation with conservative boundary sync.
+"""Sharded region simulation with boundary-pin sync.
 
 Splits one simulation across region workers (see DESIGN.md "Sharded
 simulation").  There is one sync semantics: per-region allocators with
@@ -18,10 +18,11 @@ never depend on the worker count.
 * :mod:`repro.shard.workers` — resident worker processes: each region
   lives in one long-lived process for the whole run, built fresh there
   (or unpacked once on resume); the per-window wire carries only the
-  outbox, boundary report and new sample records, never region state.
-* :mod:`repro.shard.coordinator` — conservative time windows: simulate
-  to the window end, exchange boundary packets and granted rates at the
-  barrier, re-run the allocators with crossing flows pinned.  State
+  pins in and the boundary report and new sample records out, never
+  region state.
+* :mod:`repro.shard.coordinator` — lockstep windows: simulate to the
+  window end, fold the granted rates at the barrier into consensus
+  pins, re-run the allocators with crossing flows pinned.  State
   serializes only when a checkpoint is due (``checkpoint_every``), into
   one fingerprinted :mod:`repro.checkpoint.format` container.
 
@@ -31,13 +32,13 @@ command line (:mod:`repro.shard.cli`).
 
 from .coordinator import run_sharded
 from .partition import Partition, partition_topology
-from .region import LinkSegment, PortalNode, RegionWorld, build_region
+from .region import LinkSegment, RegionWorld, build_region
 from .scenario import (ShardScenario, figure3_scenario, random_scenario,
                        run_single)
 from .workers import ResidentRegionHost, ShardWorkerError
 
 __all__ = [
-    "LinkSegment", "Partition", "PortalNode", "RegionWorld",
+    "LinkSegment", "Partition", "RegionWorld",
     "ResidentRegionHost", "ShardScenario", "ShardWorkerError",
     "build_region", "figure3_scenario", "partition_topology",
     "random_scenario", "run_sharded", "run_single",

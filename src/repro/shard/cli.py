@@ -25,8 +25,8 @@ from .scenario import figure3_scenario, random_scenario, run_single
 def shard_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro shard",
-        description="Sharded region simulation with conservative "
-                    "boundary sync")
+        description="Sharded region simulation with boundary-pin "
+                    "sync")
     parser.add_argument("--regions", type=int, default=2,
                         help="number of partition regions (default 2)")
     parser.add_argument("--workers", type=int, default=1,
@@ -40,10 +40,9 @@ def shard_main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=None,
                         help="override the scenario horizon in seconds")
     parser.add_argument("--window", type=float, default=None,
-                        help="conservative window length in seconds "
-                             "(default: sample period, bounded by the "
-                             "minimum boundary delay when exchanging "
-                             "packets)")
+                        help="lockstep window length in seconds: "
+                             "boundary pins are re-agreed at every "
+                             "window end (default: sample period)")
     parser.add_argument("--switches", type=int, default=50,
                         help="random scenario: switch count")
     parser.add_argument("--hosts", type=int, default=100,

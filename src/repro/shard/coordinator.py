@@ -1,4 +1,4 @@
-"""The sharded-run coordinator: conservative windows over region workers.
+"""The sharded-run coordinator: lockstep windows over region workers.
 
 :func:`run_sharded` partitions a :class:`ShardScenario`'s topology
 (:func:`repro.shard.partition.partition_topology`), places one
@@ -6,17 +6,16 @@
 worker (:mod:`repro.shard.workers`), and advances all regions in
 lockstep windows:
 
-1. every region simulates to the window end (resident worker processes,
-   or inline hosts when ``workers == 1``),
-2. barrier: boundary packets and granted-rate reports are exchanged,
-3. crossing flows are re-pinned to the cross-region consensus rate, and
-   packet arrivals are scheduled into their destination regions.
+1. every region applies the current boundary pins and simulates to the
+   window end (resident worker processes, or inline hosts when
+   ``workers == 1``),
+2. barrier: each region reports the rates it granted its crossing flows,
+3. those reports fold into one consensus pin per crossing flow, sent to
+   every region with the next window.
 
-The window length is bounded by the minimum boundary-link propagation
-delay whenever packets cross regions: a packet sent during a window
-cannot arrive before the window ends, so exchanging at the barrier never
-schedules into a region's past — the classic conservative-time
-guarantee (see DESIGN.md "Sharded simulation").
+Regions hold only fluid flows, so pins are all that crosses a barrier;
+the window defaults to the sample period (see DESIGN.md "Sharded
+simulation").
 
 Region state stays **resident**: each region is built fresh inside its
 sticky worker (region ``r`` lives in worker ``r % workers`` for the
@@ -88,12 +87,12 @@ def _consensus_pins(reports: List[Dict[int, float]]
 
 def _write_checkpoint(checkpoint_dir: Path, config: Dict[str, Any],
                       next_t: float, blobs: List[bytes],
-                      pending: List[Dict[str, Any]]) -> None:
+                      pins: Dict[int, Optional[float]]) -> None:
     """One fingerprinted container per barrier, atomically replaced:
     the run configuration and resume time in the header's ``meta``, the
     region blobs (each a ``pack_state`` blob carrying its own globals)
-    plus pending injections as the payload."""
-    payload = pickle.dumps((blobs, pending),
+    plus the next window's pins as the payload."""
+    payload = pickle.dumps((blobs, pins),
                            protocol=pickle.HIGHEST_PROTOCOL)
     write_container(checkpoint_dir / CHECKPOINT_NAME, payload,
                     dict(config, next_t=next_t))
@@ -101,7 +100,7 @@ def _write_checkpoint(checkpoint_dir: Path, config: Dict[str, Any],
 
 def _load_checkpoint(checkpoint_dir: Path, config: Dict[str, Any]
                      ) -> Optional[Tuple[float, List[bytes],
-                                         List[Dict[str, Any]]]]:
+                                         Dict[int, Optional[float]]]]:
     """The resumable state at ``checkpoint_dir`` (None when there is no
     checkpoint yet).  The container is fingerprint-verified before any
     unpickling; one written by a different run configuration is
@@ -116,12 +115,8 @@ def _load_checkpoint(checkpoint_dir: Path, config: Dict[str, Any]
         raise ValueError(
             f"checkpoint at {checkpoint_dir} was written by a different "
             f"shard configuration; refusing to resume from it")
-    blobs, pending = pickle.loads(payload)
-    return next_t, blobs, pending
-
-
-def _empty_pending(n_regions: int) -> List[Dict[str, Any]]:
-    return [{"pins": {}, "packets": []} for _ in range(n_regions)]
+    blobs, pins = pickle.loads(payload)
+    return next_t, blobs, pins
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +184,11 @@ class _InlineTransport:
                 region_index, blob)
 
     def run_window(self, t_end: float,
-                   pending: List[Dict[str, Any]]) -> List[Tuple]:
+                   pins: Dict[int, Optional[float]]) -> List[Tuple]:
         results = []
         for region_index in range(self._n_regions):
             self._tally.message("window")
-            results.append(self._hosts[region_index].window(
-                t_end, pending[region_index]))
+            results.append(self._hosts[region_index].window(t_end, pins))
         return results
 
     def checkpoint_regions(self) -> List[bytes]:
@@ -321,10 +315,9 @@ class _ProcessTransport:
                                         blobs[region_index]))
 
     def run_window(self, t_end: float,
-                   pending: List[Dict[str, Any]]) -> List[Tuple]:
+                   pins: Dict[int, Optional[float]]) -> List[Tuple]:
         return self._fan(
-            lambda region_index: ("window", region_index, t_end,
-                                  pending[region_index]),
+            lambda region_index: ("window", region_index, t_end, pins),
             window_end=t_end)
 
     def checkpoint_regions(self) -> List[bytes]:
@@ -364,7 +357,6 @@ class _ProcessTransport:
 def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
                 sync: str = "local", window_s: Optional[float] = None,
                 checkpoint_dir: Optional[Any] = None, resume: bool = False,
-                exchange_packets: bool = False,
                 checkpoint_every: int = 1) -> Dict[str, Any]:
     """Run ``scenario`` sharded into ``n_regions`` resident regions.
 
@@ -377,6 +369,8 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     and is excluded from identity comparisons.)
 
     ``sync`` is a retired option: ``"local"`` is the only semantics.
+    ``window_s`` defaults to the scenario's sample period and must be
+    finite and positive.
 
     ``checkpoint_every`` checkpoints at every Nth barrier (and always at
     the horizon) when ``checkpoint_dir`` is set; state is serialized
@@ -394,24 +388,15 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     if checkpoint_every < 1:
         raise ValueError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if window_s is None:
+        window_s = scenario.sample_period_s
+    if not 0.0 < window_s < math.inf:
+        raise ValueError(
+            f"window_s must be positive and finite, got {window_s}")
 
     cpu_start = time.process_time()  # reprolint: disable=RPL002
     full = build_topology(scenario, Simulator(seed=scenario.seed))
     partition = partition_topology(full, n_regions, seed=scenario.seed)
-
-    min_delay = partition.min_boundary_delay(full)
-    if window_s is None:
-        window_s = scenario.sample_period_s
-        if exchange_packets and min_delay is not None:
-            window_s = min(window_s, min_delay)
-    if window_s <= 0:
-        raise ValueError(f"window_s must be positive, got {window_s}")
-    if exchange_packets and min_delay is not None and window_s > min_delay:
-        raise ValueError(
-            f"window_s={window_s} exceeds the minimum boundary-link "
-            f"delay {min_delay}: packets sent in a window could arrive "
-            f"before it ends, violating the conservative-sync contract. "
-            f"Shrink window_s to at most {min_delay}.")
 
     checkpoint_path: Optional[Path] = None
     config: Dict[str, Any] = {}
@@ -423,8 +408,7 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         canonical = json.dumps(scenario.to_dict(), sort_keys=True)
         config = {"scenario_sha256": hashlib.sha256(
                       canonical.encode("ascii")).hexdigest(),
-                  "n_regions": n_regions, "window_s": window_s,
-                  "exchange_packets": exchange_packets}
+                  "n_regions": n_regions, "window_s": window_s}
     resumed = None
     if resume:
         if checkpoint_path is None:
@@ -432,11 +416,11 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         resumed = _load_checkpoint(checkpoint_path, config)
 
     blobs: Optional[List[bytes]] = None
+    pins: Dict[int, Optional[float]] = {}
     if resumed is not None:
-        t, blobs, pending = resumed
+        t, blobs, pins = resumed
     else:
         t = 0.0
-        pending = _empty_pending(n_regions)
 
     # Fresh builds need paths and the flow-id offsets that reproduce the
     # sequential build's id assignment; resumed runs carry their ids in
@@ -450,7 +434,6 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
             offsets.append(total)
             total += count
     init = WorkerInit(scenario=scenario, partition=partition, paths=paths,
-                      exchange_packets=exchange_packets,
                       base_sequences=capture_globals()["sequences"],
                       flow_id_offsets=offsets)
 
@@ -474,20 +457,12 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         while t < scenario.duration_s:
             t_end = min(t + window_s, scenario.duration_s)
             barrier_start = time.perf_counter()  # reprolint: disable=RPL002
-            results = transport.run_window(t_end, pending)
+            results = transport.run_window(t_end, pins)
             for index in range(n_regions):
-                record_lists[index].extend(results[index][2])
+                record_lists[index].extend(results[index][1])
 
-            # Barrier: route boundary packets, re-pin crossing flows.
-            pending = _empty_pending(n_regions)
-            for outbox, _report, _records in results:
-                for arrival, node_name, packet in outbox:
-                    dest = partition.assignment[node_name]
-                    pending[dest]["packets"].append(
-                        (arrival, node_name, packet))
-            pins = _consensus_pins([report for _, report, _ in results])
-            for entry in pending:
-                entry["pins"] = pins
+            # Barrier: re-pin crossing flows to the consensus rates.
+            pins = _consensus_pins([report for report, _ in results])
             tally.barrier_seconds.append(
                 time.perf_counter()  # reprolint: disable=RPL002
                 - barrier_start)
@@ -498,7 +473,7 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
                     window_index % checkpoint_every == 0
                     or t >= scenario.duration_s):
                 _write_checkpoint(checkpoint_path, config, t,
-                                  transport.checkpoint_regions(), pending)
+                                  transport.checkpoint_regions(), pins)
                 tally.checkpoints_written += 1
             if _barrier_hook is not None:
                 _barrier_hook(window_index, transport.handles)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..netsim.topology import Topology
 
@@ -48,19 +48,6 @@ class Partition:
 
     def region_of(self, name: str) -> int:
         return self.assignment[name]
-
-    def boundary_out(self, region: int) -> List[LinkKey]:
-        """Cut links leaving ``region``, sorted for determinism."""
-        return sorted(key for key, (src, _dst) in self.boundary.items()
-                      if src == region)
-
-    def min_boundary_delay(self, topo: Topology) -> Optional[float]:
-        """The global lower bound on boundary-link propagation delay —
-        the conservative window bound: a window no longer than this
-        cannot create a cross-region causality violation (see DESIGN.md
-        "Sharded simulation").  ``None`` when nothing is cut."""
-        delays = [topo.links[key].delay_s for key in sorted(self.boundary)]
-        return min(delays) if delays else None
 
 
 def _switch_adjacency(topo: Topology) -> Dict[str, List[str]]:

@@ -2,8 +2,8 @@
 
 A region runs an ordinary :class:`~repro.netsim.engine.Simulator` plus a
 per-shard :class:`~repro.netsim.fluid.FluidNetwork` over its slice of
-the topology (:meth:`Topology.subtopology`), advanced in conservative
-time windows by :mod:`repro.shard.coordinator`.
+the topology (:meth:`Topology.subtopology`), advanced in lockstep
+windows by :mod:`repro.shard.coordinator`.
 
 Every flow is replicated into each region its global path crosses, with
 a :class:`LinkSegment` path holding only the region-local link keys.
@@ -25,14 +25,11 @@ checkpoints and on resume.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..netsim.engine import Simulator
 from ..netsim.flows import Flow, FlowSet, make_flow
 from ..netsim.fluid import FluidNetwork
-from ..netsim.links import Link
-from ..netsim.node import Node
-from ..netsim.packet import Packet
 from ..netsim.topology import Topology
 from .partition import Partition
 from .scenario import GoodputSampler, ShardScenario, _set_demand
@@ -77,35 +74,6 @@ class LinkSegment:
                 f"{len(self.link_keys)} local links)")
 
 
-class PortalNode(Node):
-    """Stand-in for an external neighbor at a region's boundary.
-
-    Named after the real (out-of-region) node so switch forwarding
-    resolves unchanged; packets delivered to it are recorded in the
-    region outbox as ``(logical_arrival_time, portal_name, packet)``.
-    The attaching boundary link keeps its real capacity but zero
-    propagation delay, so delivery lands inside the sending window; the
-    true boundary delay is added here to form the logical arrival time.
-    Under the conservative-window contract (window <= min boundary
-    delay) that arrival time is never earlier than the window end, so
-    the coordinator can always schedule the injection in the receiving
-    region.
-    """
-
-    def __init__(self, sim: Simulator, name: str,
-                 outbox: List[Tuple[float, str, Packet]]):
-        super().__init__(sim, name)
-        self.outbox = outbox
-        #: True propagation delay of the cut link, per in-region sender.
-        self.delays: Dict[str, float] = {}
-
-    def receive(self, packet: Packet,
-                from_link: Optional[Link] = None) -> None:
-        delay = (self.delays.get(from_link.src.name, 0.0)
-                 if from_link is not None else 0.0)
-        self.outbox.append((self.sim.now + delay, self.name, packet))
-
-
 class RegionWorld:
     """One region's simulator, sub-topology, fluid model, and flows."""
 
@@ -113,9 +81,7 @@ class RegionWorld:
                  topo: Topology, flows: FlowSet,
                  flow_by_spec: Dict[int, Flow], home_specs: List[int],
                  crossing_specs: List[int], fluid: FluidNetwork,
-                 sampler: GoodputSampler,
-                 outbox: List[Tuple[float, str, Packet]],
-                 portals: Dict[str, PortalNode]):
+                 sampler: GoodputSampler):
         self.region_index = region_index
         self.sim = sim
         self.topo = topo
@@ -131,30 +97,9 @@ class RegionWorld:
         self.crossing_specs = crossing_specs
         self.fluid = fluid
         self.sampler = sampler
-        self.outbox = outbox
-        self.portals = portals
-
-    # ------------------------------------------------------------------
-    def inject(self, payload: Optional[Dict[str, Any]]) -> None:
-        """Apply one barrier's worth of coordinator input: boundary pins
-        first (they affect the whole next window), then cross-region
-        packet arrivals."""
-        if not payload:
-            return
-        pins = payload.get("pins")
-        if pins:
-            self.set_boundary_pins(pins)
-        for arrival, node_name, packet in payload.get("packets", ()):
-            node = self.topo.nodes[node_name]
-            self.sim.schedule_at(arrival, node.receive, packet)
 
     def run_window(self, t_end: float) -> None:
         self.sim.run(until=t_end)
-
-    def drain_outbox(self) -> List[Tuple[float, str, Packet]]:
-        drained = list(self.outbox)
-        del self.outbox[:]
-        return drained
 
     # ------------------------------------------------------------------
     def boundary_report(self) -> Dict[int, float]:
@@ -170,7 +115,7 @@ class RegionWorld:
         unpins.  Assigning ``pinned_rate_bps`` bumps the flow-set
         version, so the next fluid epoch re-runs the allocator with the
         boundary flows pinned — the "re-run with pinned rates" step of
-        the conservative sync protocol."""
+        the barrier protocol."""
         for idx in sorted(pins):
             flow = self.flow_by_spec.get(idx)
             if flow is not None:
@@ -257,8 +202,7 @@ def hosted_counts(partition: Partition,
 
 def build_region(full: Topology, scenario: ShardScenario,
                  partition: Partition, region_index: int,
-                 paths: List[Tuple[LinkKey, ...]],
-                 exchange_packets: bool = False) -> RegionWorld:
+                 paths: List[Tuple[LinkKey, ...]]) -> RegionWorld:
     """Build one region's world from the shared full topology.
 
     ``paths`` is :func:`compute_paths` output.  The caller is
@@ -306,25 +250,6 @@ def build_region(full: Topology, scenario: ShardScenario,
                          update_interval=scenario.fluid_interval_s,
                          tcp_tau=scenario.tcp_tau)
 
-    outbox: List[Tuple[float, str, Packet]] = []
-    portals: Dict[str, PortalNode] = {}
-    if exchange_packets:
-        for key in partition.boundary_out(region_index):
-            inside, outside = key
-            if outside not in portals:
-                portals[outside] = PortalNode(sim, outside, outbox)
-            portal = portals[outside]
-            cut = full.links[key]
-            # Real capacity, zero propagation: delivery lands inside the
-            # sending window and the portal adds the true delay (see
-            # PortalNode).  The link is attached node-side only — never
-            # registered in ``topo.links`` — so the fluid allocator and
-            # graph exports are unaffected.
-            stitch = Link(sim, topo.nodes[inside], portal,
-                          cut.capacity_bps, 0.0)
-            topo.nodes[inside].attach_link(stitch)
-            portal.delays[inside] = cut.delay_s
-
     # Mirror the single-engine build order: fluid first, sampler second,
     # so their relative event ordering matches run_single exactly.
     fluid.start()
@@ -340,4 +265,4 @@ def build_region(full: Topology, scenario: ShardScenario,
                        flows=flows, flow_by_spec=flow_by_spec,
                        home_specs=home_specs,
                        crossing_specs=crossing_specs, fluid=fluid,
-                       sampler=sampler, outbox=outbox, portals=portals)
+                       sampler=sampler)

@@ -8,9 +8,9 @@ Region state never moves on the window path:
   migrates).
 * A region is built **fresh inside its worker** (or unpacked exactly
   once, on resume) and stays live between windows.  Per window the wire
-  carries only ``("window", region, t_end, inject)`` in and
-  ``(outbox, boundary report, new sample records)`` out — kilobytes,
-  not the multi-megabyte world.
+  carries only ``("window", region, t_end, pins)`` in and
+  ``(boundary report, new sample records)`` out — kilobytes, not the
+  multi-megabyte world.
 * State is serialized only on demand: ``("checkpoint", region)`` returns
   a pack_state blob for the coordinator's checkpoint file, and
   ``("collect", region)`` returns the final observables and telemetry
@@ -50,7 +50,6 @@ from .. import telemetry
 from ..checkpoint import (capture_globals, pack_state, restore_globals,
                           unpack_state)
 from ..netsim.engine import Simulator
-from ..netsim.packet import Packet
 from .partition import Partition
 from .region import LinkKey, RegionWorld, build_region
 from .scenario import ShardScenario, build_topology
@@ -108,7 +107,6 @@ class WorkerInit:
     scenario: ShardScenario
     partition: Partition
     paths: List[Tuple[LinkKey, ...]]
-    exchange_packets: bool
     #: ``capture_globals()["sequences"]`` at the coordinator's pre-build
     #: point: the common base every region's id sequences start from.
     base_sequences: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
@@ -162,8 +160,7 @@ class ResidentRegionHost:
                   if init.flow_id_offsets else 0)
         install_sequences(init.base_sequences, offset)
         region = build_region(full, init.scenario, init.partition,
-                              region_index, init.paths,
-                              exchange_packets=init.exchange_packets)
+                              region_index, init.paths)
         return cls(region_index, region, capture_globals())
 
     @classmethod
@@ -177,23 +174,20 @@ class ResidentRegionHost:
         return cls(region_index, region, bundle)
 
     # -- per-window -----------------------------------------------------
-    def window(self, t_end: float, inject: Optional[Dict[str, Any]]
-               ) -> Tuple[List[Tuple[float, str, Packet]],
-                          Dict[int, float],
-                          List[Any]]:
-        """Advance to ``t_end``; returns (outbox, boundary report, new
-        sample records since the last window)."""
+    def window(self, t_end: float, pins: Dict[int, Optional[float]]
+               ) -> Tuple[Dict[int, float], List[Any]]:
+        """Apply the consensus ``pins`` and advance to ``t_end``; returns
+        (boundary report, new sample records since the last window)."""
         restore_globals(self.bundle)
         region = self.region
-        region.inject(inject)
+        region.set_boundary_pins(pins)
         region.run_window(t_end)
-        outbox = region.drain_outbox()
         report = region.boundary_report()
         self.bundle = capture_globals()
         records = region.sampler.records
         new_records = records[self._record_cursor:]
         self._record_cursor = len(records)
-        return outbox, report, new_records
+        return report, new_records
 
     # -- on demand ------------------------------------------------------
     def checkpoint(self) -> bytes:
@@ -253,8 +247,8 @@ def region_worker_main(conn: Connection, worker_index: int,
                     region_index, blob)
                 reply = ("ok", None)
             elif kind == "window":
-                _, region_index, t_end, inject = message
-                reply = ("ok", hosts[region_index].window(t_end, inject))
+                _, region_index, t_end, pins = message
+                reply = ("ok", hosts[region_index].window(t_end, pins))
             elif kind == "checkpoint":
                 reply = ("ok", hosts[message[1]].checkpoint())
             elif kind == "collect":

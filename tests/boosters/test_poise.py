@@ -1,5 +1,7 @@
 """Tests for the Poise-style context-aware access control booster."""
 
+import pickle
+
 import pytest
 
 from repro.boosters import (AccessPolicy, CONTEXT_HEADER, PoiseBooster)
@@ -41,6 +43,14 @@ class TestPolicyEvaluation:
         assert booster.evaluate("victim", {"device": "managed"})
         assert not booster.evaluate("victim", {"device": "byod"})
         assert not booster.evaluate("victim", {})
+
+    def test_require_policy_pickles(self):
+        # Policies are reachable from engine checkpoints.
+        policy = AccessPolicy.require("managed", ["victim"], device="managed")
+        clone = pickle.loads(pickle.dumps(policy))
+        assert clone == policy
+        assert clone.predicate({"device": "managed"})
+        assert not clone.predicate({"device": "byod"})
 
     def test_unprotected_destination_default_allow(self):
         booster = make_booster()

@@ -14,7 +14,8 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.checkpoint import CheckpointError, save_checkpoint
+from repro.checkpoint import (CheckpointError, capture_globals,
+                              restore_globals, save_checkpoint)
 from repro.checkpoint.format import write_container
 from repro.checkpoint.service import (SCENARIOS, EngineService,
                                       _command_reader, serve_main)
@@ -95,6 +96,51 @@ class TestFigure3KillRestore:
         write_container(path, b'{"task_id": "t"}\n', {"task_id": "t"})
         with pytest.raises(CheckpointError, match="unpickle"):
             Simulator.restore(path)
+
+
+class TestRepurposeRestore:
+    """Regression: a world with a repurposing in flight could not be
+    checkpointed — the reconfiguration timer and the state-transfer
+    callback were closures, which do not pickle."""
+
+    REPURPOSE_CONFIG = Figure3Config(duration_s=3.5, seed=11)
+
+    def repurposing_world(self, repurpose):
+        world = build_world("fastflex", self.REPURPOSE_CONFIG)
+        advance_world(world, 1.0)
+        world.deployment.scaling.repurpose("s1", **repurpose)
+        advance_world(world, 1.2)
+        return world
+
+    @pytest.mark.parametrize("repurpose", [
+        {},
+        {"remove": ["dropper.blocklist"], "transfer_state_to": "s2"},
+    ], ids=["program-swap", "state-transfer"])
+    def test_checkpoint_mid_repurpose_restores(self, tmp_path, repurpose):
+        telemetry.reset()
+        base = capture_globals()
+        reference = self.repurposing_world(repurpose)
+        advance_world(reference)
+        reference_result = finish_world(reference)
+
+        restore_globals(base)
+        world = self.repurposing_world(repurpose)
+        path = tmp_path / "repurpose.ckpt"
+        world.sim.snapshot(path, state=world)
+
+        poison_process_state()
+        _, restored, _ = Simulator.restore(path)
+        advance_world(restored)
+        result = finish_world(restored)
+
+        assert result.throughput.samples == \
+            reference_result.throughput.samples
+        records = restored.deployment.scaling.records
+        assert records == reference.deployment.scaling.records
+        # The horizon covers the whole 2 s reconfiguration window.
+        assert records[0].completed_at is not None
+        if repurpose:
+            assert records[0].state_transfer_ok is True
 
 
 class Recorder:

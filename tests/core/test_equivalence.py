@@ -1,10 +1,14 @@
-"""Tests for PPM functional-equivalence detection."""
+"""Tests for PPM functional-equivalence detection.
+
+Sharing is decided by signature equality (``EquivalenceClasses``
+groups by ``PpmSpec.signature()``), so that is what these assert.
+"""
 
 import pytest
 
 from repro.boosters import flow_table_ppm, parser_ppm, sketch_ppm
-from repro.core import (EquivalenceClasses, equivalent, merge_parsers,
-                        parser_covers)
+from repro.core import (DataflowGraph, EquivalenceClasses, ProgramAnalyzer,
+                        merge_parsers)
 
 
 class TestEquivalent:
@@ -15,17 +19,17 @@ class TestEquivalent:
                        coding_style="tofino_macros")
         b = sketch_ppm("ddos_guard", "pkt_count_sketch", width=1024,
                        depth=4, coding_style="handwritten")
-        assert equivalent(a, b)
+        assert a.signature() == b.signature()
 
     def test_different_parameters_not_equivalent(self):
         a = sketch_ppm("x", "s", width=1024, depth=4)
         b = sketch_ppm("y", "s", width=2048, depth=4)
-        assert not equivalent(a, b)
+        assert a.signature() != b.signature()
 
     def test_different_kinds_not_equivalent(self):
         a = sketch_ppm("x", "s", width=1024)
         b = flow_table_ppm("y", "s", capacity=1024)
-        assert not equivalent(a, b)
+        assert a.signature() != b.signature()
 
     def test_flow_tables_compare_key_fields(self):
         five = flow_table_ppm("x", "t", capacity=1024,
@@ -34,26 +38,15 @@ class TestEquivalent:
                                     key_fields=("dst", "src"))
         per_src = flow_table_ppm("z", "t", capacity=1024,
                                  key_fields=("src",))
-        assert equivalent(five, five_again)
-        assert not equivalent(five, per_src)
+        assert five.signature() == five_again.signature()
+        assert five.signature() != per_src.signature()
 
 
 class TestParsers:
     def test_exact_field_equality(self):
         a = parser_ppm("x", "p", base=("src", "dst"))
         b = parser_ppm("y", "q", base=("dst", "src"))
-        assert equivalent(a, b)
-
-    def test_parser_covers_subset(self):
-        big = parser_ppm("x", "p", base=("src", "dst", "ttl"))
-        small = parser_ppm("y", "q", base=("src",))
-        assert parser_covers(big, small)
-        assert not parser_covers(small, big)
-
-    def test_covers_requires_parsers(self):
-        sketch = sketch_ppm("x", "s")
-        parser = parser_ppm("y", "p", base=("src",))
-        assert not parser_covers(sketch, parser)
+        assert a.signature() == b.signature()
 
     def test_merge_parsers_union(self):
         a = parser_ppm("x", "p", base=("src",), custom=("epoch",))
@@ -78,31 +71,37 @@ class TestPartition:
             sketch_ppm("c", "s3", width=128, depth=2),
         ]
         classes = EquivalenceClasses.partition(specs)
-        assert len(classes) == 2
-        shared = classes.shareable()
+        assert len(classes.groups) == 2
+        shared = [members for members in classes.groups.values()
+                  if len(members) > 1]
         assert len(shared) == 1
         assert {s.booster for s in shared[0]} == {"a", "b"}
 
     def test_savings_counts_duplicates_only(self):
-        specs = [
-            sketch_ppm("a", "s", width=64, depth=2),
-            sketch_ppm("b", "s", width=64, depth=2),
-            sketch_ppm("c", "s", width=64, depth=2),
-        ]
-        classes = EquivalenceClasses.partition(specs)
-        savings = classes.savings()
-        single = specs[0].requirement
-        assert savings.stages == pytest.approx(2 * single.stages)
+        # The analyzer installs one instance per class, so three
+        # identical sketches save two sketches' worth.
+        graphs = []
+        for booster in ("a", "b", "c"):
+            graph = DataflowGraph(booster)
+            graph.add_ppm(sketch_ppm(booster, "s", width=64, depth=2))
+            graphs.append(graph)
+        report = ProgramAnalyzer().merge(graphs).report
+        single = graphs[0].ppms()[0].requirement
+        assert report.savings.stages == pytest.approx(2 * single.stages)
 
     def test_no_duplicates_no_savings(self):
-        specs = [sketch_ppm("a", "s", width=64),
-                 sketch_ppm("b", "s", width=128)]
-        classes = EquivalenceClasses.partition(specs)
-        assert classes.shareable() == []
-        assert classes.savings().stages == 0
+        graphs = []
+        for booster, width in (("a", 64), ("b", 128)):
+            graph = DataflowGraph(booster)
+            graph.add_ppm(sketch_ppm(booster, "s", width=width))
+            graphs.append(graph)
+        report = ProgramAnalyzer().merge(graphs).report
+        assert report.shared_groups == 0
+        assert report.savings.stages == 0
 
     def test_representative_is_first_seen(self):
+        # The analyzer installs a group's first member as its instance.
         first = sketch_ppm("a", "s", width=64)
         second = sketch_ppm("b", "s", width=64)
         classes = EquivalenceClasses.partition([first, second])
-        assert classes.representative(first.signature()) is first
+        assert classes.groups[first.signature()] == [first, second]

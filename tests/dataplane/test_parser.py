@@ -1,62 +1,17 @@
-"""Tests for declarative header parsers."""
+"""Tests for parser field-set declarations."""
 
 import pytest
 
-from repro.dataplane import ROUTING_PARSER, HeaderParser
-from repro.netsim import Packet
+from repro.dataplane import HeaderParser
 
 
 class TestParse:
-    def test_extracts_base_fields(self):
-        parser = HeaderParser.of("p", base=("src", "dst", "ttl"))
-        pkt = Packet(src="a", dst="b", ttl=7)
-        values = parser.parse(pkt)
-        assert values == {"src": "a", "dst": "b", "ttl": 7}
-
-    def test_extracts_custom_headers(self):
-        parser = HeaderParser.of("p", custom=("epoch",))
-        pkt = Packet(src="a", dst="b", headers={"epoch": 3})
-        assert parser.parse(pkt)["epoch"] == 3
-
-    def test_missing_custom_header_is_none(self):
-        parser = HeaderParser.of("p", custom=("ghost",))
-        assert parser.parse(Packet(src="a", dst="b"))["ghost"] is None
-
     def test_unknown_base_field_rejected(self):
         with pytest.raises(ValueError):
             HeaderParser.of("p", base=("not_a_field",))
 
 
-class TestDeparse:
-    def test_writes_base_and_custom(self):
-        parser = HeaderParser.of("p", base=("ttl",), custom=("mark",))
-        pkt = Packet(src="a", dst="b", ttl=10)
-        parser.deparse(pkt, {"ttl": 5, "mark": "x"})
-        assert pkt.ttl == 5
-        assert pkt.headers["mark"] == "x"
-
-
 class TestComposition:
-    def test_covers_requires_superset(self):
-        big = HeaderParser.of("big", base=("src", "dst", "ttl"),
-                              custom=("a",))
-        small = HeaderParser.of("small", base=("src",), custom=("a",))
-        assert big.covers(small)
-        assert not small.covers(big)
-
-    def test_merged_is_union(self):
-        a = HeaderParser.of("a", base=("src",), custom=("x",))
-        b = HeaderParser.of("b", base=("dst",), custom=("y",))
-        merged = a.merged_with(b)
-        assert merged.base_fields == frozenset({"src", "dst"})
-        assert merged.custom_fields == frozenset({"x", "y"})
-        assert merged.covers(a) and merged.covers(b)
-
-    def test_routing_parser_covers_basic_needs(self):
-        five_tuple = HeaderParser.of(
-            "ft", base=("src", "dst", "proto", "sport", "dport"))
-        assert ROUTING_PARSER.covers(five_tuple)
-
     def test_requirement_grows_with_fields(self):
         small = HeaderParser.of("s", base=("src",))
         big = HeaderParser.of("b", base=("src", "dst", "ttl"))
@@ -65,4 +20,6 @@ class TestComposition:
 
     def test_parsers_cost_no_stages(self):
         # Parsers run in the dedicated parser block, not match stages.
-        assert ROUTING_PARSER.resource_requirement().stages == 0
+        five_tuple = HeaderParser.of(
+            "ft", base=("src", "dst", "proto", "sport", "dport", "ttl"))
+        assert five_tuple.resource_requirement().stages == 0

@@ -55,10 +55,10 @@ def test_remove_link_invalidates_cached_path():
     assert rerouted.contains_link("s1", "s3")
 
 
-def test_remove_switch_invalidates_cached_path():
+def test_remove_node_invalidates_cached_path():
     topo = diamond_topology()
     assert shortest_path(topo, "hA", "hB").contains_link("s2", "s4")
-    topo.remove_switch("s2")
+    topo.remove_node("s2")
     assert not shortest_path(topo, "hA", "hB").contains_link("s2", "s4")
 
 
@@ -74,8 +74,8 @@ def test_removed_link_never_served_from_candidates():
 def test_disconnection_raises_no_route():
     topo = diamond_topology()
     shortest_path(topo, "hA", "hB")  # warm the cache
-    topo.remove_switch("s2")
-    topo.remove_switch("s3")
+    topo.remove_node("s2")
+    topo.remove_node("s3")
     with pytest.raises(NoRouteError):
         shortest_path(topo, "hA", "hB")
 

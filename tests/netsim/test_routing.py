@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import (GBPS, NoRouteError, Packet, Path, Simulator,
-                          all_shortest_paths, clear_flow_route,
+                          clear_flow_route,
                           default_path_for,
                           install_flow_route, install_host_routes,
                           k_shortest_paths, random_topology, shortest_path)
@@ -65,12 +65,6 @@ class TestComputation:
     def test_k_shortest_validates_k(self, fig2):
         with pytest.raises(ValueError):
             k_shortest_paths(fig2.topo, "client0", "victim", 0)
-
-    def test_all_shortest_paths_equal_cost(self, fig2):
-        paths = all_shortest_paths(fig2.topo, "client0", "victim")
-        assert len(paths) == 2  # via s1 and via s2
-        delays = {p.latency(fig2.topo) for p in paths}
-        assert len(delays) == 1
 
 
 class TestInstallation:

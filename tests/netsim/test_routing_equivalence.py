@@ -23,13 +23,11 @@ import pytest
 
 from repro.core import te
 from repro.netsim import (GBPS, MS, Simulator, Topology, figure2_topology,
-                          all_shortest_paths,
                           install_fast_reroute_alternates,
                           install_host_routes, install_switch_routes,
                           k_shortest_paths, make_flow, random_topology,
                           shortest_path)
-from tests.oracles.routing import (all_shortest_paths_reference,
-                                   build_graph,
+from tests.oracles.routing import (build_graph,
                                    install_fast_reroute_alternates_reference,
                                    install_host_routes_reference,
                                    install_switch_routes_reference,
@@ -135,20 +133,6 @@ def test_k_shortest_paths_equivalence(seed):
                 assert len(set(p.nodes)) == len(p.nodes)  # loop-free
                 for a, b in zip(p.nodes, p.nodes[1:]):
                     assert (a, b) in topo.links
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_all_shortest_paths_equivalence(seed):
-    topo = random_weighted_topology(seed)
-    hosts = topo.host_names
-    for src in hosts[:3]:
-        for dst in hosts:
-            if src == dst:
-                continue
-            native = {p.nodes for p in all_shortest_paths(topo, src, dst)}
-            ref = {p.nodes for p in
-                   all_shortest_paths_reference(topo, src, dst)}
-            assert native == ref
 
 
 # ---------------------------------------------------------------------------

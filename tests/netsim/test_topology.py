@@ -144,17 +144,17 @@ class TestRandom:
 class TestNodeRemoval:
     """Regression tests: removing a node mid-run used to leave its
     engine-scheduled work (monitor samples, periodic agents, queued link
-    deliveries) live, and ``remove_switch`` type-checked its target so
+    deliveries) live, and switch removal type-checked its target so
     hosts could never be removed at all."""
 
-    def test_remove_switch_cancels_owned_periodic_work(self, sim):
+    def test_remove_node_cancels_owned_periodic_work(self, sim):
         topo = Topology(sim)
         switch = topo.add_switch("s1")
         fired = []
         switch.own(sim.every(0.1, lambda: fired.append(sim.now)))
         sim.run(until=0.55)
         assert len(fired) == 6  # t=0.0 .. t=0.5
-        topo.remove_switch("s1")
+        topo.remove_node("s1")
         sim.run(until=2.0)
         assert len(fired) == 6  # nothing after removal
         assert switch.retired
@@ -172,7 +172,7 @@ class TestNodeRemoval:
         install_host_routes(topo)
         PacketSource(topo, "client0", "victim", rate_pps=500).start()
         sim.run(until=1.0)
-        topo.remove_switch("s1")
+        topo.remove_node("s1")
         # Must not raise: queued deliveries on removed links degrade to
         # drops, the monitor keeps sampling the (detached) link probe,
         # and forwarding fails over to the surviving ECMP paths.
@@ -202,22 +202,14 @@ class TestNodeRemoval:
         assert all(p.dropped for p in packets[1:])
         assert any(p.dropped == "link_removed" for p in packets)
 
-    def test_remove_host(self, sim):
+    def test_remove_node_removes_a_host(self, sim):
         topo = Topology(sim)
         topo.add_switch("s1")
         topo.attach_host("h0", "s1")
-        topo.remove_host("h0")
+        topo.remove_node("h0")
         assert "h0" not in topo.nodes
         assert ("h0", "s1") not in topo.links
         assert ("s1", "h0") not in topo.links
-
-    def test_remove_switch_accepts_hosts(self, sim):
-        # The historical entry point no longer type-checks its target.
-        topo = Topology(sim)
-        topo.add_switch("s1")
-        topo.attach_host("h0", "s1")
-        topo.remove_switch("h0")
-        assert "h0" not in topo.nodes
 
     def test_orphaned_host_drops_instead_of_crashing(self, sim):
         from repro.netsim.packet import Packet
@@ -225,7 +217,7 @@ class TestNodeRemoval:
         topo = Topology(sim)
         topo.add_switch("s1")
         host = topo.attach_host("h0", "s1")
-        topo.remove_switch("s1")
+        topo.remove_node("s1")
         packet = Packet(src="h0", dst="elsewhere", size_bytes=100)
         assert host.originate(packet) is False
         assert packet.dropped == "no_gateway"

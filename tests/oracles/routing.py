@@ -41,17 +41,6 @@ def shortest_path_reference(topo: Topology, src: str, dst: str) -> Path:
     return Path.of(nodes)
 
 
-def all_shortest_paths_reference(topo: Topology, src: str,
-                                 dst: str) -> List[Path]:
-    """Original uncached networkx implementation."""
-    try:
-        paths = nx.all_shortest_paths(build_graph(topo), src, dst,
-                                      weight="weight")
-        return [Path.of(p) for p in paths]
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise NoRouteError(f"no path {src} -> {dst}") from exc
-
-
 def k_shortest_paths_reference(topo: Topology, src: str, dst: str,
                                k: int) -> List[Path]:
     """Original uncached networkx (Yen's) implementation."""

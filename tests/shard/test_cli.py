@@ -32,6 +32,9 @@ def usage_error(capsys, argv):
     (["--duration", "nan"], "duration_s must be finite and > 0"),
     (["--scenario", "random", "--duration", "0"],
      "duration_s must be finite and > 0"),
+    # Regression: a NaN window never advanced t, so the run hung.
+    (["--window", "nan"], "window_s must be positive and finite"),
+    (["--window", "inf"], "window_s must be positive and finite"),
 ])
 def test_bad_flag_is_a_usage_error_not_a_traceback(capsys, flags, message):
     # A later --duration overrides SHORT's.

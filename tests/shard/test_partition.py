@@ -59,29 +59,11 @@ class TestBoundary:
             assert src_region != dst_region
         assert part.cut_edges == len(part.boundary) // 2
 
-    def test_boundary_out_lists_links_leaving_the_region(self):
-        topo = _random_topo()
-        part = partition_topology(topo, 3)
-        for region in range(3):
-            out = part.boundary_out(region)
-            assert out == sorted(out)
-            for a, b in out:
-                assert part.assignment[a] == region
-                assert part.assignment[b] != region
-
-    def test_min_boundary_delay(self):
-        topo = _random_topo()
-        part = partition_topology(topo, 2)
-        min_delay = part.min_boundary_delay(topo)
-        assert min_delay == min(topo.links[key].delay_s
-                                for key in part.boundary)
-
     def test_single_region_has_no_boundary(self):
         topo = _random_topo()
         part = partition_topology(topo, 1)
         assert part.boundary == {}
         assert part.cut_edges == 0
-        assert part.min_boundary_delay(topo) is None
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Region-world mechanics: portals, link segments, boundary-pin sync."""
+"""Region-world mechanics: link segments, boundary-pin sync."""
 
 from __future__ import annotations
 
@@ -7,22 +7,19 @@ import pickle
 import pytest
 
 from repro.netsim import Simulator
-from repro.netsim.packet import Packet
 from repro.shard import (LinkSegment, figure3_scenario, partition_topology,
                          run_sharded, run_single)
 from repro.shard.region import build_region, compute_paths
 from repro.shard.scenario import build_topology
 
 
-def build_figure3_region(region_index=0, exchange_packets=False,
-                         n_regions=2, seed=0):
+def build_figure3_region(region_index=0, n_regions=2, seed=0):
     scenario = figure3_scenario(seed=seed, duration_s=2.0,
                                 attack_start_s=1.0)
     full = build_topology(scenario, Simulator(seed=seed))
     partition = partition_topology(full, n_regions, seed=seed)
     paths = compute_paths(full, scenario)
-    region = build_region(full, scenario, partition, region_index, paths,
-                          exchange_packets=exchange_packets)
+    region = build_region(full, scenario, partition, region_index, paths)
     return scenario, full, partition, region
 
 
@@ -37,64 +34,6 @@ class TestLinkSegment:
         clone = pickle.loads(pickle.dumps(segment))
         assert (clone.src, clone.dst) == ("a", "z")
         assert clone.link_keys == (("a", "s1"),)
-
-
-class TestPortals:
-    def test_portals_stand_in_for_external_neighbors(self):
-        _, full, partition, region = build_figure3_region(
-            exchange_packets=True)
-        out = partition.boundary_out(region.region_index)
-        assert out, "2-region figure2 split must cut at least one link"
-        for inside, outside in out:
-            assert outside in region.portals
-            assert outside not in region.topo.nodes
-            portal = region.portals[outside]
-            stitch = region.topo.nodes[inside].links[outside]
-            assert stitch.dst is portal
-            assert stitch.delay_s == 0.0
-            assert stitch.capacity_bps == full.links[(inside,
-                                                      outside)].capacity_bps
-            # The stitch is node-attached only: the regional allocator
-            # never sees the cut link.
-            assert (inside, outside) not in region.topo.links
-            assert portal.delays[inside] == full.links[(inside,
-                                                        outside)].delay_s
-
-    def test_portal_records_logical_arrival_in_outbox(self):
-        _, full, partition, region = build_figure3_region(
-            exchange_packets=True)
-        inside, outside = partition.boundary_out(region.region_index)[0]
-        portal = region.portals[outside]
-        stitch = region.topo.nodes[inside].links[outside]
-        packet = Packet(src="client0", dst="victim")
-        portal.receive(packet, from_link=stitch)
-        assert region.outbox == [
-            (region.sim.now + full.links[(inside, outside)].delay_s,
-             outside, packet)]
-        assert region.drain_outbox() == [
-            (region.sim.now + full.links[(inside, outside)].delay_s,
-             outside, packet)]
-        assert region.outbox == []
-
-    def test_no_portals_without_exchange_packets(self):
-        _, _, _, region = build_figure3_region(exchange_packets=False)
-        assert region.portals == {}
-
-    def test_oversized_window_rejected(self):
-        scenario = figure3_scenario(seed=0, duration_s=2.0,
-                                    attack_start_s=1.0)
-        with pytest.raises(ValueError, match="conservative-sync"):
-            run_sharded(scenario, n_regions=2, exchange_packets=True,
-                        window_s=10.0)
-
-    def test_window_auto_bounded_by_min_boundary_delay(self):
-        scenario = figure3_scenario(seed=0, duration_s=0.01,
-                                    attack_start_s=1.0)
-        full = build_topology(scenario, Simulator(seed=0))
-        partition = partition_topology(full, 2, seed=0)
-        min_delay = partition.min_boundary_delay(full)
-        record = run_sharded(scenario, n_regions=2, exchange_packets=True)
-        assert record["window_s"] <= min_delay
 
 
 class TestLocalSync:

@@ -29,7 +29,6 @@ def make_init(scenario, n_regions):
     counts = hosted_counts(partition, paths)
     offsets = [sum(counts[:i]) for i in range(n_regions)]
     return WorkerInit(scenario=scenario, partition=partition, paths=paths,
-                      exchange_packets=False,
                       base_sequences={"repro.netsim.flows:_flow_ids": (0,)},
                       flow_id_offsets=offsets)
 
@@ -91,7 +90,7 @@ class TestWorkerProtocol:
             # A window against a region that was never built fails inside
             # the worker; the loop must survive and report the traceback.
             handle = transport.handles[0]
-            handle.conn.send(("window", 0, 0.5, None))
+            handle.conn.send(("window", 0, 0.5, {}))
             with pytest.raises(ShardWorkerError, match="KeyError"):
                 transport._recv(handle, 0, 0.5)
             # The worker is still serving: a real build now succeeds.
