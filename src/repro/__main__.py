@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import telemetry
@@ -102,6 +103,12 @@ def main(argv=None) -> int:
             config = Figure3Config(**overrides)
         except ValueError as exc:
             parser.error(f"--duration: {exc}")
+        # Figure3Config allows inf for serve's always-on scenario; a
+        # figure run to an infinite horizon would never print.
+        if not math.isfinite(config.duration_s):
+            parser.error(f"--duration: duration_s must be > 0 and finite "
+                         f"(only serve runs forever), got "
+                         f"{config.duration_s!r}")
 
     # One run = one snapshot: zero whatever earlier in-process runs
     # accumulated, then opt into tracing if asked.

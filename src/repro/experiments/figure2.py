@@ -18,11 +18,13 @@ probes' hop-scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Set
 
 from ..attacks.rolling import RollingAttacker
 from ..boosters.lfa_defense import build_figure2_defense
 from ..boosters.lfa_detector import ATTACK_TYPE, MITIGATION_MODE
+from ..core.controller import Deployment
 from ..core.modes import ModeEventBus, ModeRegistry, ModeSpec
 from ..core.mode_protocol import install_mode_agents
 from ..netsim.engine import Simulator
@@ -58,6 +60,25 @@ class ModeSequenceResult:
     final_modes: Dict[str, str] = field(default_factory=dict)
 
 
+def _sample_default(deployment: Deployment,
+                    result: ModeSequenceResult) -> None:
+    for name, agent in deployment.mode_agents.items():
+        table = agent.mode_table
+        result.default_mode_boosters[name] = {
+            "lfa_detector": table.booster_enabled("lfa_detector"),
+            "reroute": table.booster_enabled("reroute"),
+            "dropper": table.booster_enabled("dropper"),
+            "obfuscation": table.booster_enabled("obfuscation"),
+        }
+
+
+def _snapshot_normal_paths(flows: FlowSet,
+                           paths: Dict[int, tuple]) -> None:
+    for flow in flows.normal():
+        if flow.path is not None:
+            paths[flow.flow_id] = flow.path.nodes
+
+
 def run_mode_sequence(duration_s: float = 30.0, seed: int = 21,
                       attack_start_s: float = 5.0) -> ModeSequenceResult:
     """Run the scripted Figure 2 scenario and collect the transitions."""
@@ -76,28 +97,13 @@ def run_mode_sequence(duration_s: float = 30.0, seed: int = 21,
     fluid.start()
 
     result = ModeSequenceResult()
-
     # (a) the default mode: sample booster gating before any attack.
-    def sample_default() -> None:
-        for name, agent in deployment.mode_agents.items():
-            table = agent.mode_table
-            result.default_mode_boosters[name] = {
-                "lfa_detector": table.booster_enabled("lfa_detector"),
-                "reroute": table.booster_enabled("reroute"),
-                "dropper": table.booster_enabled("dropper"),
-                "obfuscation": table.booster_enabled("obfuscation"),
-            }
-
-    sim.schedule(attack_start_s - 2.0, sample_default)
-
+    sim.schedule(attack_start_s - 2.0,
+                 partial(_sample_default, deployment, result))
     normal_paths_at_attack: Dict[int, tuple] = {}
-
-    def snapshot_normal_paths() -> None:
-        for flow in flows.normal():
-            if flow.path is not None:
-                normal_paths_at_attack[flow.flow_id] = flow.path.nodes
-
-    sim.schedule(attack_start_s - 0.5, snapshot_normal_paths)
+    sim.schedule(attack_start_s - 0.5,
+                 partial(_snapshot_normal_paths, flows,
+                         normal_paths_at_attack))
 
     attacker = RollingAttacker(
         net.topo, fluid, bots=net.bot_hosts, decoys=net.decoy_servers,

@@ -4,22 +4,16 @@ and mutation contracts.
 Usage::
 
     python -m repro.lint [paths] [--json]
-                         [--select RPL001,...] [--ignore RPL005]
 
-See :mod:`repro.lint.core` for the per-file framework and the
-:class:`ProjectRule` API, :mod:`repro.lint.project` for the
-whole-program layer (module names and the symbol table),
-:mod:`repro.lint.rules` for the individual contracts, and DESIGN.md
-"Enforced invariants" for the rule table.
+See :mod:`repro.lint.core` for the rule base and the driver,
+:mod:`repro.lint.project` for the parsed tree (module names, imports,
+suppressions and the symbol table), :mod:`repro.lint.rules` for the
+rule table, and DESIGN.md "Enforced invariants" for what each rule
+guards.
 """
 
-from .core import (Finding, FileContext, LintResult, ProjectRule, Rule,
-                   all_rules, lint_paths, lint_source, register,
-                   rule_codes, select_rules)
-from .project import ProjectContext, ProjectFile
+from .core import Finding, LintResult, Rule, lint_paths
+from .project import ProjectContext, SourceFile
 
-__all__ = [
-    "FileContext", "Finding", "LintResult", "ProjectContext",
-    "ProjectFile", "ProjectRule", "Rule", "all_rules", "lint_paths",
-    "lint_source", "register", "rule_codes", "select_rules",
-]
+__all__ = ["Finding", "LintResult", "ProjectContext", "Rule",
+           "SourceFile", "lint_paths"]

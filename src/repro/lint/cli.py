@@ -1,13 +1,14 @@
 """The ``python -m repro.lint`` command line.
 
 Exit codes: 0 clean (after inline suppressions), 1 findings or parse
-errors, 2 usage/configuration error.  ``--json`` emits one sorted,
-round-trippable JSON object on stdout; CI redirects it to a file as
-both gate and artifact.
+errors, 2 usage error — including a path that does not exist or a run
+that finds no ``.py`` file, so a typo in CI cannot pass the gate by
+checking nothing.  ``--json`` emits one sorted, round-trippable JSON
+object on stdout; CI redirects it to a file as both gate and artifact.
 
-Every run is whole-program: the per-file rules and the cross-module
-rules (RPL007, RPL010) both see exactly the files named on the command
-line, so the paths you lint decide what each contract covers.
+Every run is whole-program: every rule, the cross-module ones (RPL007,
+RPL010) included, sees exactly the files named on the command line, so
+the paths you lint decide what each contract covers.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ import json
 import sys
 from typing import List, Optional
 
-from .core import all_rules, lint_paths
+from .core import lint_paths
 
 DEFAULT_PATHS = ["src", "scripts"]
-
-
-def _parse_codes(text: Optional[str]) -> Optional[List[str]]:
-    if text is None:
-        return None
-    return [code.strip() for code in text.split(",") if code.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,30 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: src scripts)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit findings as one JSON object")
-    parser.add_argument("--select", metavar="CODES", default=None,
-                        help="comma-separated rule codes to run "
-                             "exclusively (e.g. RPL001,RPL005)")
-    parser.add_argument("--ignore", metavar="CODES", default=None,
-                        help="comma-separated rule codes to skip")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print every rule and exit")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.code}  {rule.name}: {rule.description}")
-        return 0
-
+    args = build_parser().parse_args(argv)
     paths = args.paths if args.paths else DEFAULT_PATHS
     try:
-        result = lint_paths(paths, select=_parse_codes(args.select),
-                            ignore=_parse_codes(args.ignore))
-    except ValueError as exc:  # unknown rule codes
+        result = lint_paths(paths)
+    except ValueError as exc:  # a missing path, or no .py file at all
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,18 +1,14 @@
-"""Shared AST helpers for reprolint rules.
+"""Import resolution for reprolint rules.
 
-The rules that guard module APIs (``random``, ``time``, ``datetime``)
-need to see through import aliasing: ``import random
+The rules that guard module APIs (``random``, ``time``, ``datetime``,
+``itertools``) need to see through import aliasing: ``import random
 as rnd`` followed by ``rnd.random()`` is the same contract violation as
 the unaliased call.  :class:`ImportMap` records, per file, which local
 names are bound to which canonical dotted modules (and which names were
-``from``-imported from them), so rules resolve every call head back to
-its canonical module path before matching.
-
-Project rules (:mod:`repro.lint.project`) construct the map with the
-file's own dotted module name, which additionally resolves *relative*
-imports (``from ..checkpoint import pack_state`` inside
-``repro.shard.region`` binds ``pack_state`` to ``repro.checkpoint``) so
-the symbol table follows package-relative ``from``-imports.
+``from``-imported from them), relative imports included (``from
+..checkpoint import pack_state`` inside ``repro.shard.region`` binds
+``pack_state`` to ``repro.checkpoint``), so rules and the project
+symbol table resolve every name back to its canonical module path.
 """
 
 from __future__ import annotations
@@ -33,17 +29,19 @@ def dotted_parts(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return tuple(reversed(parts))
 
 
+def iter_calls(tree: ast.Module) -> Iterator[ast.Call]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield node
+
+
 class ImportMap:
-    """Local-name bindings for modules and from-imported symbols.
+    """Local-name bindings for modules and from-imported symbols of the
+    file whose dotted name is ``module`` (``is_package`` for an
+    ``__init__.py``, which changes what a relative import climbs to)."""
 
-    Without ``module`` only absolute imports are recorded (the per-file
-    rules' historical behavior).  With ``module`` (the file's dotted
-    module name) and ``is_package`` (True for ``__init__.py``),
-    relative ``from``-imports are resolved to absolute module paths.
-    """
-
-    def __init__(self, tree: ast.Module, module: Optional[str] = None,
-                 is_package: bool = False) -> None:
+    def __init__(self, tree: ast.Module, module: str,
+                 is_package: bool) -> None:
         self._module = module
         self._is_package = is_package
         #: local alias -> canonical dotted module ("dt" -> "datetime").
@@ -68,12 +66,9 @@ class ImportMap:
 
     def _from_base(self, node: ast.ImportFrom) -> Optional[str]:
         """The absolute module a ``from ... import`` pulls names from;
-        None when a relative import cannot be resolved (no module name
-        given, or the import climbs past the package root)."""
+        None when a relative import climbs past the package root."""
         if node.level == 0:
             return node.module
-        if self._module is None:
-            return None
         parts = self._module.split(".")
         # Level 1 names the enclosing package: the module's parent, or
         # the package itself when the file is an ``__init__.py``.
@@ -98,8 +93,7 @@ class ImportMap:
             return None
         head = parts[0]
         if len(parts) == 1:
-            entry = self.symbols.get(head)
-            return entry
+            return self.symbols.get(head)
         module = self.modules.get(head)
         if module is None:
             symbol = self.symbols.get(head)
@@ -110,9 +104,3 @@ class ImportMap:
             module = f"{symbol[0]}.{symbol[1]}"
         dotted = (module,) + parts[1:]
         return ".".join(dotted[:-1]), dotted[-1]
-
-
-def iter_calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node

@@ -1,23 +1,20 @@
-"""Whole-program context for reprolint: the cross-module analysis layer.
+"""The parsed tree reprolint checks: one :class:`SourceFile` per file,
+gathered into a :class:`ProjectContext`.
 
-Per-file rules (:class:`~repro.lint.core.Rule`) see one AST at a time,
-so every contract that *spans* modules — a constant duplicated into
-three files, a module-level ID sequence the checkpoint globals bundle
-doesn't know about — was unenforceable before this layer existed.
-:class:`ProjectContext` parses every file passed to the linter once and
-exposes what the project rules (:class:`~repro.lint.core.ProjectRule`)
-need:
+Every rule runs over the same parse.  What the rules need besides the
+AST is computed once per file here:
 
 * **Module naming** — each file's dotted module name, derived by
   climbing ``__init__.py`` ancestors (``src/repro/shard/workers.py``
   → ``repro.shard.workers``; a bare script → its stem).
-* **Symbol table** — top-level bindings per module, with
-  :meth:`resolve_expr` evaluating literal displays through
-  cross-module ``from``-imports (``WALL_CLOCK_METRICS =
-  (PHASE_METRIC, ...)`` resolves to concrete strings even though
-  ``PHASE_METRIC`` lives two modules away).  Relative imports resolve
-  through :class:`~repro.lint.rules.common.ImportMap` given the
-  file's module name.
+* **Imports** — an :class:`~repro.lint.imports.ImportMap` built with
+  the file's module name, so relative imports resolve too.
+* **Suppressions** — the ``# reprolint: disable=RPL0xx`` comments, per
+  line.
+* **Symbol table** — :meth:`ProjectContext.resolve_expr` evaluates
+  literal displays through cross-module ``from``-imports
+  (``WALL_CLOCK_METRICS = (PHASE_METRIC, ...)`` resolves to concrete
+  strings even though ``PHASE_METRIC`` lives two modules away).
 
 Everything is deterministic: files are visited in sorted path order,
 and two builds over an unchanged tree yield findings in identical
@@ -27,21 +24,71 @@ order (pinned by tests).
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
+import io
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import re
+import tokenize
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .core import FileContext, iter_python_files
-
-if TYPE_CHECKING:
-    # A runtime import would be circular: rules/__init__ imports the
-    # project rules, which import this module for UNRESOLVED /
-    # ProjectContext.  build() imports ImportMap lazily instead.
-    from .rules.common import ImportMap
+from .imports import ImportMap
 
 #: Sentinel for "this expression is not statically resolvable".
 UNRESOLVED = object()
 
 _RESOLVE_DEPTH = 5
+
+_DIRECTIVE = re.compile(
+    r"#\s*reprolint:\s*disable\s*=\s*([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)")
+
+
+def _parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
+    """Line -> codes silenced by ``# reprolint: disable=...`` there.
+
+    Uses :mod:`tokenize` (not string scanning) so directives inside
+    string literals are inert.  Tokenization errors degrade to "no
+    suppressions" — the file already parsed as Python, so this only
+    happens on exotic encodings.
+    """
+    table: Dict[int, FrozenSet[str]] = {}
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            match = _DIRECTIVE.search(tok.string) \
+                if tok.type == tokenize.COMMENT else None
+            if match is not None:
+                codes = {c.strip() for c in match.group(1).split(",")}
+                table[tok.start[0]] = table.get(tok.start[0],
+                                                frozenset()) | codes
+    except tokenize.TokenError:
+        pass
+    return table
+
+
+@dataclass(frozen=True)
+class SourceFile:
+    """One parsed file: path, module name, AST, imports, suppressions."""
+
+    #: Posix path as given on the command line; findings carry it.
+    path: str
+    module: str
+    tree: ast.Module
+    imports: ImportMap
+    suppressions: Dict[int, FrozenSet[str]]
+
+    @classmethod
+    def parse(cls, path: Path) -> "SourceFile":
+        """Read and parse ``path``; raises OSError, SyntaxError or
+        UnicodeDecodeError on a file that cannot be checked."""
+        display = path.as_posix()
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=display)
+        module, is_package = module_name_for(path)
+        return cls(display, module, tree,
+                   ImportMap(tree, module, is_package),
+                   _parse_suppressions(source))
+
+    def suppressed(self, rule: str, line: int) -> bool:
+        return rule in self.suppressions.get(line, ())
 
 
 def module_name_for(path: Path) -> Tuple[str, bool]:
@@ -68,59 +115,51 @@ def module_name_for(path: Path) -> Tuple[str, bool]:
     return ".".join(reversed(parts)), is_package
 
 
-class ProjectFile:
-    """One parsed file plus its project-level identity."""
+def iter_python_files(paths: Sequence[str]) -> List[Path]:
+    """Every ``.py`` file under ``paths``, sorted for stable output.
 
-    def __init__(self, module: str, ctx: FileContext,
-                 imports: "ImportMap") -> None:
-        self.module = module
-        self.ctx = ctx
-        self.imports = imports
-
-    @property
-    def display_path(self) -> str:
-        return self.ctx.display_path
+    Raises ValueError on a path that does not exist or when no path
+    holds a ``.py`` file: a lint gate that checks nothing must not pass.
+    """
+    out: Set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            out.update(p for p in path.rglob("*.py")
+                       if "__pycache__" not in p.parts)
+        elif not path.exists():
+            raise ValueError(f"no such file or directory: {raw}")
+        elif path.suffix == ".py":
+            out.add(path)
+    if not out:
+        raise ValueError(f"no .py file under {' '.join(paths)}")
+    return sorted(out)
 
 
 class ProjectContext:
-    """The whole parsed tree: modules and their symbol table."""
+    """The whole parsed tree: its files and their symbol table."""
 
-    def __init__(self, files: List[ProjectFile],
+    def __init__(self, files: List[SourceFile],
                  parse_errors: List[Tuple[str, str]]) -> None:
-        self.files = sorted(files, key=lambda f: f.display_path)
+        self.files = sorted(files, key=lambda f: f.path)
         self.parse_errors = parse_errors
         #: dotted module name -> file (first in path order on collision).
-        self.modules: Dict[str, ProjectFile] = {}
-        for pf in self.files:
-            self.modules.setdefault(pf.module, pf)
-        self._by_path: Dict[str, ProjectFile] = {
-            pf.display_path: pf for pf in self.files}
+        self.modules: Dict[str, SourceFile] = {}
+        for source in self.files:
+            self.modules.setdefault(source.module, source)
         self._constants: Dict[Tuple[str, str], object] = {}
 
-    # -- construction ---------------------------------------------------
     @classmethod
     def build(cls, paths: Sequence[str]) -> "ProjectContext":
-        """Parse every Python file under ``paths``."""
-        from .rules.common import ImportMap
-        files: List[ProjectFile] = []
+        """Parse every Python file under ``paths`` once."""
+        files: List[SourceFile] = []
         parse_errors: List[Tuple[str, str]] = []
         for path in iter_python_files(paths):
-            display = path.as_posix()
             try:
-                source = path.read_text(encoding="utf-8")
-                ctx = FileContext.from_source(source, display)
+                files.append(SourceFile.parse(path))
             except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-                parse_errors.append((display, str(exc)))
-                continue
-            module, is_package = module_name_for(path)
-            files.append(ProjectFile(
-                module, ctx,
-                ImportMap(ctx.tree, module=module, is_package=is_package)))
+                parse_errors.append((path.as_posix(), str(exc)))
         return cls(files, parse_errors)
-
-    # -- lookups --------------------------------------------------------
-    def file_for(self, display_path: str) -> Optional[ProjectFile]:
-        return self._by_path.get(display_path)
 
     def _project_target(self, dotted: str) -> Optional[str]:
         """The longest prefix of ``dotted`` that is a project module
@@ -136,11 +175,11 @@ class ProjectContext:
     def module_assignments(self, module: str) -> Dict[str, ast.expr]:
         """Top-level single-name assignments of ``module`` (last wins,
         matching runtime rebinding)."""
-        pf = self.modules.get(module)
-        if pf is None:
+        source = self.modules.get(module)
+        if source is None:
             return {}
         out: Dict[str, ast.expr] = {}
-        for node in pf.ctx.tree.body:
+        for node in source.tree.body:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 out[node.targets[0].id] = node.value
@@ -161,14 +200,14 @@ class ProjectContext:
         key = (module, name)
         if depth == 0 and key in self._constants:
             return self._constants[key]
-        pf = self.modules.get(module)
+        source = self.modules.get(module)
         value: object = UNRESOLVED
-        if pf is not None:
+        if source is not None:
             assigned = self.module_assignments(module).get(name)
             if assigned is not None:
                 value = self.resolve_expr(module, assigned, depth + 1)
             else:
-                imported = pf.imports.symbols.get(name)
+                imported = source.imports.symbols.get(name)
                 if imported is not None:
                     origin, symbol = imported
                     target = self._project_target(origin)

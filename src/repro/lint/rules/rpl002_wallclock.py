@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Set, Tuple
 
-from ..core import FileContext, Finding, Rule, register
-from .common import ImportMap, iter_calls
+from ..core import Finding, Rule
+from ..imports import iter_calls
+from ..project import ProjectContext, SourceFile
 
 _WALL_CLOCK: Dict[str, Set[str]] = {
     "time": {"time", "time_ns", "perf_counter", "perf_counter_ns",
@@ -29,7 +30,6 @@ _WALL_CLOCK: Dict[str, Set[str]] = {
 }
 
 
-@register
 class WallClockRule(Rule):
     code = "RPL002"
     name = "wall-clock-outside-telemetry"
@@ -37,10 +37,10 @@ class WallClockRule(Rule):
                    "resume and cross-worker reproducibility")
     exempt_paths: Tuple[str, ...] = ("repro/telemetry/",)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for call in iter_calls(ctx.tree):
-            resolved = imports.resolve_call(call.func)
+    def check_file(self, project: ProjectContext,
+                   source: SourceFile) -> Iterator[Finding]:
+        for call in iter_calls(source.tree):
+            resolved = source.imports.resolve_call(call.func)
             if resolved is None:
                 continue
             module, symbol = resolved
@@ -50,7 +50,7 @@ class WallClockRule(Rule):
             # class is a from-imported symbol extended by the attribute.
             if symbol in _WALL_CLOCK.get(module, ()):
                 yield self.finding(
-                    ctx, call,
+                    source, call,
                     f"{module}.{symbol}() reads the wall clock; use the "
                     f"simulation clock (sim.now) or route timing through "
                     f"repro.telemetry (phase_timer); if the wall clock "

@@ -21,7 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from ..core import FileContext, Finding, Rule, register
+from ..core import Finding, Rule
+from ..project import ProjectContext, SourceFile
 
 #: Scalar fields whose writes must advance Topology.version.
 GUARDED_FIELDS = frozenset(
@@ -45,7 +46,6 @@ def _guarded_map(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in GUARDED_MAPS
 
 
-@register
 class DirectMutationRule(Rule):
     code = "RPL003"
     name = "direct-topology-mutation"
@@ -57,19 +57,20 @@ class DirectMutationRule(Rule):
         "repro/netsim/node.py",
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, project: ProjectContext,
+                   source: SourceFile) -> Iterator[Finding]:
+        for node in ast.walk(source.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
                 for target in targets:
-                    yield from self._check_target(ctx, target)
+                    yield from self._check_target(source, target)
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript) \
                             and _guarded_map(target.value):
                         yield self.finding(
-                            ctx, target,
+                            source, target,
                             f"del on .{target.value.attr}[...] bypasses "  # type: ignore[attr-defined]
                             f"Topology.remove_link()/remove_node() and "
                             f"leaves Topology.version stale")
@@ -79,12 +80,12 @@ class DirectMutationRule(Rule):
                     and _guarded_map(node.func.value):
                 attr = node.func.value.attr  # type: ignore[attr-defined]
                 yield self.finding(
-                    ctx, node,
+                    source, node,
                     f".{attr}.{node.func.attr}(...) mutates Topology "
                     f"state behind the version counter; use the Topology "
                     f"mutator methods")
 
-    def _check_target(self, ctx: FileContext,
+    def _check_target(self, source: SourceFile,
                       target: ast.AST) -> Iterator[Finding]:
         if isinstance(target, ast.Attribute) \
                 and target.attr in GUARDED_FIELDS:
@@ -92,17 +93,17 @@ class DirectMutationRule(Rule):
             # business and live in the exempt modules; outside them any
             # write is a bypass.
             yield self.finding(
-                ctx, target,
+                source, target,
                 f"direct write to .{target.attr} bypasses "
                 f"{_FIELD_HINTS[target.attr]}; cached routing/fluid "
                 f"state keyed on Topology.version goes stale")
         elif isinstance(target, ast.Subscript) \
                 and _guarded_map(target.value):
             yield self.finding(
-                ctx, target,
+                source, target,
                 f"subscript write to .{target.value.attr}[...] bypasses "  # type: ignore[attr-defined]
                 f"the Topology mutators (add_duplex_link/remove_link/"
                 f"add_switch/remove_node)")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                yield from self._check_target(ctx, element)
+                yield from self._check_target(source, element)

@@ -15,7 +15,10 @@ rules make that hold statically:
   computed label set could differ between workers, splitting one family
   into unmergeable variants.
 
-Metric *names* must be string literals for the same reason.  The
+Metric *names* must be statically known strings for the same reason:
+a literal, or a constant the project symbol table resolves to one
+(timers.py names its family via ``PHASE_METRIC`` so the sweep runner
+can import the same constant for its wall-clock exclusion list).  The
 registry implementation itself (``telemetry/registry.py``) is exempt:
 ``merge()`` legitimately re-creates families from snapshot-carried
 names and labels.
@@ -24,10 +27,11 @@ names and labels.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from ..core import FileContext, Finding, Rule, register
-from .common import iter_calls
+from ..core import Finding, Rule
+from ..imports import iter_calls
+from ..project import ProjectContext, SourceFile
 
 _FACTORIES = ("counter", "gauge", "histogram")
 
@@ -45,25 +49,6 @@ def _literal_str(node: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
-def _module_string_constants(tree: ast.Module) -> dict:
-    """Module-level ``NAME = "literal"`` bindings.
-
-    A metric named by such a constant is as statically known as an
-    inline literal (timers.py names its family via ``PHASE_METRIC`` so
-    the sweep runner can import the same constant for its wall-clock
-    exclusion list).
-    """
-    consts: Dict[str, str] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            value = _literal_str(stmt.value)
-            if value is not None:
-                consts[stmt.targets[0].id] = value
-    return consts
-
-
-@register
 class TelemetryNamingRule(Rule):
     code = "RPL004"
     name = "telemetry-naming"
@@ -72,39 +57,37 @@ class TelemetryNamingRule(Rule):
                    "bounds, literal label tuples")
     exempt_paths: Tuple[str, ...] = ("repro/telemetry/registry.py",)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        consts = _module_string_constants(ctx.tree)
-        for call in iter_calls(ctx.tree):
+    def check_file(self, project: ProjectContext,
+                   source: SourceFile) -> Iterator[Finding]:
+        for call in iter_calls(source.tree):
             if not isinstance(call.func, ast.Attribute) \
                     or call.func.attr not in _FACTORIES:
                 continue
             kind = call.func.attr
-            yield from self._check_name(ctx, call, kind, consts)
-            yield from self._check_labelnames(ctx, call, kind)
+            yield from self._check_name(project, source, call, kind)
+            yield from self._check_labelnames(source, call, kind)
             if kind == "histogram":
-                yield from self._check_buckets(ctx, call)
+                yield from self._check_buckets(source, call)
 
-    def _check_name(self, ctx: FileContext, call: ast.Call,
-                    kind: str, consts: dict) -> Iterator[Finding]:
+    def _check_name(self, project: ProjectContext, source: SourceFile,
+                    call: ast.Call, kind: str) -> Iterator[Finding]:
         name_node = call.args[0] if call.args else _kwarg(call, "name")
         if name_node is None:
             return  # not a registry call shape; stay quiet
-        name = _literal_str(name_node)
-        if name is None and isinstance(name_node, ast.Name):
-            name = consts.get(name_node.id)
-        if name is None:
+        name = project.resolve_expr(source.module, name_node)
+        if not isinstance(name, str):
             yield self.finding(
-                ctx, call,
+                source, call,
                 f"{kind}() metric name must be a string literal so the "
                 f"family set is identical in every worker")
             return
         if kind == "counter" and not name.endswith("_total"):
             yield self.finding(
-                ctx, call,
+                source, call,
                 f"counter {name!r} must end in '_total' (monotonic-"
                 f"family naming convention; see DESIGN.md Telemetry)")
 
-    def _check_labelnames(self, ctx: FileContext, call: ast.Call,
+    def _check_labelnames(self, source: SourceFile, call: ast.Call,
                           kind: str) -> Iterator[Finding]:
         labels = _kwarg(call, "labelnames")
         if labels is None and len(call.args) >= 3:
@@ -114,16 +97,16 @@ class TelemetryNamingRule(Rule):
         if not isinstance(labels, (ast.Tuple, ast.List)) or not all(
                 _literal_str(e) is not None for e in labels.elts):
             yield self.finding(
-                ctx, call,
+                source, call,
                 f"{kind}() labelnames must be a literal tuple/list of "
                 f"string literals; computed label sets can differ "
                 f"between workers and break MetricsRegistry.merge()")
 
-    def _check_buckets(self, ctx: FileContext,
+    def _check_buckets(self, source: SourceFile,
                        call: ast.Call) -> Iterator[Finding]:
         if _kwarg(call, "buckets") is None and len(call.args) < 4:
             yield self.finding(
-                ctx, call,
+                source, call,
                 "histogram() must declare explicit buckets= bounds; "
                 "merge() requires bound-for-bound equality across "
                 "workers, so bounds belong at the registration site")

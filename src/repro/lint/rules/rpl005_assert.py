@@ -13,21 +13,22 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..core import FileContext, Finding, Rule, register
+from ..core import Finding, Rule
+from ..project import ProjectContext, SourceFile
 
 
-@register
 class AssertRule(Rule):
     code = "RPL005"
     name = "assert-as-guard"
     description = ("assert statements are stripped under python -O and "
                    "are not real guards in library code")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, project: ProjectContext,
+                   source: SourceFile) -> Iterator[Finding]:
+        for node in ast.walk(source.tree):
             if isinstance(node, ast.Assert):
                 yield self.finding(
-                    ctx, node,
+                    source, node,
                     "assert is stripped under python -O; raise "
                     "ValueError/RuntimeError with a real message "
                     "instead")

@@ -19,7 +19,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from ..core import FileContext, Finding, Rule, register
+from ..core import Finding, Rule
+from ..project import ProjectContext, SourceFile
 
 #: Consumers for which the argument's iteration order is immaterial.
 _ORDER_INSENSITIVE = frozenset(
@@ -46,27 +47,27 @@ def _is_unordered(node: ast.expr) -> bool:
     return False
 
 
-@register
 class UnorderedIterationRule(Rule):
     code = "RPL006"
     name = "unordered-iteration"
     description = ("iterating a bare set()/dict.keys() leaks hash-"
                    "randomized order into results; wrap in sorted(...)")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check_file(self, project: ProjectContext,
+                   source: SourceFile) -> Iterator[Finding]:
         blessed: Set[int] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(source.tree):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Name) \
                     and node.func.id in _ORDER_INSENSITIVE:
                 blessed.update(id(arg) for arg in node.args)
 
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(source.tree):
             if isinstance(node, ast.For) \
                     and id(node.iter) not in blessed \
                     and _is_unordered(node.iter):
                 yield self.finding(
-                    ctx, node.iter,
+                    source, node.iter,
                     "for-loop over an unordered set/keys expression; "
                     "iteration order is hash-randomized across "
                     "processes — wrap in sorted(...)")
@@ -76,7 +77,7 @@ class UnorderedIterationRule(Rule):
                 for gen in node.generators:
                     if _is_unordered(gen.iter):
                         yield self.finding(
-                            ctx, gen.iter,
+                            source, gen.iter,
                             "comprehension over an unordered set/keys "
                             "expression materializes hash-randomized "
                             "order — wrap in sorted(...)")
@@ -85,7 +86,7 @@ class UnorderedIterationRule(Rule):
                     and node.func.id in _ORDER_SENSITIVE \
                     and node.args and _is_unordered(node.args[0]):
                 yield self.finding(
-                    ctx, node,
+                    source, node,
                     f"{node.func.id}() of an unordered set/keys "
                     f"expression materializes hash-randomized order — "
                     f"wrap the argument in sorted(...)")
@@ -94,7 +95,7 @@ class UnorderedIterationRule(Rule):
                     and node.func.attr == "join" \
                     and node.args and _is_unordered(node.args[0]):
                 yield self.finding(
-                    ctx, node,
+                    source, node,
                     "join() over an unordered set/keys expression "
                     "produces a hash-randomized string — wrap the "
                     "argument in sorted(...)")

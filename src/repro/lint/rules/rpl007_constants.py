@@ -25,8 +25,8 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core import Finding, ProjectRule, register
-from ..project import UNRESOLVED, ProjectContext, ProjectFile
+from ..core import Finding, Rule
+from ..project import UNRESOLVED, ProjectContext, SourceFile
 
 _CONST_NAME = re.compile(r"^[A-Z][A-Z0-9_]{2,}$")
 
@@ -39,20 +39,19 @@ def _sized(value: object) -> bool:
         and len(value) >= _MIN_ITEMS
 
 
-@register
-class DuplicatedConstantRule(ProjectRule):
+class DuplicatedConstantRule(Rule):
     code = "RPL007"
     name = "duplicated-constant"
     description = ("the same ALL_CAPS literal defined in several modules "
                    "drifts silently; define it once and import it")
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         groups: Dict[Tuple[str, str],
-                     List[Tuple[ProjectFile, ast.stmt]]] = {}
-        for pf in project.files:
-            if project.modules.get(pf.module) is not pf:
+                     List[Tuple[SourceFile, ast.stmt]]] = {}
+        for source in project.files:
+            if project.modules.get(source.module) is not source:
                 continue  # shadowed duplicate module name
-            for node in pf.ctx.tree.body:
+            for node in source.tree.body:
                 target = _constant_target(node)
                 if target is None:
                     continue
@@ -60,20 +59,20 @@ class DuplicatedConstantRule(ProjectRule):
                 if not isinstance(value_node,
                                   (ast.Tuple, ast.List, ast.Set, ast.Dict)):
                     continue
-                value = project.resolve_expr(pf.module, value_node)
+                value = project.resolve_expr(source.module, value_node)
                 if value is UNRESOLVED or not _sized(value):
                     continue
                 groups.setdefault((name, repr(value)), []).append(
-                    (pf, node))
+                    (source, node))
         for (name, _canon), sites in sorted(
                 groups.items(), key=lambda item: item[0]):
-            modules = sorted({pf.module for pf, _node in sites})
+            modules = sorted({source.module for source, _node in sites})
             if len(modules) < _MIN_ITEMS:
                 continue
-            for pf, node in sites:
-                others = ", ".join(m for m in modules if m != pf.module)
+            for source, node in sites:
+                others = ", ".join(m for m in modules if m != source.module)
                 yield self.finding(
-                    pf.ctx, node,
+                    source, node,
                     f"constant {name} is defined with the same value in "
                     f"{len(modules)} modules (also in {others}); define "
                     f"it once and import it — duplicated literals drift "

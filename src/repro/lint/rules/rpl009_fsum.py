@@ -28,13 +28,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set, Tuple
 
-from ..core import FileContext, Finding, Rule, register
+from ..core import Finding, Rule
+from ..project import ProjectContext, SourceFile
 
 _PATH_FRAGMENTS = ("/shard/", "/sweep/")
 
 
-def _is_aggregation_module(ctx: FileContext) -> bool:
-    posix = f"/{ctx.display_path}"
+def _is_aggregation_module(source: SourceFile) -> bool:
+    posix = f"/{source.path}"
     return any(fragment in posix for fragment in _PATH_FRAGMENTS)
 
 
@@ -69,7 +70,6 @@ def _float_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-@register
 class FsumParityRule(Rule):
     code = "RPL009"
     name = "parity-unsafe-fold"
@@ -77,12 +77,13 @@ class FsumParityRule(Rule):
                    "use math.fsum — sum()/+= folds are order-dependent "
                    "and break cross-process parity")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not _is_aggregation_module(ctx):
+    def check_file(self, project: ProjectContext,
+                   source: SourceFile) -> Iterator[Finding]:
+        if not _is_aggregation_module(source):
             return
-        float_names = _float_names(ctx.tree)
+        float_names = _float_names(source.tree)
         loop_depth = 0
-        for node, entering in _walk_loops(ctx.tree):
+        for node, entering in _walk_loops(source.tree):
             if entering is not None:
                 loop_depth += 1 if entering else -1
                 continue
@@ -91,7 +92,7 @@ class FsumParityRule(Rule):
                     and node.func.id == "sum" \
                     and node.args and not _int_blessed(node.args[0]):
                 yield self.finding(
-                    ctx, node,
+                    source, node,
                     "sum() over a float series is order-dependent and "
                     "breaks shard parity; use math.fsum (or bless an "
                     "integer count with a len()/int-literal "
@@ -101,7 +102,7 @@ class FsumParityRule(Rule):
                     and isinstance(node.target, ast.Name) \
                     and node.target.id in float_names:
                 yield self.finding(
-                    ctx, node,
+                    source, node,
                     f"float accumulator {node.target.id!r} grows with "
                     f"+= inside a loop; collect the series and fold "
                     f"once with math.fsum for order-independent parity")

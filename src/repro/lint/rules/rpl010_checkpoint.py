@@ -23,7 +23,10 @@ every module a checkpoint can reach, plus the scripts.  It flags
   handles don't pickle; locals are fine — they die with the frame);
 * generator expressions bound the same way (generators don't pickle);
 * module-level ``itertools.count(...)`` assignments whose
-  ``(module, attr)`` pair is missing from ``GLOBAL_SEQUENCES``.
+  ``(module, attr)`` pair is missing from ``GLOBAL_SEQUENCES``;
+* a ``lambda`` or nested ``def`` passed to ``schedule``,
+  ``schedule_at`` or ``every``: the event heap holds it, and
+  ``pack_state`` pickles the heap (a ``sorted``/``max`` key is fine).
 
 Modules that *implement* the machinery (checkpoint, telemetry, lint
 itself) are exempt — they own the contract.  Projects with no
@@ -33,22 +36,22 @@ itself) are exempt — they own the contract.  Projects with no
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, Optional, Set, Tuple
 
-from ..core import Finding, ProjectRule, register
-from ..project import UNRESOLVED, ProjectContext, ProjectFile
+from ..core import Finding, Rule
+from ..project import UNRESOLVED, ProjectContext, SourceFile
 
 
 def _registered_sequences(
         project: ProjectContext) -> Optional[Set[Tuple[str, str]]]:
     """The ``(module, attr)`` pairs in the project's GLOBAL_SEQUENCES
     registry, or None when no project module defines one."""
-    for pf in project.files:
-        value_node = project.module_assignments(pf.module).get(
+    for source in project.files:
+        value_node = project.module_assignments(source.module).get(
             "GLOBAL_SEQUENCES")
         if value_node is None:
             continue
-        value = project.resolve_expr(pf.module, value_node)
+        value = project.resolve_expr(source.module, value_node)
         if value is UNRESOLVED or not isinstance(value, tuple):
             return set()
         pairs: Set[Tuple[str, str]] = set()
@@ -60,11 +63,37 @@ def _registered_sequences(
     return None
 
 
-def _is_itertools_count(node: ast.expr, pf: ProjectFile) -> bool:
+def _is_itertools_count(node: ast.expr, source: SourceFile) -> bool:
     if not isinstance(node, ast.Call):
         return False
-    resolved = pf.imports.resolve_call(node.func)
+    resolved = source.imports.resolve_call(node.func)
     return resolved == ("itertools", "count")
+
+
+#: Event-engine methods whose callbacks land in the checkpointed heap.
+_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
+
+
+def _scheduled_closures(node: ast.AST, nested: FrozenSet[str] = frozenset()
+                        ) -> Iterator[Tuple[ast.expr, str]]:
+    """``(argument, description)`` for each lambda or nested ``def``
+    (a name in ``nested``) handed to a scheduler method."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scheduled_closures(child, nested | {
+                inner.name for inner in ast.walk(child) if inner is not child
+                and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))})
+            continue
+        if isinstance(child, ast.Call) \
+                and isinstance(child.func, ast.Attribute) \
+                and child.func.attr in _SCHEDULERS:
+            for arg in child.args + [kw.value for kw in child.keywords]:
+                if isinstance(arg, ast.Lambda):
+                    yield arg, f"a lambda passed to {child.func.attr}()"
+                elif isinstance(arg, ast.Name) and arg.id in nested:
+                    yield arg, (f"nested def {arg.id!r} passed to "
+                                f"{child.func.attr}()")
+        yield from _scheduled_closures(child, nested)
 
 
 def _unpicklable_kind(node: ast.expr) -> Optional[str]:
@@ -107,8 +136,7 @@ def _simple_assigns(node: ast.stmt) -> Iterator[
         yield node.value, node
 
 
-@register
-class CheckpointSafetyRule(ProjectRule):
+class CheckpointSafetyRule(Rule):
     code = "RPL010"
     name = "checkpoint-safety"
     description = ("checkpointed state must pickle: no "
@@ -118,34 +146,41 @@ class CheckpointSafetyRule(ProjectRule):
     exempt_paths = ("repro/telemetry/", "repro/checkpoint/",
                     "repro/lint/")
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         registered = _registered_sequences(project)
-        for pf in project.files:
-            if project.modules.get(pf.module) is not pf:
+        for source in project.files:
+            if project.modules.get(source.module) is not source:
                 continue  # shadowed duplicate module name
-            yield from self._check_module(pf, registered)
+            yield from self._check_module(source, registered)
 
-    def _check_module(self, pf: ProjectFile,
+    def _check_module(self, source: SourceFile,
                       registered: Optional[Set[Tuple[str, str]]]
                       ) -> Iterator[Finding]:
-        for where, value, stmt in _iter_bindings(pf.ctx.tree):
+        for where, value, stmt in _iter_bindings(source.tree):
             kind = _unpicklable_kind(value)
             if kind is not None:
                 yield self.finding(
-                    pf.ctx, stmt,
+                    source, stmt,
                     f"{kind} bound at {where} does not pickle, so a "
                     f"checkpoint that reaches it fails; bind a "
                     f"module-level function / path / list instead")
+        for arg, what in _scheduled_closures(source.tree):
+            yield self.finding(
+                source, arg,
+                f"{what} sits in the event heap that pack_state "
+                f"pickles, and closures do not pickle; pass a "
+                f"module-level function (functools.partial binds its "
+                f"arguments) or a bound method")
         if registered is None:
             return
-        for node in pf.ctx.tree.body:
+        for node in source.tree.body:
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name) \
-                    and _is_itertools_count(node.value, pf):
+                    and _is_itertools_count(node.value, source):
                 attr = node.targets[0].id
-                if (pf.module, attr) not in registered:
+                if (source.module, attr) not in registered:
                     yield self.finding(
-                        pf.ctx, node,
+                        source, node,
                         f"module-level itertools.count {attr!r} is not "
                         f"registered in GLOBAL_SEQUENCES; restored "
                         f"runs would re-issue IDs from its initial "

@@ -26,6 +26,7 @@ resolvable without any in-process registration having happened there:
 from __future__ import annotations
 
 from importlib import import_module
+import math
 from typing import Any, Callable, Dict, List, Tuple
 
 Driver = Callable[[int, Dict[str, Any]], Dict[str, Any]]
@@ -75,6 +76,14 @@ def _figure3_config(seed: int, params: Dict[str, Any]):
         raise ValueError(
             f"figure3 has no parameter(s) {sorted(unknown)}; "
             f"valid: {sorted(fields)}")
+    # A sweep task must end: Figure3Config allows inf (serve's
+    # always-on horizon), and `--set duration_s=inf` arrives as a str.
+    duration = params.get("duration_s", Figure3Config.duration_s)
+    if isinstance(duration, bool) or not isinstance(duration, (int, float)) \
+            or not math.isfinite(duration):
+        raise ValueError(
+            f"figure3 parameter duration_s must be a finite number of "
+            f"seconds, got {duration!r}")
     overrides = dict(params)
     overrides["seed"] = seed
     return Figure3Config(**overrides)

@@ -67,10 +67,13 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["figure3", "--duration", "-5"],
         ["figure3", "--duration", "nan"],
-        ["serve", "--duration", "nan", "--no-commands"]])
+        ["serve", "--duration", "nan", "--no-commands"],
+        ["figure3", "--duration", "inf"],
+        ["all", "--duration", "1e999"]])
     def test_horizon_that_is_not_positive_exits_two(self, argv):
         """Regression: ``-5`` printed an empty series and exited 0, and
-        ``nan`` never terminated (hence a subprocess with a timeout)."""
+        ``nan`` never terminated (hence a subprocess with a timeout);
+        nor did ``inf``, which only serve's always-on run may use."""
         src = Path(__file__).resolve().parents[2] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "repro"] + argv, capture_output=True,

@@ -20,5 +20,11 @@ class World:
         #: A live generator cannot be pickled either.
         self.pending = (host for host in hosts)  # EXPECT: RPL010
 
+    def arm(self, sim):
+        def expire():
+            self.pending = None
+        #: The event heap holds the closure, and pack_state pickles it.
+        sim.schedule(1.0, expire)  # EXPECT: RPL010
+
     def snapshot_bytes(self):
         return pack_state(self.__dict__)

@@ -1,5 +1,7 @@
 """A checkpoint root holding only picklable state."""
 
+from functools import partial
+
 from . import flows
 from .registry import pack_state
 
@@ -15,6 +17,10 @@ def _classify(packet):
     return packet.kind
 
 
+def _expire(world):
+    world.pending = None
+
+
 class World:
     on_drop = staticmethod(_drop_packet)
 
@@ -23,6 +29,11 @@ class World:
         self.flow = flows.new_flow()
         self.classify = _classify
         self.pending = list(hosts)
+
+    def arm(self, sim):
+        #: A sort key never reaches the heap; the callback is a partial.
+        self.pending = sorted(self.pending, key=lambda host: str(host))
+        sim.schedule(1.0, partial(_expire, self))
 
     def snapshot_bytes(self):
         return pack_state(self.__dict__)

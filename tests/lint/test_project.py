@@ -16,7 +16,7 @@ from repro.lint import lint_paths
 from repro.lint.project import (ProjectContext, UNRESOLVED,
                                 module_name_for)
 
-from .test_rules import expected_lines
+from .test_rules import expected_lines, only
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -87,8 +87,7 @@ def test_dynamic_values_stay_unresolved(tmp_path):
 
 def test_finding_order_is_stable_across_builds():
     target = str(FIXTURES / "rpl007_bad")
-    runs = [lint_paths([target], select=["RPL007"])
-            for _ in range(3)]
+    runs = [lint_paths([target]) for _ in range(3)]
     keys = [[(f.path, f.line, f.col, f.rule, f.message)
              for f in run.findings] for run in runs]
     assert keys[0] == keys[1] == keys[2]
@@ -117,9 +116,9 @@ def test_bad_package_flags_each_marked_line(code):
     package = FIXTURES / f"{code.lower()}_bad"
     want = package_expectations(package, code)
     assert want, f"{package.name} declares no EXPECT markers"
-    result = lint_paths([str(package)], select=[code])
+    result = lint_paths([str(package)])
     assert result.parse_errors == []
-    got = Counter((f.path, f.line) for f in result.findings)
+    got = Counter((f.path, f.line) for f in only(result, code))
     assert got == want, (
         f"{package.name}: expected {dict(sorted(want.items()))}, "
         f"got {dict(sorted(got.items()))}")
@@ -128,7 +127,7 @@ def test_bad_package_flags_each_marked_line(code):
 @pytest.mark.parametrize("code", PACKAGE_CODES)
 def test_good_package_is_clean(code):
     package = FIXTURES / f"{code.lower()}_good"
-    result = lint_paths([str(package)], select=[code])
+    result = lint_paths([str(package)])
     assert result.parse_errors == []
     assert result.findings == [], "\n".join(
         str(f) for f in result.findings)
@@ -137,8 +136,7 @@ def test_good_package_is_clean(code):
 def test_wall_clock_triplication_regression():
     """The exact PR-8/9 drift: three hand-copied WALL_CLOCK_METRICS
     definitions — every definition site must flag."""
-    result = lint_paths([str(FIXTURES / "rpl007_bad")],
-                        select=["RPL007"])
+    result = lint_paths([str(FIXTURES / "rpl007_bad")])
     flagged = {Path(f.path).name for f in result.findings}
     assert flagged == {"runner.py", "check_restore_gate.py",
                        "check_sweep_gate.py"}

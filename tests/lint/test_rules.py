@@ -5,7 +5,8 @@ must produce exactly that finding at exactly that line (a marker may
 list a code twice for lines that violate a rule twice, e.g. tuple
 unpacking onto two guarded fields).  The paired ``*_good.py`` fixture
 — the corrected version of the same code — must be completely clean
-under the same rule.
+under the same rule.  Snippets and fixtures are written to files and
+linted through :func:`~repro.lint.lint_paths`, the one driver.
 """
 
 from collections import Counter
@@ -14,7 +15,8 @@ import re
 
 import pytest
 
-from repro.lint import lint_source, rule_codes
+from repro.lint import lint_paths
+from repro.lint.rules import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _EXPECT = re.compile(
@@ -34,27 +36,40 @@ def expected_lines(source: str, code: str) -> Counter:
     return expect
 
 
+def lint_snippet(tmp_path, source, relative="snippet.py"):
+    """Write ``source`` to ``tmp_path/relative`` and lint that file."""
+    path = tmp_path / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return lint_paths([str(path)])
+
+
+def only(result, code):
+    return [f for f in result.findings if f.rule == code]
+
+
 #: Rules whose contract spans modules; their fixtures are *packages*
 #: under fixtures/ (exercised by tests/lint/test_project.py) rather
 #: than single-file pairs.
 PROJECT_CODES = ("RPL007", "RPL010")
-PER_FILE_CODES = tuple(code for code in rule_codes()
-                       if code not in PROJECT_CODES)
+PER_FILE_CODES = tuple(rule.code for rule in RULES
+                       if rule.code not in PROJECT_CODES)
 
 
-def display_path(path: Path) -> str:
-    """Where a flat fixture is linted as living.  RPL009 covers
-    ``shard/`` and ``sweep/`` by path alone, so its pair is linted as
-    if it sat under ``shard/``."""
-    if path.name.startswith("rpl009_"):
-        path = path.parent / "shard" / path.name
-    return path.as_posix()
+def lint_fixture(tmp_path, path):
+    """Lint a copy of a flat fixture.  RPL009 covers ``shard/`` and
+    ``sweep/`` by path alone, so its pair is copied under ``shard/``."""
+    relative = f"shard/{path.name}" if path.name.startswith("rpl009_") \
+        else path.name
+    return lint_snippet(tmp_path, path.read_text(), relative)
 
 
 def test_all_nine_rules_are_registered():
-    assert rule_codes() == ["RPL001", "RPL002", "RPL003", "RPL004",
-                            "RPL005", "RPL006", "RPL007", "RPL009",
-                            "RPL010"]
+    codes = [rule.code for rule in RULES]
+    assert all(re.fullmatch(r"RPL\d{3}", code) for code in codes)
+    assert len(set(codes)) == len(codes)
+    assert codes == ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
+                     "RPL006", "RPL007", "RPL009", "RPL010"]
 
 
 @pytest.mark.parametrize("code", PER_FILE_CODES)
@@ -70,28 +85,23 @@ def test_every_project_rule_has_fixture_packages(code):
 
 
 @pytest.mark.parametrize("code", PER_FILE_CODES)
-def test_bad_fixture_flags_each_marked_line(code):
+def test_bad_fixture_flags_each_marked_line(code, tmp_path):
     path = FIXTURES / f"{code.lower()}_bad.py"
-    source = path.read_text()
-    want = expected_lines(source, code)
+    want = expected_lines(path.read_text(), code)
     assert want, f"{path.name} declares no EXPECT markers"
-    result = lint_source(source, display_path=display_path(path),
-                         select=[code])
+    result = lint_fixture(tmp_path, path)
     assert result.parse_errors == []
-    assert all(f.rule == code for f in result.findings)
-    got = Counter(f.line for f in result.findings)
+    got = Counter(f.line for f in only(result, code))
     assert got == want, (
         f"{path.name}: expected findings at {dict(sorted(want.items()))}, "
         f"got {dict(sorted(got.items()))}")
 
 
 @pytest.mark.parametrize("code", PER_FILE_CODES)
-def test_good_fixture_is_clean(code):
-    path = FIXTURES / f"{code.lower()}_good.py"
-    result = lint_source(path.read_text(), display_path=display_path(path),
-                         select=[code])
+def test_good_fixture_is_clean(code, tmp_path):
+    result = lint_fixture(tmp_path, FIXTURES / f"{code.lower()}_good.py")
     assert result.parse_errors == []
-    assert result.findings == [], "\n".join(
+    assert only(result, code) == [], "\n".join(
         str(f) for f in result.findings)
 
 
@@ -100,33 +110,32 @@ def test_good_fixture_is_clean(code):
 # PR 3 topology.py `__import__("random")` and unseeded Random().
 # ----------------------------------------------------------------------
 
-def test_dunder_import_random_is_flagged():
-    result = lint_source('rng = __import__("random")\n',
-                         select=["RPL001"])
+def test_dunder_import_random_is_flagged(tmp_path):
+    result = lint_snippet(tmp_path, 'rng = __import__("random")\n')
     assert [(f.rule, f.line) for f in result.findings] == [("RPL001", 1)]
 
 
-def test_unseeded_random_instance_is_flagged():
-    result = lint_source("import random\nstream = random.Random()\n",
-                         select=["RPL001"])
+def test_unseeded_random_instance_is_flagged(tmp_path):
+    result = lint_snippet(tmp_path,
+                          "import random\nstream = random.Random()\n")
     assert [(f.rule, f.line) for f in result.findings] == [("RPL001", 2)]
 
 
-def test_seeded_random_instance_is_clean():
-    result = lint_source("import random\nstream = random.Random(7)\n",
-                         select=["RPL001"])
+def test_seeded_random_instance_is_clean(tmp_path):
+    result = lint_snippet(tmp_path,
+                          "import random\nstream = random.Random(7)\n")
     assert result.findings == []
 
 
-def test_import_alias_is_resolved():
-    result = lint_source("import random as rnd\nx = rnd.random()\n",
-                         select=["RPL001"])
+def test_import_alias_is_resolved(tmp_path):
+    result = lint_snippet(tmp_path,
+                          "import random as rnd\nx = rnd.random()\n")
     assert [(f.rule, f.line) for f in result.findings] == [("RPL001", 2)]
 
 
-def test_from_import_is_resolved():
-    result = lint_source("from random import random\nx = random()\n",
-                         select=["RPL001"])
+def test_from_import_is_resolved(tmp_path):
+    result = lint_snippet(tmp_path,
+                          "from random import random\nx = random()\n")
     assert [(f.rule, f.line) for f in result.findings] == [("RPL001", 2)]
 
 
@@ -134,48 +143,39 @@ def test_from_import_is_resolved():
 # Rule-level mechanics that deserve pins beyond the fixture pairs.
 # ----------------------------------------------------------------------
 
-def test_rpl002_exempts_telemetry_package():
+def test_rpl002_exempts_telemetry_package(tmp_path):
     source = "import time\nstamp = time.time()\n"
-    inside = lint_source(source,
-                         display_path="src/repro/telemetry/timers.py",
-                         select=["RPL002"])
-    outside = lint_source(source,
-                          display_path="src/repro/core/engine.py",
-                          select=["RPL002"])
+    inside = lint_snippet(tmp_path, source,
+                          "src/repro/telemetry/timers.py")
+    outside = lint_snippet(tmp_path, source, "src/repro/core/engine.py")
     assert inside.findings == []
-    assert [f.line for f in outside.findings] == [2]
+    assert [(f.rule, f.line) for f in outside.findings] == [("RPL002", 2)]
 
 
-def test_rpl003_exempts_contract_implementers():
+def test_rpl003_exempts_contract_implementers(tmp_path):
     source = "def f(link):\n    link.capacity_bps = 1\n"
-    inside = lint_source(source,
-                         display_path="src/repro/netsim/links.py",
-                         select=["RPL003"])
-    outside = lint_source(source,
-                          display_path="src/repro/boosters/x.py",
-                          select=["RPL003"])
+    inside = lint_snippet(tmp_path, source, "src/repro/netsim/links.py")
+    outside = lint_snippet(tmp_path, source, "src/repro/boosters/x.py")
     assert inside.findings == []
-    assert [f.line for f in outside.findings] == [2]
+    assert [(f.rule, f.line) for f in outside.findings] == [("RPL003", 2)]
 
 
-def test_rpl009_is_scoped_by_path_alone():
+def test_rpl009_is_scoped_by_path_alone(tmp_path):
     """A docstring naming fsum does not opt a module in; only a
     ``shard/`` or ``sweep/`` path does."""
     source = '"""Folds with math.fsum."""\ntotal = sum(samples)\n'
-    inside = lint_source(source, display_path="src/repro/sweep/x.py",
-                         select=["RPL009"])
-    outside = lint_source(source, display_path="src/repro/core/x.py",
-                          select=["RPL009"])
-    assert [f.line for f in inside.findings] == [2]
+    inside = lint_snippet(tmp_path, source, "src/repro/sweep/x.py")
+    outside = lint_snippet(tmp_path, source, "src/repro/core/x.py")
+    assert [(f.rule, f.line) for f in inside.findings] == [("RPL009", 2)]
     assert outside.findings == []
 
 
-def test_findings_are_sorted_and_stable():
+def test_findings_are_sorted_and_stable(tmp_path):
     source = ("import random\n"
               "b = random.random()\n"
               "assert b\n"
               "a = random.random()\n")
-    result = lint_source(source)
+    result = lint_snippet(tmp_path, source)
     keys = [(f.path, f.line, f.col, f.rule) for f in result.findings]
     assert keys == sorted(keys)
     assert [f.rule for f in result.findings] == ["RPL001", "RPL005",

@@ -8,6 +8,7 @@ from repro import telemetry
 from repro.checkpoint.format import read_header
 from repro.sweep import (SweepSpec, register_driver, run_sweep,
                         stable_metrics)
+from repro.sweep.drivers import _figure3_config
 from repro.sweep.runner import TASK_DIR
 
 
@@ -175,6 +176,24 @@ class TestFigure3Drivers:
         assert not [name for name in scalars
                     if name.endswith("_during_attack") or name == "gap"]
         assert any(name.endswith("_attacker_rolls") for name in scalars)
+
+
+    @pytest.mark.parametrize("duration", [
+        float("inf"), float("nan"), "inf", True])
+    def test_config_rejects_a_horizon_that_cannot_end(self, duration):
+        """Regression: ``--set duration_s=1e999`` ran forever."""
+        with pytest.raises(ValueError, match="duration_s must be a finite"):
+            _figure3_config(0, {"duration_s": duration})
+
+    def test_a_string_horizon_fails_like_an_unknown_parameter(self):
+        """Regression: ``--set duration_s=inf`` arrives as the str
+        ``"inf"`` and died on a TypeError mid-run."""
+        result = run_sweep(SweepSpec(experiment="figure3", seeds=[0],
+                                     base_params={"duration_s": "inf"}))
+        (error,) = result.errors
+        assert error["error"].startswith(
+            "ValueError: figure3 parameter duration_s must be a finite")
+        assert result.records == []
 
 
 class TestWorkerParity:
