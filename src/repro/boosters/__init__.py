@@ -18,12 +18,10 @@ from .lfa_defense import (LfaDefense, build_figure2_defense,
 from .lfa_detector import (ATTACK_TYPE as LFA_ATTACK_TYPE, Detection,
                            LfaDetectorBooster, LfaDetectorProgram,
                            MITIGATION_MODE as LFA_MITIGATION_MODE)
-from .netwarden import (CANONICAL_TTL, CovertChannelProgram,
-                        NetWardenBooster)
+from .netwarden import NetWardenBooster
 from .obfuscation import ObfuscationProgram, TopologyObfuscationBooster
 from .packet_dropper import PacketDropperBooster, PacketDropperProgram
-from .poise import (AccessPolicy, CONTEXT_HEADER, PoiseBooster,
-                    PoiseProgram)
+from .poise import CONTEXT_HEADER, PoiseBooster
 from .rate_limiter import (GlobalRateLimiterBooster, RateLimiterProgram,
                            TENANT_HEADER)
 from .reroute import (BestPathEntry, CongestionRerouteBooster,
@@ -36,8 +34,7 @@ __all__ = [
     "HopCountFilterBooster", "HopCountFilterProgram", "HulaProbeProgram",
     "INITIAL_TTLS", "LFA_ATTACK_TYPE", "LFA_MITIGATION_MODE", "LfaDefense",
     "LfaDetectorBooster", "LfaDetectorProgram", "NetWardenBooster",
-    "CANONICAL_TTL", "CovertChannelProgram", "ObfuscationProgram",
-    "AccessPolicy", "CONTEXT_HEADER", "PoiseBooster", "PoiseProgram",
+    "ObfuscationProgram", "CONTEXT_HEADER", "PoiseBooster",
     "PacketDropperBooster", "PacketDropperProgram", "RateLimiterProgram",
     "TENANT_HEADER", "TopologyObfuscationBooster", "bloom_ppm",
     "build_figure2_defense", "build_lfa_defense", "flow_table_ppm",

@@ -1,13 +1,14 @@
 """Covert-channel mitigation booster (NetWarden-style, [78]).
 
 NetWarden defends against data exfiltration from compromised hosts via
-network covert channels.  We implement the storage-channel variant: a
-compromised endpoint modulates a header field (TTL here) across the
-packets of one flow to leak bits.  Detection watches per-flow header
-variability; mitigation *normalizes* the field, destroying the channel
-while leaving the flow functional.
+network covert channels.  The storage-channel variant: a compromised
+endpoint modulates a header field (TTL here) across the packets of one
+flow to leak bits.  Detection watches per-flow header variability;
+mitigation *normalizes* the field, destroying the channel while leaving
+the flow functional.
 
-Architecturally this booster matters for §3.1's sharing story: its
+This module is a catalog declaration: no entry point deploys it, so it
+carries no runtime program.  It matters for §3.1's sharing story: its
 per-flow connection table is declared with exactly the same semantic
 parameters as the LFA detector's, so the joint analysis installs **one**
 table serving both — the paper's "tables that maintain per-flow state"
@@ -16,73 +17,17 @@ sharing example, with real stage savings.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
-from ..core.booster import Booster, GatedProgram
+from ..core.booster import Booster
 from ..core.dataflow import DataflowGraph
 from ..core.modes import ModeSpec
 from ..core.ppm import PpmRole
 from ..dataplane.resources import ResourceVector
-from ..netsim.packet import Packet, PacketKind
 from .base import flow_table_ppm, logic_ppm, parser_ppm
 
 ATTACK_TYPE = "covert_channel"
 NORMALIZE_MODE = "covert_normalize"
-
-#: TTL every normalized packet leaves with (a common real-world choice).
-CANONICAL_TTL = 60
-
-
-class CovertChannelProgram(GatedProgram):
-    """Per-switch detection (always) + normalization (mode-gated).
-
-    Detection tracks the set of distinct TTLs observed per flow; a flow
-    modulating its TTL across more than ``ttl_variants_threshold``
-    values is flagged as a covert-channel suspect.  While the
-    ``covert_normalize`` mode is on, flagged flows' TTLs are rewritten
-    to a canonical value.
-    """
-
-    def __init__(self, booster_name: str, name: str,
-                 ttl_variants_threshold: int = 4,
-                 table_capacity: int = 4096):
-        super().__init__(booster_name, name,
-                         ResourceVector(stages=1, sram_mb=0.1, alus=2))
-        self.ttl_variants_threshold = ttl_variants_threshold
-        self.table_capacity = table_capacity
-        self._ttls_seen: Dict[object, Set[int]] = {}
-        self.suspects: Set[object] = set()
-        self.packets_normalized = 0
-
-    def process(self, switch, packet: Packet):
-        if packet.kind != PacketKind.DATA:
-            return None
-        key = packet.flow_key
-        # At a fixed switch, every packet of a well-behaved flow shows
-        # the same TTL (initial TTL minus a constant hop count); a
-        # modulating endpoint shows many.
-        seen = self._ttls_seen.setdefault(key, set())
-        if len(seen) <= self.ttl_variants_threshold:
-            seen.add(packet.ttl)
-        if len(seen) > self.ttl_variants_threshold:
-            self.suspects.add(key)
-        if key in self.suspects and self.enabled_on(switch):
-            packet.ttl = CANONICAL_TTL
-            self.packets_normalized += 1
-        return None
-
-    def is_suspect(self, key) -> bool:
-        return key in self.suspects
-
-    def export_state(self) -> Dict:
-        return {"ttls_seen": {k: sorted(v)
-                              for k, v in self._ttls_seen.items()},
-                "suspects": list(self.suspects)}
-
-    def import_state(self, state: Dict) -> None:
-        for key, ttls in state.get("ttls_seen", {}).items():
-            self._ttls_seen[key] = set(ttls)
-        self.suspects.update(state.get("suspects", []))
 
 
 class NetWardenBooster(Booster):
@@ -91,14 +36,8 @@ class NetWardenBooster(Booster):
     name = "netwarden"
     attack_types = (ATTACK_TYPE,)
 
-    def __init__(self, ttl_variants_threshold: int = 4,
-                 table_capacity: int = 4096):
-        self.ttl_variants_threshold = ttl_variants_threshold
-        self.table_capacity = table_capacity
-        self.programs: Dict[str, CovertChannelProgram] = {}
-
     def always_on(self) -> bool:
-        return False  # detection logic observes regardless; rewriting gated
+        return False  # its one mode, covert_normalize, is off by default
 
     def modes(self) -> List[ModeSpec]:
         return [ModeSpec.of(NORMALIZE_MODE, ATTACK_TYPE,
@@ -110,13 +49,13 @@ class NetWardenBooster(Booster):
             self.name, "parser",
             base=("src", "dst", "proto", "sport", "dport", "ttl")))
         # Deliberately identical semantic parameters to the LFA
-        # detector's per-flow table: the analyzer shares one instance.
+        # detector's per-flow table (its default capacity is 4096): the
+        # analyzer shares one instance.
         graph.add_ppm(flow_table_ppm(
-            self.name, "conn_state", capacity=self.table_capacity))
+            self.name, "conn_state", capacity=4096))
         graph.add_ppm(logic_ppm(
             self.name, "channel_detector", PpmRole.DETECTION,
-            ResourceVector(stages=1, sram_mb=0.1, alus=2),
-            factory=self._make_program))
+            ResourceVector(stages=1, sram_mb=0.1, alus=2)))
         graph.add_ppm(logic_ppm(
             self.name, "normalizer", PpmRole.MITIGATION,
             ResourceVector(stages=1, sram_mb=0.02, alus=1)))
@@ -124,11 +63,3 @@ class NetWardenBooster(Booster):
         graph.add_edge("conn_state", "channel_detector", weight=40)
         graph.add_edge("channel_detector", "normalizer", weight=8)
         return graph
-
-    def _make_program(self, switch) -> CovertChannelProgram:
-        program = CovertChannelProgram(
-            self.name, f"{self.name}.channel_detector",
-            ttl_variants_threshold=self.ttl_variants_threshold,
-            table_capacity=self.table_capacity)
-        self.programs[switch.name] = program
-        return program

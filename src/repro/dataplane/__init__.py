@@ -15,7 +15,7 @@ from .flow_table import FlowEntry, FlowTable, TcpState
 from .hashpipe import HashPipe
 from .parser import BASE_FIELDS, HeaderParser
 from .pipeline import (MatchActionTable, MatchKind, PipelineLayoutError,
-                       StageLayout, TableEntry, layout_tables)
+                       StageLayout, layout_tables)
 from .registers import RegisterArray, salt_seed, stable_hash
 from .resources import (DIMENSIONS, EDGE_SWITCH, TOFINO_LIKE,
                         ResourceExhausted, ResourceLedger, ResourceVector)
@@ -28,6 +28,6 @@ __all__ = [
     "MatchActionTable", "MatchKind", "PacketBatch", "PipelineLayoutError",
     "RegisterArray", "ResourceExhausted",
     "ResourceLedger", "ResourceVector", "StageLayout", "TOFINO_LIKE",
-    "TableEntry", "TcpState", "layout_tables",
+    "TcpState", "layout_tables",
     "loss_survival_probability", "salt_seed", "stable_hash",
 ]

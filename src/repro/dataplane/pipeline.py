@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .resources import ResourceVector
 
@@ -25,136 +25,24 @@ class MatchKind(enum.Enum):
     LPM = "lpm"
 
 
-@dataclass
-class TableEntry:
-    """One installed rule: match value -> action name + parameters."""
-
-    match: Any
-    action: str
-    params: Dict[str, Any] = field(default_factory=dict)
-    priority: int = 0
-
-
 class MatchActionTable:
-    """A P4-style table: keys, entries, and a default action.
-
-    Exact tables keep a hash index over their match values, so lookups
-    are O(1) and inserting an already-present match *upserts* the entry
-    in place (hardware exact tables have one slot per key — duplicate
-    entries would make ``lookup`` return the stale first insert while
-    ``delete`` removed both).  Ternary/LPM tables allow overlapping
-    entries by design: ties break on priority (higher wins), then on
-    insertion order (the earlier entry wins), matching hardware
-    first-match-at-highest-priority semantics.
-    """
+    """A P4-style table declaration: its match kind and size decide the
+    SRAM or TCAM it occupies in a stage."""
 
     def __init__(self, name: str, match_kind: MatchKind = MatchKind.EXACT,
-                 max_entries: int = 1024, entry_bytes: int = 16,
-                 default_action: str = "no_op"):
+                 max_entries: int = 1024, entry_bytes: int = 16):
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.name = name
         self.match_kind = match_kind
         self.max_entries = max_entries
         self.entry_bytes = entry_bytes
-        self.default_action = default_action
-        self._entries: List[TableEntry] = []
-        #: Exact-match fast path: match value -> entry.  Disabled (None)
-        #: for ternary/LPM tables and for exact tables holding a match
-        #: value that is callable or unhashable.
-        self._exact_index: Optional[Dict[Any, TableEntry]] = (
-            {} if match_kind == MatchKind.EXACT else None)
 
-    def _index_entry(self, entry: TableEntry) -> Optional[TableEntry]:
-        """Index ``entry``; returns the displaced duplicate, if any.
-        Falls back to scan mode on unindexable match values."""
-        if self._exact_index is None:
-            return None
-        if callable(entry.match):
-            self._exact_index = None
-            return None
-        try:
-            previous = self._exact_index.get(entry.match)
-            self._exact_index[entry.match] = entry
-        except TypeError:  # unhashable match value
-            self._exact_index = None
-            return None
-        return previous
-
-    # ------------------------------------------------------------------
-    def insert(self, match: Any, action: str,
-               params: Optional[Dict[str, Any]] = None,
-               priority: int = 0) -> TableEntry:
-        if self._exact_index is not None and not callable(match):
-            try:
-                existing = self._exact_index.get(match)
-            except TypeError:
-                existing = None
-            if existing is not None:
-                # Upsert: one slot per key in an exact table.
-                existing.action = action
-                existing.params = dict(params or {})
-                existing.priority = priority
-                return existing
-        if len(self._entries) >= self.max_entries:
-            raise OverflowError(
-                f"table {self.name!r} is full ({self.max_entries} entries)")
-        entry = TableEntry(match=match, action=action,
-                           params=dict(params or {}), priority=priority)
-        self._entries.append(entry)
-        self._index_entry(entry)
-        return entry
-
-    def delete(self, match: Any) -> int:
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if e.match != match]
-        removed = before - len(self._entries)
-        if self._exact_index is not None and removed:
-            try:
-                self._exact_index.pop(match, None)
-            except TypeError:
-                pass
-        return removed
-
-    def lookup(self, key: Any) -> Tuple[str, Dict[str, Any]]:
-        """Return (action, params) for the best-matching entry.
-
-        Exact tables compare equality (O(1) via the hash index);
-        ternary/LPM entries may provide a callable match predicate
-        (``match(key) -> bool``); ties break on priority (higher wins),
-        then insertion order (earlier entry wins).
-        """
-        if self._exact_index is not None:
-            try:
-                entry = self._exact_index.get(key)
-            except TypeError:
-                entry = None
-            if entry is None:
-                return self.default_action, {}
-            return entry.action, entry.params
-        best: Optional[TableEntry] = None
-        for entry in self._entries:
-            matched = (entry.match(key) if callable(entry.match)
-                       else entry.match == key)
-            if matched and (best is None or entry.priority > best.priority):
-                best = entry
-        if best is None:
-            return self.default_action, {}
-        return best.action, best.params
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # ------------------------------------------------------------------
     def memory_requirement(self) -> ResourceVector:
         total = self.max_entries * self.entry_bytes
         if self.match_kind == MatchKind.EXACT:
             return ResourceVector(sram_mb=total / 1e6)
         return ResourceVector(tcam_kb=total / 1e3)
-
-    def __repr__(self) -> str:
-        return (f"MatchActionTable({self.name!r}, {self.match_kind.value}, "
-                f"{len(self)}/{self.max_entries})")
 
 
 @dataclass

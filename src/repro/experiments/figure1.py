@@ -19,7 +19,7 @@ from ..boosters.lfa_detector import LfaDetectorBooster
 from ..boosters.netwarden import NetWardenBooster
 from ..boosters.obfuscation import TopologyObfuscationBooster
 from ..boosters.packet_dropper import PacketDropperBooster
-from ..boosters.poise import AccessPolicy, PoiseBooster
+from ..boosters.poise import PoiseBooster
 from ..boosters.rate_limiter import GlobalRateLimiterBooster
 from ..boosters.reroute import CongestionRerouteBooster
 from ..core.analyzer import MergedGraph, ProgramAnalyzer
@@ -43,11 +43,7 @@ def booster_suite() -> List[Booster]:
         HopCountFilterBooster(),
         GlobalRateLimiterBooster(limits={"tenant0": 1e9}),
         NetWardenBooster(),
-        PoiseBooster(policies=[
-            AccessPolicy.require("managed_only", ["victim"],
-                                 device="managed"),
-            AccessPolicy.deny_all("default_deny", ["victim"]),
-        ]),
+        PoiseBooster(),
     ]
 
 
@@ -225,7 +221,3 @@ def format_report() -> str:  # pragma: no cover - CLI helper
                  f"{scale.instances_after}, state seeded: "
                  f"{scale.state_seeded} in {scale.seed_latency_s * 1e3:.1f} ms")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_report())

@@ -223,7 +223,3 @@ def main() -> None:  # pragma: no cover - CLI entry
           f"lfa={sorted(mixed.lfa_region)}",
           f"ddos={sorted(mixed.ddos_region)}",
           f"untouched={len(mixed.untouched)}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,7 +11,7 @@ attacker floods the Figure 2 network's critical links.
   and obfuscation all happen in the data plane at sub-second timescales;
   the attacker never sees a route change to react to.
 
-Run ``python -m repro.experiments.figure3`` to print both time series.
+Run ``python -m repro figure3`` to print both time series.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def _launch_attacker(net: FigureTwoNetwork, fluid: FluidNetwork,
 
 
 def build_world(system: str, config: Optional[Figure3Config] = None,
-                defense_overrides: Optional[dict] = None,
                 launch_attacker: bool = True) -> Figure3World:
     """Build one system's live world, ready to ``advance_world``.
 
@@ -216,8 +215,7 @@ def build_world(system: str, config: Optional[Figure3Config] = None,
                                        period_s=config.te_period_s)
         defense.start()
     elif system == "fastflex":
-        lfa: LfaDefense = build_figure2_defense(
-            net, fluid, **(defense_overrides or {}))
+        lfa: LfaDefense = build_figure2_defense(net, fluid)
         deployment = lfa.setup(flows)
         for flow in flows:
             install_flow_route(net.topo, flow.path)
@@ -340,13 +338,10 @@ def run_baseline(config: Optional[Figure3Config] = None) -> Figure3Result:
     return finish_world(world)
 
 
-def run_fastflex(config: Optional[Figure3Config] = None,
-                 defense_overrides: Optional[dict] = None
-                 ) -> Figure3Result:
+def run_fastflex(config: Optional[Figure3Config] = None) -> Figure3Result:
     """The FastFlex run (multimode data plane, no runtime controller)."""
     config = config if config is not None else Figure3Config()
-    world = build_world("fastflex", config,
-                        defense_overrides=defense_overrides)
+    world = build_world("fastflex", config)
     with phase_timer("figure3_fastflex_run", trace=_TRACE,
                      sim_time=config.duration_s):
         advance_world(world, config.duration_s)
@@ -425,13 +420,3 @@ def format_report(results: Dict[str, Figure3Result],
                      f"worst sample {low:6.1%}, attacker rolls "
                      f"{result.rolls}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    config = Figure3Config()
-    results = run_both(config)
-    print(format_report(results, config))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -43,11 +43,11 @@ def shard_main(argv=None) -> int:
                         help="lockstep window length in seconds: "
                              "boundary pins are re-agreed at every "
                              "window end (default: sample period)")
-    parser.add_argument("--switches", type=int, default=50,
+    parser.add_argument("--switches", type=int, default=None,
                         help="random scenario: switch count")
-    parser.add_argument("--hosts", type=int, default=100,
+    parser.add_argument("--hosts", type=int, default=None,
                         help="random scenario: host count")
-    parser.add_argument("--flows", type=int, default=500,
+    parser.add_argument("--flows", type=int, default=None,
                         help="random scenario: flow count")
     parser.add_argument("--compare", action="store_true",
                         help="also run the single-process engine and "
@@ -76,15 +76,20 @@ def shard_main(argv=None) -> int:
     if args.resume and args.checkpoint is None:
         parser.error("--resume needs --checkpoint DIR")
 
+    sizes = {flag: getattr(args, flag) for flag in
+             ("switches", "hosts", "flows") if getattr(args, flag) is not None}
+    if sizes and args.scenario != "random":
+        # Accepting them would report a figure3 run they never touched.
+        flags = ", ".join(f"--{flag}" for flag in sizes)
+        parser.error(f"{flags}: only apply to --scenario random")
     kwargs = {} if args.duration is None else {"duration_s": args.duration}
     try:
         if args.scenario == "figure3":
             scenario = figure3_scenario(seed=args.seed, **kwargs)
         else:
-            scenario = random_scenario(seed=args.seed,
-                                       n_switches=args.switches,
-                                       n_hosts=args.hosts,
-                                       n_flows=args.flows, **kwargs)
+            scenario = random_scenario(
+                seed=args.seed, **kwargs,
+                **{f"n_{flag}": value for flag, value in sizes.items()})
     except ValueError as exc:  # a scenario parameter out of range
         parser.error(str(exc))
 

@@ -16,7 +16,7 @@ import sys
 from typing import Any, Dict, List
 
 from .. import telemetry
-from .drivers import driver_names
+from .drivers import driver_names, resolve_driver
 from .runner import run_sweep
 from .spec import SweepSpec, parse_seeds
 
@@ -107,6 +107,14 @@ def sweep_main(argv=None) -> int:
         parser.error(str(exc))
     if args.workers < 1:
         parser.error("--workers must be >= 1")
+    # Resolve the driver before --out is created: an unknown name or an
+    # unimportable spec is a usage error, not a sweep of failed tasks.
+    try:
+        resolve_driver(args.experiment)
+    except KeyError as exc:
+        parser.error(exc.args[0])
+    except ImportError as exc:
+        parser.error(f"driver spec {args.experiment!r}: {exc}")
 
     spec = SweepSpec(experiment=args.experiment, seeds=seeds,
                      base_params=base, grid=grid,

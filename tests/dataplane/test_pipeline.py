@@ -7,66 +7,6 @@ from repro.dataplane import (MatchActionTable, MatchKind,
 
 
 class TestTable:
-    def test_exact_lookup(self):
-        table = MatchActionTable("t")
-        table.insert("10.0.0.1", "drop")
-        assert table.lookup("10.0.0.1") == ("drop", {})
-        assert table.lookup("10.0.0.2") == ("no_op", {})
-
-    def test_params_returned(self):
-        table = MatchActionTable("t")
-        table.insert("k", "forward", params={"port": 3})
-        assert table.lookup("k") == ("forward", {"port": 3})
-
-    def test_priority_breaks_ties(self):
-        table = MatchActionTable("t", match_kind=MatchKind.TERNARY)
-        table.insert(lambda k: k.startswith("10."), "low", priority=1)
-        table.insert(lambda k: k.startswith("10.0."), "high", priority=5)
-        assert table.lookup("10.0.0.1")[0] == "high"
-        assert table.lookup("10.1.0.1")[0] == "low"
-
-    def test_capacity_enforced(self):
-        table = MatchActionTable("t", max_entries=1)
-        table.insert("a", "x")
-        with pytest.raises(OverflowError):
-            table.insert("b", "y")
-
-    def test_delete_by_match(self):
-        table = MatchActionTable("t")
-        table.insert("a", "x")
-        table.insert("b", "y")
-        assert table.delete("a") == 1
-        assert len(table) == 1
-        assert table.lookup("a") == ("no_op", {})
-
-    def test_exact_insert_upserts_duplicate_match(self):
-        # Regression: duplicate exact-match inserts used to leave two
-        # entries — lookup returned the stale first one while delete
-        # removed both.  Exact tables have one slot per key: re-insert
-        # updates in place.
-        table = MatchActionTable("t")
-        first = table.insert("a", "x", params={"old": 1})
-        second = table.insert("a", "y", params={"new": 2}, priority=5)
-        assert second is first
-        assert len(table) == 1
-        assert table.lookup("a") == ("y", {"new": 2})
-        assert table.delete("a") == 1
-        assert table.lookup("a") == ("no_op", {})
-
-    def test_exact_upsert_does_not_trip_capacity(self):
-        table = MatchActionTable("t", max_entries=1)
-        table.insert("a", "x")
-        table.insert("a", "y")  # upsert, not a second entry
-        assert table.lookup("a") == ("y", {})
-
-    def test_ternary_duplicates_keep_priority_tie_order(self):
-        # Ternary tables allow overlapping entries; on a priority tie the
-        # earlier insert wins (documented hardware semantics).
-        table = MatchActionTable("t", match_kind=MatchKind.TERNARY)
-        table.insert(lambda k: True, "first", priority=3)
-        table.insert(lambda k: True, "second", priority=3)
-        assert table.lookup("anything")[0] == "first"
-
     def test_memory_kind_depends_on_match(self):
         exact = MatchActionTable("e", MatchKind.EXACT, max_entries=100,
                                  entry_bytes=10)

@@ -190,10 +190,12 @@ class TestSweepCli:
         assert snapshot["fluid_updates_total"]["value"] > 0
 
     def test_sweep_unknown_driver_fails_cleanly(self, tmp_path, capsys):
-        exit_code = main(["sweep", "no_such_driver", "--seeds", "0:1",
-                          "--out", str(tmp_path / "x"), "--quiet"])
-        assert exit_code == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "no_such_driver", "--seeds", "0:1",
+                  "--out", str(tmp_path / "x"), "--quiet"])
+        assert exit_info.value.code == 2
         assert "no sweep driver named" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_sweep_bad_seed_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

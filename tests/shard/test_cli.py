@@ -35,6 +35,12 @@ def usage_error(capsys, argv):
     # Regression: a NaN window never advanced t, so the run hung.
     (["--window", "nan"], "window_s must be positive and finite"),
     (["--window", "inf"], "window_s must be positive and finite"),
+    # Regression: these were silently ignored outside the random scenario.
+    (["--switches", "10"], "--switches: only apply to --scenario random"),
+    (["--switches", "10", "--hosts", "4", "--flows", "5"],
+     "--switches, --hosts, --flows: only apply to --scenario random"),
+    (["--scenario", "figure3", "--flows", "5"],
+     "--flows: only apply to --scenario random"),
 ])
 def test_bad_flag_is_a_usage_error_not_a_traceback(capsys, flags, message):
     # A later --duration overrides SHORT's.

@@ -82,3 +82,23 @@ class TestSummaryContract:
         code, summary = run_cli(tmp_path)
         assert code == 0
         assert summary["wall_clock_metrics"] == list(WALL_CLOCK_METRICS)
+
+
+class TestDriverCheckedFirst:
+    @pytest.mark.parametrize("experiment, message", [
+        ("nosuch", "no sweep driver named 'nosuch'"),
+        ("nomod_for_sweep_cli:fn", "No module named 'nomod_for_sweep_cli'"),
+    ])
+    def test_unknown_driver_is_a_usage_error_before_out(
+            self, tmp_path, capsys, experiment, message):
+        # Regression: the sweep created --out, wrote a summary of zero
+        # tasks and exited 1 with a FAILED line per task.
+        out = tmp_path / "D"
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main([experiment, "--seeds", "0:1", "--out", str(out),
+                        "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("error:") == 1
+        assert not out.exists()
