@@ -10,11 +10,11 @@ ablation runs this attacker with and without the guard.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..netsim.flows import make_flow
 from ..netsim.fluid import FluidNetwork
-from ..netsim.routing import Path, shortest_path
+from ..netsim.routing import shortest_path
 from ..netsim.topology import Topology
 from .base import Attacker
 
@@ -26,8 +26,7 @@ class PulsingAttacker(Attacker):
                  bots: List[str], decoys: List[str],
                  on_duration_s: float = 1.0, off_duration_s: float = 1.0,
                  connections_per_bot: int = 200,
-                 per_connection_bps: float = 10e6,
-                 path: Optional[Path] = None):
+                 per_connection_bps: float = 10e6):
         super().__init__(topo, fluid)
         if on_duration_s <= 0 or off_duration_s <= 0:
             raise ValueError("pulse durations must be positive")
@@ -37,7 +36,6 @@ class PulsingAttacker(Attacker):
         self.off_duration_s = off_duration_s
         self.connections_per_bot = connections_per_bot
         self.per_connection_bps = per_connection_bps
-        self.forced_path = path
         self.pulses = 0
         self._burst_demand = connections_per_bot * per_connection_bps
 
@@ -49,10 +47,7 @@ class PulsingAttacker(Attacker):
                 bot, decoy, demand_bps=0.0,
                 weight=float(self.connections_per_bot),
                 sport=2048 + index, start_time=self.sim.now)
-            path = (self.forced_path
-                    if self.forced_path is not None
-                    else shortest_path(self.topo, bot, decoy))
-            flow.set_path(path)
+            flow.set_path(shortest_path(self.topo, bot, decoy))
             self.register_flow(flow)
         self.sim.schedule(delay_s, self._burst_on)
 

@@ -35,6 +35,11 @@ _C_RECONFIGS = _MET.counter(
 _C_RECONFIG_STEADY = _C_RECONFIGS.labels("steady")
 _C_RECONFIG_CONGESTED = _C_RECONFIGS.labels("congested")
 
+#: Candidate paths per flow in each TE pass.
+K_PATHS = 4
+#: A link at or above this utilization makes the pass a congested one.
+CONGESTION_THRESHOLD = 0.9
+
 
 @dataclass
 class ReconfigRecord:
@@ -51,8 +56,7 @@ class SdnTeDefense:
     """The periodic centralized controller."""
 
     def __init__(self, topo: Topology, fluid: FluidNetwork,
-                 period_s: float = 30.0, k_paths: int = 4,
-                 congestion_threshold: float = 0.9,
+                 period_s: float = 30.0,
                  deploy_latency_s: float = 0.5):
         if period_s <= 0:
             raise ValueError("TE period must be positive")
@@ -60,8 +64,6 @@ class SdnTeDefense:
         self.fluid = fluid
         self.sim = topo.sim
         self.period_s = period_s
-        self.k_paths = k_paths
-        self.congestion_threshold = congestion_threshold
         #: Time between computing a configuration and it taking effect
         #: (rule installation across the network).
         self.deploy_latency_s = deploy_latency_s
@@ -87,7 +89,7 @@ class SdnTeDefense:
         now = self.sim.now
         flows = [f for f in self.fluid.flows.active(now)]
         congested = [key for key, link in self.topo.links.items()
-                     if link.utilization >= self.congestion_threshold]
+                     if link.utilization >= CONGESTION_THRESHOLD]
         max_util_before = max((link.utilization
                                for link in self.topo.links.values()),
                               default=0.0)
@@ -100,10 +102,10 @@ class SdnTeDefense:
             if congested:
                 _C_RECONFIG_CONGESTED.inc()
                 te = rebalance_excluding_links(self.topo, flows, congested,
-                                               k=self.k_paths, assign=False)
+                                               k=K_PATHS, assign=False)
             else:
                 _C_RECONFIG_STEADY.inc()
-                te = greedy_min_max_te(self.topo, flows, k=self.k_paths,
+                te = greedy_min_max_te(self.topo, flows, k=K_PATHS,
                                        assign=False)
 
         record = ReconfigRecord(

@@ -26,14 +26,18 @@ from .base import hashpipe_ppm, logic_ppm, parser_ppm
 ATTACK_TYPE = "ddos"
 FILTER_MODE = "ddos_filter"
 
+#: The deployed HashPipe's geometry.
+STAGES = 4
+SLOTS_PER_STAGE = 64
+
 
 class HeavyHitterProgram(GatedProgram):
     """Per-switch HashPipe counting bytes per source."""
 
     supports_batch = True
 
-    def __init__(self, booster_name: str, name: str, stages: int = 4,
-                 slots_per_stage: int = 64):
+    def __init__(self, booster_name: str, name: str, stages: int = STAGES,
+                 slots_per_stage: int = SLOTS_PER_STAGE):
         pipe = HashPipe(f"{name}.pipe", stages=stages,
                         slots_per_stage=slots_per_stage)
         super().__init__(booster_name, name, pipe.resource_requirement())
@@ -152,12 +156,9 @@ class HeavyHitterBooster(Booster):
     name = "heavy_hitter"
     attack_types = (ATTACK_TYPE,)
 
-    def __init__(self, stages: int = 4, slots_per_stage: int = 64,
-                 byte_threshold: int = 1_000_000,
+    def __init__(self, byte_threshold: int = 1_000_000,
                  check_period_s: Optional[float] = None,
                  clear_after_s: float = 5.0):
-        self.stages = stages
-        self.slots_per_stage = slots_per_stage
         self.byte_threshold = byte_threshold
         #: When set, a periodic detect->mode->flag loop runs on every
         #: detector switch after deployment (the self-driving defense);
@@ -185,8 +186,8 @@ class HeavyHitterBooster(Booster):
         graph.add_ppm(parser_ppm(
             self.name, "parser", base=("src", "dst", "size_bytes")))
         graph.add_ppm(hashpipe_ppm(
-            self.name, "counter", stages=self.stages,
-            slots_per_stage=self.slots_per_stage,
+            self.name, "counter", stages=STAGES,
+            slots_per_stage=SLOTS_PER_STAGE,
             factory=self._make_detector))
         graph.add_ppm(logic_ppm(
             self.name, "filter", PpmRole.MITIGATION,
@@ -197,9 +198,7 @@ class HeavyHitterBooster(Booster):
         return graph
 
     def _make_detector(self, switch: ProgrammableSwitch) -> HeavyHitterProgram:
-        program = HeavyHitterProgram(self.name, f"{self.name}.counter",
-                                     stages=self.stages,
-                                     slots_per_stage=self.slots_per_stage)
+        program = HeavyHitterProgram(self.name, f"{self.name}.counter")
         self.detectors[switch.name] = program
         return program
 

@@ -55,7 +55,6 @@ def build_lfa_defense(topo: Topology, fluid: FluidNetwork,
                       reroute: Optional[CongestionRerouteBooster] = None,
                       dropper: Optional[PacketDropperBooster] = None,
                       obfuscation: Optional[TopologyObfuscationBooster] = None,
-                      pervasive_detection: bool = True,
                       te_candidates: int = 4,
                       stability_guard_factory=None) -> LfaDefense:
     """Assemble the four-booster LFA defense on ``topo``.
@@ -86,7 +85,6 @@ def build_lfa_defense(topo: Topology, fluid: FluidNetwork,
 
     controller = FastFlexController(
         topo, [detector, reroute, dropper, obfuscation],
-        pervasive_detection=pervasive_detection,
         te_candidates=te_candidates,
         stability_guard_factory=stability_guard_factory)
     return LfaDefense(detector=detector, reroute=reroute, dropper=dropper,

@@ -40,6 +40,20 @@ from .base import flow_table_ppm, logic_ppm, parser_ppm
 ATTACK_TYPE = "lfa"
 MITIGATION_MODE = "lfa_mitigate"
 
+# Detection thresholds.  Signal (a): an adjacent link at or above
+# HIGH_UTIL for SUSTAIN_S, checked every CHECK_PERIOD_S.  Signal (b): a
+# crossing flow of at least MIN_CONNECTIONS connections, each below
+# LOW_CONN_RATE_BPS.  The all-clear fires once suspicious demand stays
+# under CLEAR_FRACTION of the rate at detection.
+HIGH_UTIL = 0.9
+SUSTAIN_S = 0.1
+CHECK_PERIOD_S = 0.02
+LOW_CONN_RATE_BPS = 20e6
+MIN_CONNECTIONS = 8.0
+CLEAR_FRACTION = 0.1
+#: Entries of the per-flow TCP table (shared with NetWarden's).
+TABLE_CAPACITY = 4096
+
 _MET = metrics()
 _TRACE = trace()
 _C_DETECTIONS = _MET.counter(
@@ -70,7 +84,8 @@ class LfaDetectorProgram(GatedProgram):
 
     supports_batch = True
 
-    def __init__(self, booster_name: str, name: str, capacity: int = 4096):
+    def __init__(self, booster_name: str, name: str,
+                 capacity: int = TABLE_CAPACITY):
         table = FlowTable(f"{name}.table", capacity=capacity)
         super().__init__(booster_name, name, table.resource_requirement())
         self.table = table
@@ -132,30 +147,17 @@ class LfaDetectorBooster(Booster):
     attack_types = (ATTACK_TYPE,)
 
     def __init__(self, fluid: Optional[FluidNetwork] = None,
-                 high_util: float = 0.9, sustain_s: float = 0.1,
-                 check_period_s: float = 0.02,
-                 low_conn_rate_bps: float = 20e6,
-                 min_connections: float = 8.0,
                  persist_s: float = 0.3,
-                 clear_fraction: float = 0.1,
                  clear_sustain_s: float = 1.0,
                  scope: int = NETWORK_WIDE_SCOPE,
                  false_positive_rate: float = 0.0,
-                 false_negative_rate: float = 0.0,
-                 table_capacity: int = 4096):
+                 false_negative_rate: float = 0.0):
         self.fluid = fluid
-        self.high_util = high_util
-        self.sustain_s = sustain_s
-        self.check_period_s = check_period_s
-        self.low_conn_rate_bps = low_conn_rate_bps
-        self.min_connections = min_connections
         self.persist_s = persist_s
-        self.clear_fraction = clear_fraction
         self.clear_sustain_s = clear_sustain_s
         self.scope = scope
         self.false_positive_rate = false_positive_rate
         self.false_negative_rate = false_negative_rate
-        self.table_capacity = table_capacity
         self.detections: List[Detection] = []
         #: Set once this booster has an active mitigation it initiated:
         #: (initiating switch, attack rate at detection time).
@@ -184,7 +186,7 @@ class LfaDetectorBooster(Booster):
             base=("src", "dst", "proto", "sport", "dport", "size_bytes",
                   "tcp_flags")))
         graph.add_ppm(flow_table_ppm(
-            self.name, "flow_state", capacity=self.table_capacity,
+            self.name, "flow_state", capacity=TABLE_CAPACITY,
             factory=self._make_program))
         graph.add_ppm(logic_ppm(
             self.name, "link_monitor", PpmRole.DETECTION,
@@ -199,7 +201,7 @@ class LfaDetectorBooster(Booster):
 
     def _make_program(self, switch: ProgrammableSwitch) -> LfaDetectorProgram:
         return LfaDetectorProgram(self.name, f"{self.name}.flow_state",
-                                  capacity=self.table_capacity)
+                                  capacity=TABLE_CAPACITY)
 
     # ------------------------------------------------------------------
     # Runtime face
@@ -213,8 +215,8 @@ class LfaDetectorBooster(Booster):
         node = deployment.merged.merged_name(f"{self.name}.flow_state")
         detector_switches = deployment.switches_hosting(node)
         for switch_name in detector_switches:
-            sim.every(self.check_period_s, self._check, deployment,
-                      switch_name, start=self.check_period_s)
+            sim.every(CHECK_PERIOD_S, self._check, deployment,
+                      switch_name, start=CHECK_PERIOD_S)
 
     # The per-switch periodic detection check.
     def _check(self, deployment, switch_name: str) -> None:
@@ -236,11 +238,11 @@ class LfaDetectorBooster(Booster):
                 continue
             link_key = (switch_name, neighbor)
             util = topo.link(*link_key).utilization
-            if util < self.high_util:
+            if util < HIGH_UTIL:
                 self._hot_since.pop(link_key, None)
                 continue
             first = self._hot_since.setdefault(link_key, sim.now)
-            if sim.now - first < self.sustain_s:
+            if sim.now - first < SUSTAIN_S:
                 continue
             # Signal (a) confirmed; run signal (b) on the crossing flows.
             suspicious = self._classify(fluid, link_key, sim)
@@ -279,8 +281,8 @@ class LfaDetectorBooster(Booster):
             # A Crossfire source-destination pair: *many* individually
             # legitimate connections, each low-rate and long-lived (the
             # per-flow TCP table exposes the connection count and rates).
-            is_suspect = (per_conn < self.low_conn_rate_bps
-                          and flow.weight >= self.min_connections
+            is_suspect = (per_conn < LOW_CONN_RATE_BPS
+                          and flow.weight >= MIN_CONNECTIONS
                           and age >= self.persist_s)
             # Imperfect detectors (the paper: "high false positive/
             # negative rates on such traffic patterns").
@@ -292,7 +294,7 @@ class LfaDetectorBooster(Booster):
                 flow.suspicious = True
                 flow.suspicion_score = max(
                     flow.suspicion_score,
-                    min(1.0, 1.0 - per_conn / self.low_conn_rate_bps))
+                    min(1.0, 1.0 - per_conn / LOW_CONN_RATE_BPS))
                 suspicious.append(flow)
         return suspicious
 
@@ -310,7 +312,7 @@ class LfaDetectorBooster(Booster):
         current = sum(
             f.demand_bps for f in self.fluid.flows
             if f.suspicious and f.active(sim.now))
-        threshold = self.clear_fraction * max(attack_rate_at_detection, 1.0)
+        threshold = CLEAR_FRACTION * max(attack_rate_at_detection, 1.0)
         if current > threshold:
             self._calm_since = None
             return

@@ -25,6 +25,7 @@ from ..core.modes import ModeSpec
 from ..core.ppm import PpmRole
 from ..dataplane.resources import ResourceVector
 from .base import flow_table_ppm, logic_ppm, parser_ppm
+from .lfa_detector import TABLE_CAPACITY
 
 ATTACK_TYPE = "covert_channel"
 NORMALIZE_MODE = "covert_normalize"
@@ -49,10 +50,9 @@ class NetWardenBooster(Booster):
             self.name, "parser",
             base=("src", "dst", "proto", "sport", "dport", "ttl")))
         # Deliberately identical semantic parameters to the LFA
-        # detector's per-flow table (its default capacity is 4096): the
-        # analyzer shares one instance.
+        # detector's per-flow table: the analyzer shares one instance.
         graph.add_ppm(flow_table_ppm(
-            self.name, "conn_state", capacity=4096))
+            self.name, "conn_state", capacity=TABLE_CAPACITY))
         graph.add_ppm(logic_ppm(
             self.name, "channel_detector", PpmRole.DETECTION,
             ResourceVector(stages=1, sram_mb=0.1, alus=2)))

@@ -29,6 +29,9 @@ from ..netsim.switch import Consume, ProgrammableSwitch, ProgramResult
 from .base import logic_ppm, parser_ppm
 from .lfa_detector import ATTACK_TYPE
 
+#: The suspicious-source set is re-read from the flows this often.
+REFRESH_PERIOD_S = 0.05
+
 
 class ObfuscationProgram(GatedProgram):
     """Per-switch traceroute interceptor."""
@@ -88,13 +91,11 @@ class TopologyObfuscationBooster(Booster):
     attack_types = (ATTACK_TYPE,)
 
     def __init__(self, fluid: Optional[FluidNetwork] = None,
-                 obfuscate_all_sources: bool = False,
-                 refresh_period_s: float = 0.05):
+                 obfuscate_all_sources: bool = False):
         self.fluid = fluid
         #: When True every source gets obfuscated replies (pure NetHide);
         #: FastFlex's step (4) applies it only to suspicious flows.
         self.obfuscate_all_sources = obfuscate_all_sources
-        self.refresh_period_s = refresh_period_s
         self.programs: Dict[str, ObfuscationProgram] = {}
         self.suspicious_sources: Set[str] = set()
         self._claimed_cache: Dict[tuple, Optional[Path]] = {}
@@ -123,8 +124,8 @@ class TopologyObfuscationBooster(Booster):
         self._topo = deployment.topo
         if self.fluid is not None:
             deployment.topo.sim.every(
-                self.refresh_period_s, self._refresh_suspicious,
-                start=self.refresh_period_s)
+                REFRESH_PERIOD_S, self._refresh_suspicious,
+                start=REFRESH_PERIOD_S)
 
     def _refresh_suspicious(self) -> None:
         """Track which sources currently have suspicious flows."""

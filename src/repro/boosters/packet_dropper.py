@@ -38,14 +38,20 @@ _C_PACKETS_DROPPED = _MET.counter(
     "booster_packets_dropped_total",
     "packets dropped by the blocklist on the packet path")
 
+#: The blocklist bloom filter's size and hash count.
+BLOOM_BITS = 8192
+N_HASHES = 4
+#: The fluid-level policer re-scans suspicious flows this often.
+CHECK_PERIOD_S = 0.05
+
 
 class PacketDropperProgram(GatedProgram):
     """Per-switch blocklist: drops DATA packets of blocklisted flows."""
 
     def __init__(self, booster_name: str, name: str,
-                 size_bits: int = 8192, n_hashes: int = 4):
+                 size_bits: int = BLOOM_BITS):
         blocklist = BloomFilter(f"{name}.blocklist", size_bits=size_bits,
-                                n_hashes=n_hashes)
+                                n_hashes=N_HASHES)
         super().__init__(booster_name, name,
                          blocklist.resource_requirement())
         self.blocklist = blocklist
@@ -135,16 +141,12 @@ class PacketDropperBooster(Booster):
 
     def __init__(self, fluid: Optional[FluidNetwork] = None,
                  drop_score_threshold: float = 0.5,
-                 keep_fraction: float = 0.1,
-                 check_period_s: float = 0.05,
-                 bloom_bits: int = 8192):
+                 keep_fraction: float = 0.1):
         if not 0 <= keep_fraction <= 1:
             raise ValueError("keep_fraction must be in [0, 1]")
         self.fluid = fluid
         self.drop_score_threshold = drop_score_threshold
         self.keep_fraction = keep_fraction
-        self.check_period_s = check_period_s
-        self.bloom_bits = bloom_bits
         self.programs: Dict[str, PacketDropperProgram] = {}
         self.flows_policed = 0
         self._policed: Dict[int, object] = {}
@@ -156,7 +158,7 @@ class PacketDropperBooster(Booster):
             self.name, "parser",
             base=("src", "dst", "proto", "sport", "dport")))
         graph.add_ppm(bloom_ppm(
-            self.name, "blocklist", size_bits=self.bloom_bits,
+            self.name, "blocklist", size_bits=BLOOM_BITS,
             factory=self._make_program))
         graph.add_ppm(logic_ppm(
             self.name, "policer", PpmRole.MITIGATION,
@@ -166,8 +168,7 @@ class PacketDropperBooster(Booster):
         return graph
 
     def _make_program(self, switch: ProgrammableSwitch) -> PacketDropperProgram:
-        program = PacketDropperProgram(self.name, f"{self.name}.blocklist",
-                                       size_bits=self.bloom_bits)
+        program = PacketDropperProgram(self.name, f"{self.name}.blocklist")
         self.programs[switch.name] = program
         return program
 
@@ -175,8 +176,8 @@ class PacketDropperBooster(Booster):
     def on_deployed(self, deployment) -> None:
         if self.fluid is None:
             return
-        deployment.topo.sim.every(self.check_period_s, self._police,
-                                  deployment, start=self.check_period_s)
+        deployment.topo.sim.every(CHECK_PERIOD_S, self._police,
+                                  deployment, start=CHECK_PERIOD_S)
 
     def _active(self, deployment) -> bool:
         return bool(deployment.bus.switches_in_mode(ATTACK_TYPE,

@@ -112,17 +112,15 @@ class GlobalRateLimiterBooster(Booster):
     attack_types = (ATTACK_TYPE,)
 
     def __init__(self, limits: Optional[Dict[Hashable, float]] = None,
-                 window_s: float = 1.0, sync_period_s: float = 0.1,
-                 always_enforce: bool = True):
+                 window_s: float = 1.0, sync_period_s: float = 0.1):
         self.limits = dict(limits or {})
         self.window_s = window_s
         self.sync_period_s = sync_period_s
-        self._always_enforce = always_enforce
         self.programs: Dict[str, RateLimiterProgram] = {}
         self.sync_agents: Dict[str, DetectorSyncAgent] = {}
 
     def always_on(self) -> bool:
-        return self._always_enforce
+        return True
 
     def modes(self) -> List[ModeSpec]:
         return [ModeSpec.of(LIMIT_MODE, ATTACK_TYPE,

@@ -40,6 +40,23 @@ _C_PATHS_RESTORED = _MET.counter(
     "booster_paths_restored_total",
     "steered flows returned to their original TE paths")
 
+#: Gateways originate probes, and the steering loop runs, this often.
+PROBE_PERIOD_S = 0.05
+REROUTE_PERIOD_S = 0.05
+#: How many switch hops a probe is re-flooded.
+PROBE_SCOPE = 8
+#: A learned next hop expires this long after its last refresh.
+ENTRY_TTL_S = 0.5
+#: A probe from a non-best neighbor replaces the entry only when it is
+#: better by this much utilization.
+HYSTERESIS = 0.02
+#: A steered flow only moves again if its current path's worst
+#: utilization reaches ``RE_STEER_THRESHOLD`` and the candidate beats it
+#: by ``IMPROVEMENT_MARGIN`` — Hula-style stickiness that prevents the
+#: herd from oscillating between two equally attractive detours.
+RE_STEER_THRESHOLD = 0.95
+IMPROVEMENT_MARGIN = 0.15
+
 
 @dataclass
 class BestPathEntry:
@@ -54,12 +71,9 @@ class BestPathEntry:
 class HulaProbeProgram(GatedProgram):
     """Per-switch probe engine: consumes probes, keeps best next hops."""
 
-    def __init__(self, booster_name: str, name: str,
-                 entry_ttl_s: float = 0.5, hysteresis: float = 0.02):
+    def __init__(self, booster_name: str, name: str):
         super().__init__(booster_name, name,
                          ResourceVector(stages=2, sram_mb=0.1, alus=4))
-        self.entry_ttl_s = entry_ttl_s
-        self.hysteresis = hysteresis
         self.best: Dict[str, BestPathEntry] = {}
         self.probes_processed = 0
 
@@ -89,9 +103,9 @@ class HulaProbeProgram(GatedProgram):
         entry = self.best.get(origin)
         should_update = (
             entry is None
-            or now - entry.updated_at > self.entry_ttl_s
+            or now - entry.updated_at > ENTRY_TTL_S
             or entry.next_hop == sender  # refresh from current best path
-            or candidate < entry.utilization - self.hysteresis)
+            or candidate < entry.utilization - HYSTERESIS)
         if should_update:
             self.best[origin] = BestPathEntry(
                 utilization=candidate, next_hop=sender,
@@ -123,7 +137,7 @@ class HulaProbeProgram(GatedProgram):
     def next_hop_toward(self, origin: str,
                         now: float) -> Optional[BestPathEntry]:
         entry = self.best.get(origin)
-        if entry is None or now - entry.updated_at > self.entry_ttl_s:
+        if entry is None or now - entry.updated_at > ENTRY_TTL_S:
             return None
         return entry
 
@@ -145,29 +159,12 @@ class CongestionRerouteBooster(Booster):
 
     def __init__(self, fluid: Optional[FluidNetwork] = None,
                  protected_gateways: Optional[List[str]] = None,
-                 probe_period_s: float = 0.05,
-                 probe_scope: int = 8,
-                 reroute_period_s: float = 0.05,
-                 entry_ttl_s: float = 0.5,
-                 pin_normal: bool = True,
-                 improvement_margin: float = 0.15,
-                 re_steer_threshold: float = 0.95):
+                 pin_normal: bool = True):
         self.fluid = fluid
         #: Switches that originate probes — the gateways of protected
         #: destination prefixes (e.g. ``sR`` in the Figure 2 network).
         self.protected_gateways = list(protected_gateways or [])
-        self.probe_period_s = probe_period_s
-        self.probe_scope = probe_scope
-        self.reroute_period_s = reroute_period_s
-        self.entry_ttl_s = entry_ttl_s
         self.pin_normal = pin_normal
-        #: A steered flow only moves again if its current path's worst
-        #: utilization reaches ``re_steer_threshold`` and the candidate
-        #: beats it by ``improvement_margin`` — Hula-style stickiness
-        #: that prevents the herd from oscillating between two equally
-        #: attractive detours.
-        self.improvement_margin = improvement_margin
-        self.re_steer_threshold = re_steer_threshold
         self.programs: Dict[str, HulaProbeProgram] = {}
         self.reroutes_applied = 0
         self._original_paths: Dict[int, Path] = {}
@@ -192,8 +189,7 @@ class CongestionRerouteBooster(Booster):
         return graph
 
     def _make_program(self, switch: ProgrammableSwitch) -> HulaProbeProgram:
-        program = HulaProbeProgram(self.name, f"{self.name}.probe_engine",
-                                   entry_ttl_s=self.entry_ttl_s)
+        program = HulaProbeProgram(self.name, f"{self.name}.probe_engine")
         self.programs[switch.name] = program
         return program
 
@@ -202,11 +198,11 @@ class CongestionRerouteBooster(Booster):
         self._deployment = deployment
         sim = deployment.topo.sim
         for gateway in self.protected_gateways:
-            sim.every(self.probe_period_s, self._originate_probes,
-                      deployment, gateway, start=self.probe_period_s)
+            sim.every(PROBE_PERIOD_S, self._originate_probes,
+                      deployment, gateway, start=PROBE_PERIOD_S)
         if self.fluid is not None:
-            sim.every(self.reroute_period_s, self._steer_flows, deployment,
-                      start=self.reroute_period_s)
+            sim.every(REROUTE_PERIOD_S, self._steer_flows, deployment,
+                      start=REROUTE_PERIOD_S)
 
     def _active(self, deployment) -> bool:
         in_mode = deployment.bus.switches_in_mode(ATTACK_TYPE,
@@ -228,7 +224,7 @@ class CongestionRerouteBooster(Booster):
                 kind=PacketKind.PROBE, proto=Protocol.UDP,
                 headers={"origin": gateway, "sender": gateway,
                          "max_util": 0.0, "path": [gateway],
-                         "scope": self.probe_scope})
+                         "scope": PROBE_SCOPE})
             probe.created_at = switch.sim.now
             link.send(probe)
 
@@ -269,11 +265,11 @@ class CongestionRerouteBooster(Booster):
             # equally attractive detours.
             current_util = max(topo.link(a, b).utilization
                                for a, b in flow.path.link_keys)
-            if current_util < self.re_steer_threshold:
+            if current_util < RE_STEER_THRESHOLD:
                 return
             candidate_util = max(topo.link(a, b).utilization
                                  for a, b in zip(nodes, nodes[1:]))
-            if candidate_util > current_util - self.improvement_margin:
+            if candidate_util > current_util - IMPROVEMENT_MARGIN:
                 return
         if not already_steered and flow.path is not None:
             self._original_paths[flow.flow_id] = flow.path

@@ -63,10 +63,6 @@ class MergedGraph:
                 f"no merged node for {original!r}; known: "
                 f"{sorted(self.mapping)[:10]}...") from None
 
-    def members_of(self, merged_node: str) -> List[str]:
-        return sorted(orig for orig, node in self.mapping.items()
-                      if node == merged_node)
-
 
 class ProgramAnalyzer:
     """Runs the joint analysis of Figure 1 steps (a) -> (b)."""

@@ -27,6 +27,7 @@ from .scheduler import Placement, Scheduler
 from .stability import StabilityGuard
 from .state_transfer import StateTransferService
 from .te import TeResult, greedy_min_max_te
+from .verify import verify_catalog
 
 
 def _default_stability_guard(_switch) -> StabilityGuard:
@@ -80,8 +81,7 @@ class FastFlexController:
     def __init__(self, topo: Topology, boosters: List[Booster],
                  pervasive_detection: bool = True,
                  te_candidates: int = 4,
-                 stability_guard_factory=None,
-                 reconfig_seconds: float = 2.0):
+                 stability_guard_factory=None):
         self.topo = topo
         self.registry = BoosterRegistry()
         for booster in boosters:
@@ -102,7 +102,6 @@ class FastFlexController:
             stability_guard_factory
             if stability_guard_factory is not None
             else _default_stability_guard)
-        self.reconfig_seconds = reconfig_seconds
 
     # ------------------------------------------------------------------
     # The Figure 1 pipeline
@@ -124,20 +123,17 @@ class FastFlexController:
 
     # ------------------------------------------------------------------
     def setup(self, flows: FlowSet,
-              install_routes: bool = True,
-              verify: bool = True) -> Deployment:
+              install_routes: bool = True) -> Deployment:
         """Run the full pipeline and install everything.
 
-        With ``verify=True`` (default) the §6 booster verifier runs
-        first and deployment is refused on any error-severity finding.
+        The §6 booster verifier runs first, and deployment is refused on
+        any error-severity finding.
         """
-        if verify:
-            from .verify import verify_catalog
-            report = verify_catalog(
-                self.registry.all(),
-                n_switches=max(len(self.topo.switch_names), 1))
-            if not report.ok:
-                raise BoosterVerificationError(str(report))
+        report = verify_catalog(
+            self.registry.all(),
+            n_switches=max(len(self.topo.switch_names), 1))
+        if not report.ok:
+            raise BoosterVerificationError(str(report))
         if install_routes:
             install_host_routes(self.topo)
             install_switch_routes(self.topo)
@@ -153,8 +149,7 @@ class FastFlexController:
 
         state_service = StateTransferService(self.topo)
         state_service.install_agents()
-        scaling = ScalingManager(self.topo, state_service,
-                                 reconfig_seconds=self.reconfig_seconds)
+        scaling = ScalingManager(self.topo, state_service)
 
         self._install_placement(placement)
 

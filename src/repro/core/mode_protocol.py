@@ -47,6 +47,9 @@ AGENT_REQUIREMENT = ResourceVector(stages=1, sram_mb=0.05, tcam_kb=0, alus=2)
 #: Default hop budget — effectively network-wide for our topologies.
 NETWORK_WIDE_SCOPE = 32
 
+#: How many re-advertisement rounds a return to the default mode gets.
+DEFAULT_REFRESH_ROUNDS = 5
+
 
 class ModeChangeAgent(SwitchProgram):
     """The per-switch protocol endpoint.
@@ -70,13 +73,11 @@ class ModeChangeAgent(SwitchProgram):
                  bus: Optional[ModeEventBus] = None,
                  guard: Optional[StabilityGuard] = None,
                  readvertise_s: float = 0.5,
-                 default_refresh_rounds: int = 5,
                  name: str = "fastflex.mode_agent"):
         super().__init__(name, AGENT_REQUIREMENT)
         if readvertise_s <= 0:
             raise ValueError("readvertise_s must be positive")
         self.readvertise_s = readvertise_s
-        self.default_refresh_rounds = default_refresh_rounds
         self.registry = registry
         self.mode_table = ModeTable(registry)
         self.bus = bus
@@ -187,7 +188,7 @@ class ModeChangeAgent(SwitchProgram):
             self.guard.record_change(attack_type, mode, now)
         self._forwarded[attack_type] = (epoch, 0)
         rounds = (-1 if mode != DEFAULT_MODE
-                  else self.default_refresh_rounds)
+                  else DEFAULT_REFRESH_ROUNDS)
         self._owned[attack_type] = [mode, epoch, 0, scope, rounds]
         self._ensure_refresh_loop()
         self._flood(self.switch, attack_type, mode, epoch, scope - 1,

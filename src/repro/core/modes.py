@@ -69,11 +69,6 @@ class ModeRegistry:
     def attack_types(self) -> List[str]:
         return sorted({attack for (attack, _) in self._modes})
 
-    def modes_for(self, attack_type: str) -> List[ModeSpec]:
-        return sorted((spec for (attack, _), spec in self._modes.items()
-                       if attack == attack_type),
-                      key=lambda s: (s.priority, s.name))
-
 
 #: Listener signature: (attack_type, old_mode, new_mode, epoch).
 ModeListener = Callable[[str, str, str, int], None]
@@ -180,15 +175,9 @@ class ModeEventBus:
 
     def __init__(self) -> None:
         self.events: List[ModeChangeEvent] = []
-        self._listeners: List[Callable[[ModeChangeEvent], None]] = []
-
-    def subscribe(self, listener: Callable[[ModeChangeEvent], None]) -> None:
-        self._listeners.append(listener)
 
     def publish(self, event: ModeChangeEvent) -> None:
         self.events.append(event)
-        for listener in self._listeners:
-            listener(event)
 
     def switches_in_mode(self, attack_type: str, mode: str) -> Set[str]:
         """Switches whose *latest* event for the attack type is ``mode``."""

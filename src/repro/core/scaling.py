@@ -39,6 +39,10 @@ _H_DOWNTIME = _MET.histogram(
     "announced reconfiguration downtime per repurposing (0 for hitless)",
     buckets=DEFAULT_BUCKETS)
 
+#: Delay between the neighbor notification and going down, giving the
+#: notices time to arrive so fast reroute is armed.
+NOTIFY_GRACE_S = 0.01
+
 
 @dataclass
 class RepurposeRecord:
@@ -59,19 +63,15 @@ class ScalingManager:
     """Orchestrates runtime repurposing and booster scale-out."""
 
     def __init__(self, topo: Topology, state_service: StateTransferService,
-                 reconfig_seconds: float = 2.0,
-                 notify_grace_s: float = 0.01):
-        if reconfig_seconds < 0 or notify_grace_s < 0:
-            raise ValueError("durations must be non-negative")
+                 reconfig_seconds: float = 2.0):
+        if reconfig_seconds < 0:
+            raise ValueError("reconfig_seconds must be non-negative")
         self.topo = topo
         self.sim = topo.sim
         self.state_service = state_service
         #: Tofino-style program reinstallation latency ("several seconds",
         #: footnote 1); the repurposing ablation sweeps this.
         self.reconfig_seconds = reconfig_seconds
-        #: Delay between the neighbor notification and going down, giving
-        #: the notices time to arrive so fast reroute is armed.
-        self.notify_grace_s = notify_grace_s
         self.records: List[RepurposeRecord] = []
 
     # ------------------------------------------------------------------
@@ -107,7 +107,7 @@ class ScalingManager:
                         removed=record.removed)
 
         switch.notify_neighbors_of_reconfig()
-        self.sim.schedule(self.notify_grace_s, self._begin, switch, record,
+        self.sim.schedule(NOTIFY_GRACE_S, self._begin, switch, record,
                           remove or [], install or [], transfer_state_to,
                           hitless, on_complete)
         return record
@@ -160,11 +160,10 @@ class ScalingManager:
     # ------------------------------------------------------------------
     def scale_out(self, program_name: str, from_switch: str,
                   to_switch: str, factory: ProgramFactory,
-                  copy_state: bool = True,
                   on_ready: Optional[Callable[[bool], None]] = None) -> None:
         """Replicate a booster instance onto another switch (Fig. 1d's
-        "Replicated E"): install a fresh instance there and, optionally,
-        seed it with the source instance's state."""
+        "Replicated E"): install a fresh instance there and seed it with
+        the source instance's state."""
         source = self.topo.switch(from_switch)
         target = self.topo.switch(to_switch)
         program = factory()
@@ -173,12 +172,8 @@ class ScalingManager:
         if _TRACE.enabled:
             _TRACE.emit("scale_out", sim_time=self.sim.now,
                         program=program_name, source=from_switch,
-                        target=to_switch, copy_state=copy_state)
+                        target=to_switch)
 
-        if not copy_state:
-            if on_ready is not None:
-                on_ready(True)
-            return
         if not source.has_program(program_name):
             raise KeyError(
                 f"{from_switch} has no program {program_name!r} to copy")

@@ -40,10 +40,6 @@ class PlacementMetrics:
     switch_utilization: Dict[str, Dict[str, float]] = field(
         default_factory=dict)
 
-    @property
-    def fully_covered(self) -> bool:
-        return self.path_coverage >= 1.0
-
 
 @dataclass
 class Placement:
@@ -58,12 +54,6 @@ class Placement:
     def switches_hosting(self, ppm_name: str) -> List[str]:
         return sorted(sw for sw, specs in self.assignments.items()
                       if any(s.qualified_name == ppm_name for s in specs))
-
-    def ppms_on(self, switch: str) -> List[PpmSpec]:
-        return list(self.assignments.get(switch, []))
-
-    def instance_count(self, ppm_name: str) -> int:
-        return len(self.switches_hosting(ppm_name))
 
 
 class SchedulerError(RuntimeError):

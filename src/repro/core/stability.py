@@ -83,10 +83,6 @@ class StabilityGuard:
             history.clear()
         self.stats.allowed += 1
 
-    # ------------------------------------------------------------------
-    def is_locked(self, attack_type: str, now: float) -> bool:
-        return now < self._locked_until.get(attack_type, 0.0)
-
     def __repr__(self) -> str:
         return (f"StabilityGuard(dwell={self.min_dwell_s}s, "
                 f"{self.max_changes}/{self.window_s}s, "

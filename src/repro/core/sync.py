@@ -27,6 +27,10 @@ from ..netsim.switch import Consume, ProgrammableSwitch, ProgramResult, SwitchPr
 #: One stage of digest logic plus merge registers.
 AGENT_REQUIREMENT = ResourceVector(stages=1, sram_mb=0.1, tcam_kb=0, alus=2)
 
+#: Remote views older than this many sync periods are ignored in the
+#: global view.
+STALENESS_PERIODS = 3
+
 #: Provider of the local counters to synchronize, e.g. a HashPipe's
 #: heavy-hitter table or a per-tenant byte counter.
 CounterSource = Callable[[], Dict[Hashable, float]]
@@ -47,7 +51,6 @@ class DetectorSyncAgent(SwitchProgram):
 
     def __init__(self, source: CounterSource, peers: List[str],
                  sync_period_s: float = 0.1, top_k: int = 32,
-                 staleness_bound_s: Optional[float] = None,
                  name: str = "fastflex.sync_agent"):
         super().__init__(name, AGENT_REQUIREMENT)
         if sync_period_s <= 0:
@@ -58,11 +61,6 @@ class DetectorSyncAgent(SwitchProgram):
         self.peers = list(peers)
         self.sync_period_s = sync_period_s
         self.top_k = top_k
-        #: Remote views older than this are ignored in the global view;
-        #: defaults to three sync periods.
-        self.staleness_bound_s = (staleness_bound_s
-                                  if staleness_bound_s is not None
-                                  else 3 * sync_period_s)
         self.stats = SyncStats()
         self._remote_views: Dict[str, Tuple[float, Dict[Hashable, float]]] = {}
         self._process: Optional[PeriodicProcess] = None
@@ -145,8 +143,9 @@ class DetectorSyncAgent(SwitchProgram):
             return dict(self.source())
         now = self.switch.sim.now
         merged: Dict[Hashable, float] = dict(self.source())
+        staleness_bound_s = STALENESS_PERIODS * self.sync_period_s
         for origin, (t, view) in self._remote_views.items():
-            if now - t > self.staleness_bound_s:
+            if now - t > staleness_bound_s:
                 continue
             for key, value in view.items():
                 merged[key] = merged.get(key, 0.0) + value

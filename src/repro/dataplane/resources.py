@@ -21,6 +21,9 @@ from typing import Dict, Iterable, Tuple
 #: Canonical ordering of resource dimensions.
 DIMENSIONS: Tuple[str, ...] = ("stages", "sram_mb", "tcam_kb", "alus")
 
+#: Float tolerance of the budget and sign checks.
+EPSILON = 1e-9
+
 
 @dataclass(frozen=True)
 class ResourceVector:
@@ -65,14 +68,13 @@ class ResourceVector:
     def scaled(self, factor: float) -> "ResourceVector":
         return ResourceVector(*(a * factor for a in self.as_tuple()))
 
-    def fits_within(self, budget: "ResourceVector",
-                    epsilon: float = 1e-9) -> bool:
+    def fits_within(self, budget: "ResourceVector") -> bool:
         """True iff every component is within the budget (with tolerance)."""
-        return all(a <= b + epsilon
+        return all(a <= b + EPSILON
                    for a, b in zip(self.as_tuple(), budget.as_tuple()))
 
-    def is_nonnegative(self, epsilon: float = 1e-9) -> bool:
-        return all(a >= -epsilon for a in self.as_tuple())
+    def is_nonnegative(self) -> bool:
+        return all(a >= -EPSILON for a in self.as_tuple())
 
     def dominating_fraction(self, budget: "ResourceVector") -> float:
         """Largest per-dimension fraction of the budget this vector uses.

@@ -150,7 +150,7 @@ class ScalingSummary:
     seed_latency_s: float
 
 
-def run_scaling_demo(hitless: bool = False) -> ScalingSummary:
+def run_scaling_demo() -> ScalingSummary:
     """Figure 1d: replicate a loaded booster instance at runtime."""
     from ..core.scaling import ScalingManager
     from ..core.state_transfer import StateTransferService

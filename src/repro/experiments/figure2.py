@@ -34,6 +34,10 @@ from ..netsim.routing import (install_flow_route, install_host_routes,
 from ..netsim.fluid import FluidNetwork
 from ..netsim.topology import GBPS, abilene_like, figure2_topology
 
+#: The scripted sequence's seed and attack start.
+SEQUENCE_SEED = 21
+ATTACK_START_S = 5.0
+
 
 @dataclass
 class ModeSequenceResult:
@@ -79,10 +83,9 @@ def _snapshot_normal_paths(flows: FlowSet,
             paths[flow.flow_id] = flow.path.nodes
 
 
-def run_mode_sequence(duration_s: float = 30.0, seed: int = 21,
-                      attack_start_s: float = 5.0) -> ModeSequenceResult:
+def run_mode_sequence(duration_s: float = 30.0) -> ModeSequenceResult:
     """Run the scripted Figure 2 scenario and collect the transitions."""
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=SEQUENCE_SEED)
     net = figure2_topology(sim, critical_capacity=10 * GBPS,
                            detour_capacity=2 * GBPS)
     flows = FlowSet()
@@ -98,10 +101,10 @@ def run_mode_sequence(duration_s: float = 30.0, seed: int = 21,
 
     result = ModeSequenceResult()
     # (a) the default mode: sample booster gating before any attack.
-    sim.schedule(attack_start_s - 2.0,
+    sim.schedule(ATTACK_START_S - 2.0,
                  partial(_sample_default, deployment, result))
     normal_paths_at_attack: Dict[int, tuple] = {}
-    sim.schedule(attack_start_s - 0.5,
+    sim.schedule(ATTACK_START_S - 0.5,
                  partial(_snapshot_normal_paths, flows,
                          normal_paths_at_attack))
 
@@ -109,7 +112,7 @@ def run_mode_sequence(duration_s: float = 30.0, seed: int = 21,
         net.topo, fluid, bots=net.bot_hosts, decoys=net.decoy_servers,
         victim=net.victim, connections_per_bot=200,
         per_connection_bps=10e6)
-    attacker.map_then_attack(start_delay=attack_start_s - 1.0)
+    attacker.map_then_attack(start_delay=ATTACK_START_S - 1.0)
 
     sim.run(until=duration_s)
 

@@ -215,33 +215,6 @@ class Simulator:
         or ``None`` when the queue is effectively empty."""
         return min(self._live_times(), default=None)
 
-    def run_windows(self, until: float, window: float,
-                    on_window: Optional[Callable[["Simulator", float], None]]
-                    = None) -> float:
-        """Run to ``until`` in fixed-size window slices.
-
-        Equivalent to ``run(until=until)`` — window boundaries execute
-        no events of their own, so slicing is observationally free — but
-        hands control back every ``window`` seconds of simulated time,
-        which is where the sharded coordinator exchanges boundary state
-        and where serve-mode drivers take checkpoints.  ``on_window`` is
-        called as ``on_window(sim, boundary)`` after each slice,
-        including the final one at ``until``.
-        """
-        if window <= 0:
-            raise SimulationError(
-                f"window must be positive, got {window}")
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run to t={until} before now={self._now}")
-        boundary = self._now
-        while boundary < until:
-            boundary = min(boundary + window, until)
-            self.run(until=boundary)
-            if on_window is not None:
-                on_window(self, boundary)
-        return self._now
-
     def pending(self) -> int:
         """Number of queued events that are not cancelled."""
         return sum(1 for _ in self._live_times())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from .packet import FlowKey, Protocol
 from .routing import Path
@@ -172,9 +172,6 @@ class FlowSet:
         self._version += 1
         return flow
 
-    def add_all(self, flows: Iterable[Flow]) -> List[Flow]:
-        return [self.add(f) for f in flows]
-
     def remove(self, flow: Flow) -> None:
         removed = self._flows.pop(flow.flow_id, None)
         if removed is not None:
@@ -195,9 +192,6 @@ class FlowSet:
 
     def malicious(self) -> List[Flow]:
         return [f for f in self._flows.values() if f.malicious]
-
-    def to_destination(self, dst: str) -> List[Flow]:
-        return [f for f in self._flows.values() if f.dst == dst]
 
     def crossing_link(self, a: str, b: str) -> List[Flow]:
         return [f for f in self._flows.values()

@@ -419,13 +419,7 @@ class FluidNetwork:
     # ------------------------------------------------------------------
     # Queries used by detectors and experiments
     # ------------------------------------------------------------------
-    def link_utilization(self, a: str, b: str) -> float:
-        return self.topo.link(a, b).utilization
-
-    def aggregate_goodput(self, flows: List[Flow]) -> float:
-        return sum(f.goodput_bps for f in flows)
-
-    def normal_goodput(self, now: Optional[float] = None) -> float:
-        now = self.sim.now if now is None else now
+    def normal_goodput(self) -> float:
+        now = self.sim.now
         return sum(f.goodput_bps for f in self.flows.normal()
                    if f.active(now))

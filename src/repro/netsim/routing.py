@@ -89,10 +89,6 @@ class Path:
         """Total propagation delay along the path."""
         return sum(topo.link(a, b).delay_s for a, b in self.link_keys)
 
-    def min_capacity(self, topo: Topology) -> float:
-        """Bottleneck link capacity along the path."""
-        return min(topo.link(a, b).capacity_bps for a, b in self.link_keys)
-
     def __iter__(self):
         return iter(self.nodes)
 
@@ -135,13 +131,12 @@ def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> List[Path]:
 # ----------------------------------------------------------------------
 # Switch table installation
 # ----------------------------------------------------------------------
-def install_host_routes(topo: Topology,
-                        ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
+def install_host_routes(topo: Topology) -> Dict[str, Dict[str, List[str]]]:
     """Install next-hop tables on every switch for every host destination.
 
-    With ``ecmp=True`` every equal-cost next hop is installed; otherwise
-    only the first shortest path's.  Returns the table that was installed,
-    keyed ``switch -> dst_host -> [next hops]`` (handy for tests).
+    Every equal-cost next hop is installed.  Returns the table that was
+    installed, keyed ``switch -> dst_host -> [next hops]`` (handy for
+    tests).
 
     One cached SSSP tree per host serves every switch's next hops toward
     it — and the same trees back later ``shortest_path`` queries and
@@ -158,16 +153,13 @@ def install_host_routes(topo: Topology,
             if not pred_list:
                 continue
             next_hops = sorted(pred_list)
-            if not ecmp:
-                next_hops = next_hops[:1]
             switch = topo.switch(sw_name)
             switch.set_route(host, next_hops)
             installed.setdefault(sw_name, {})[host] = next_hops
     return installed
 
 
-def install_switch_routes(topo: Topology,
-                          ecmp: bool = True) -> Dict[str, Dict[str, List[str]]]:
+def install_switch_routes(topo: Topology) -> Dict[str, Dict[str, List[str]]]:
     """Install next-hop tables for *switch* destinations too.
 
     Switch-to-switch control traffic (detector synchronization digests,
@@ -186,8 +178,6 @@ def install_switch_routes(topo: Topology,
             if not pred_list:
                 continue
             next_hops = sorted(pred_list)
-            if not ecmp:
-                next_hops = next_hops[:1]
             topo.switch(sw_name).set_route(target, next_hops)
             installed.setdefault(sw_name, {})[target] = next_hops
     return installed

@@ -245,9 +245,6 @@ class ProgrammableSwitch(Node):
                     f"{self.name}: next hop {hop} is not a neighbor")
         self.routes[dst] = hops
 
-    def clear_routes(self) -> None:
-        self.routes.clear()
-
     def _ecmp_pick(self, packet: Packet, candidates: List[str]) -> str:
         return self._ecmp_pick_pair(packet.src, packet.dst, candidates)
 

@@ -23,6 +23,9 @@ from .topology import Topology
 
 _trace_ids = itertools.count(1)
 
+#: Gap between successive TTL probes of one traceroute.
+PROBE_SPACING_S = 0.001
+
 
 @dataclass
 class TracerouteResult:
@@ -51,22 +54,14 @@ class TracerouteResult:
                 break
         return hops
 
-    def reported_links(self) -> List[tuple]:
-        """Adjacent reported-hop pairs (the attacker's view of links)."""
-        path = self.path
-        return list(zip(path, path[1:]))
-
 
 class TracerouteClient:
     """Issues traceroutes from one host and gathers the replies."""
 
-    def __init__(self, topo: Topology, host: str,
-                 probe_spacing_s: float = 0.001,
-                 timeout_s: float = 0.5):
+    def __init__(self, topo: Topology, host: str, timeout_s: float = 0.5):
         self.topo = topo
         self.sim = topo.sim
         self.host: Host = topo.host(host)
-        self.probe_spacing_s = probe_spacing_s
         self.timeout_s = timeout_s
         self._pending: Dict[int, _PendingTrace] = {}
         self.host.on_packet(self._on_packet)
@@ -83,7 +78,7 @@ class TracerouteClient:
             callback=callback, max_ttl=max_ttl)
         self._pending[trace_id] = pending
         for ttl in range(1, max_ttl + 1):
-            delay = (ttl - 1) * self.probe_spacing_s
+            delay = (ttl - 1) * PROBE_SPACING_S
             self.sim.schedule(delay, self._send_probe, trace_id, dst, ttl)
         self.sim.schedule(self.timeout_s, self._finish, trace_id)
         return trace_id
@@ -124,7 +119,7 @@ class TracerouteClient:
                 pending.result.reached_ttl = (
                     ttl if current is None else min(current, ttl))
             # Wait a beat for stragglers with smaller TTLs, then finish.
-            self.sim.schedule(2 * self.probe_spacing_s,
+            self.sim.schedule(2 * PROBE_SPACING_S,
                               self._finish, trace_id)
 
     def _finish(self, trace_id: int) -> None:

@@ -135,8 +135,8 @@ class _Tally:
         self.barrier_seconds: List[float] = []
         self.checkpoints_written = 0
 
-    def message(self, kind: str, count: int = 1) -> None:
-        self.messages[kind] = self.messages.get(kind, 0) + count
+    def message(self, kind: str) -> None:
+        self.messages[kind] = self.messages.get(kind, 0) + 1
 
     def flush(self) -> None:
         for seconds in self.barrier_seconds:

@@ -46,9 +46,6 @@ class Partition:
     #: Number of cut *physical* (duplex) links.
     cut_edges: int = 0
 
-    def region_of(self, name: str) -> int:
-        return self.assignment[name]
-
 
 def _switch_adjacency(topo: Topology) -> Dict[str, List[str]]:
     """Switch -> sorted neighbor switches (host links never count)."""

@@ -364,14 +364,8 @@ def aggregate_samples(record_lists: List[List[Tuple[float, List[float],
     return rows
 
 
-def run_single(scenario: ShardScenario,
-               window_s: Optional[float] = None) -> Dict[str, Any]:
-    """Run the scenario on one simulator; returns its stable record.
-
-    ``window_s`` slices the run via ``Simulator.run_windows`` —
-    observationally free, pinned by a test — so callers can checkpoint
-    at boundaries without changing results.
-    """
+def run_single(scenario: ShardScenario) -> Dict[str, Any]:
+    """Run the scenario on one simulator; returns its stable record."""
     sim, topo, flows, flow_list = build_world(scenario)
     fluid = FluidNetwork(topo, flows,
                          update_interval=scenario.fluid_interval_s,
@@ -381,10 +375,7 @@ def run_single(scenario: ShardScenario,
         sim, [f for f in flow_list if not f.malicious],
         [f for f in flow_list if f.malicious])
     sampler.start(scenario.sample_period_s)
-    if window_s is None:
-        sim.run(until=scenario.duration_s)
-    else:
-        sim.run_windows(scenario.duration_s, window_s)
+    sim.run(until=scenario.duration_s)
     return {
         "mode": "single",
         "seed": scenario.seed,

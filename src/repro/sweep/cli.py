@@ -116,9 +116,14 @@ def sweep_main(argv=None) -> int:
     except ImportError as exc:
         parser.error(f"driver spec {args.experiment!r}: {exc}")
 
-    spec = SweepSpec(experiment=args.experiment, seeds=seeds,
-                     base_params=base, grid=grid,
-                     raw_seeds=args.raw_seeds)
+    # Duplicate seeds and colliding task ids are usage errors too.
+    try:
+        spec = SweepSpec(experiment=args.experiment, seeds=seeds,
+                         base_params=base, grid=grid,
+                         raw_seeds=args.raw_seeds)
+        spec.tasks()
+    except ValueError as exc:
+        parser.error(str(exc))
     out_dir = args.out if args.out is not None else \
         f"sweeps/{args.experiment.replace(':', '-')}"
     progress = None if args.quiet else \

@@ -227,6 +227,15 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
         done[task.task_id] = record
         say(f"[sweep] done {task.task_id}")
 
+    def fail(task: SweepTask, exc: Exception) -> None:
+        # A driver failure (unknown name, a parameter point it rejects,
+        # a bad signature, or anything unexpected) is counted into
+        # telemetry before it is swallowed, so --metrics shows the loss.
+        _C_TASK_ERRORS.labels(type(exc).__name__).inc()
+        errors.append({"task_id": task.task_id,
+                       "error": f"{type(exc).__name__}: {exc}"})
+        say(f"[sweep] FAILED {task.task_id}: {exc}")
+
     if workers > 1 and len(pending) > 1:
         say(f"[sweep] running {len(pending)} task(s) on "
             f"{workers} workers")
@@ -247,32 +256,14 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
                                   f"completing this task: {exc}"})
                     say(f"[sweep] FAILED {task.task_id}: worker died")
                 except Exception as exc:
-                    # Unexpected driver failure: count it into telemetry
-                    # before swallowing so --metrics shows the loss.
-                    _C_TASK_ERRORS.labels(type(exc).__name__).inc()
-                    errors.append(
-                        {"task_id": task.task_id,
-                         "error": f"{type(exc).__name__}: {exc}"})
-                    say(f"[sweep] FAILED {task.task_id}: {exc}")
+                    fail(task, exc)
     else:
         for task in pending:
             say(f"[sweep] running {task.task_id}")
             try:
                 collect(task, run_task(_task_payload(task, out_path)))
-            except (KeyError, ValueError, TypeError) as exc:
-                # Known failure shapes: unknown driver name, a parameter
-                # point the driver rejects, or a bad signature.
-                _C_TASK_ERRORS.labels(type(exc).__name__).inc()
-                errors.append({"task_id": task.task_id,
-                               "error": f"{type(exc).__name__}: {exc}"})
-                say(f"[sweep] FAILED {task.task_id}: {exc}")
             except Exception as exc:
-                # Unexpected: still recorded into telemetry and the
-                # error list before the sweep moves on.
-                _C_TASK_ERRORS.labels(type(exc).__name__).inc()
-                errors.append({"task_id": task.task_id,
-                               "error": f"{type(exc).__name__}: {exc}"})
-                say(f"[sweep] FAILED {task.task_id}: {exc}")
+                fail(task, exc)
 
     records = [done[t.task_id] for t in tasks if t.task_id in done]
     merged = MetricsRegistry().merge(

@@ -25,8 +25,7 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
-                    Type, cast)
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, cast
 
 LabelValues = Tuple[str, ...]
 
@@ -152,7 +151,7 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down; optionally pulled from a callback."""
+    """A value that can go up and down."""
 
     kind = "gauge"
 
@@ -160,7 +159,6 @@ class Gauge(Metric):
                  labelnames: Iterable[str] = ()) -> None:
         super().__init__(name, description, labelnames)
         self.value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
 
     def set(self, value: float) -> None:
         self.value = value
@@ -171,20 +169,13 @@ class Gauge(Metric):
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
 
-    def set_function(self, fn: Optional[Callable[[], float]]) -> None:
-        """Pull the value from ``fn`` at snapshot time instead."""
-        self._fn = fn
-
     def _make_child(self) -> "Gauge":
         return Gauge(self.name)
 
     def _reset_value(self) -> None:
         self.value = 0.0
-        self._fn = None
 
     def _snap_value(self) -> float:
-        if self._fn is not None:
-            return self._fn()
         return self.value
 
     def _merge_snap(self, value: Any) -> None:

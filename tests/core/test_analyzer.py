@@ -40,8 +40,8 @@ class TestMerging:
         shared_node = merged.merged_name("a.sketch")
         assert merged.merged_name("b.sketch") == shared_node
         assert shared_node.startswith("shared.")
-        assert sorted(merged.members_of(shared_node)) == \
-            ["a.sketch", "b.sketch"]
+        assert sorted(orig for orig, node in merged.mapping.items()
+                      if node == shared_node) == ["a.sketch", "b.sketch"]
 
     def test_unknown_original_raises(self):
         merged = ProgramAnalyzer().merge([booster_graph("a")])

@@ -121,16 +121,6 @@ class TestScaleOut:
         replica = fig2.topo.switch("s2").get_program("app")
         assert replica.sketch.estimate("hot_key") == 10
 
-    def test_scale_out_without_state_copy(self, fig2, sim, manager):
-        fig2.topo.switch("s1").install_program(Stateful("app"))
-        ready = []
-        manager.scale_out("app", "s1", "s3",
-                          factory=lambda: Stateful("app"),
-                          copy_state=False, on_ready=ready.append)
-        assert ready == [True]
-        fresh = fig2.topo.switch("s3").get_program("app")
-        assert fresh.sketch.total == 0
-
     def test_missing_source_program_raises(self, fig2, manager):
         with pytest.raises(KeyError):
             manager.scale_out("ghost", "s1", "s2",

@@ -44,14 +44,14 @@ class TestCoverage:
     def test_pervasive_mode_uses_all_switches(self, sim):
         net, merged, placement = figure2_case(sim, [tiny_booster()],
                                               pervasive=True)
-        assert placement.instance_count("defense.detect") == \
+        assert len(placement.switches_hosting("defense.detect")) == \
             len(net.topo.switch_names)
 
     def test_cover_only_mode_uses_few_switches(self, sim):
         net, merged, placement = figure2_case(sim, [tiny_booster()],
                                               pervasive=False)
         # All four client->victim paths share sL and sR: one switch covers.
-        assert placement.instance_count("defense.detect") == 1
+        assert len(placement.switches_hosting("defense.detect")) == 1
 
     def test_mitigation_near_detection(self, sim):
         net, merged, placement = figure2_case(sim, [tiny_booster()],

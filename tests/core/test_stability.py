@@ -43,7 +43,7 @@ class TestFlapLock:
             mode = "mitigate" if i % 2 == 0 else "default"
             guard.record_change("lfa", mode, now=float(i))
         assert guard.stats.locks_triggered == 1
-        assert guard.is_locked("lfa", now=5.0)
+        assert 5.0 < guard._locked_until.get("lfa", 0.0)
         assert not guard.allow_change("lfa", "default", now=5.0)
         assert guard.stats.blocked_cooldown == 1
 

@@ -10,6 +10,22 @@ import pytest
 
 from repro.__main__ import main
 
+#: The exact ``python -m repro figure2`` stdout.
+FIGURE2_STDOUT = (
+    "Figure 2 — multimode sequence\n"
+    "(a) default mode gating at one switch: {'lfa_detector': True, "
+    "'reroute': False, 'dropper': False, 'obfuscation': False}\n"
+    "(b) detection at t=4.320s; mitigation reached all 8 switches "
+    "within 3.6 ms\n"
+    "(c) suspicious rerouted 6/6; normal pinned 4/4; forged traceroute "
+    "replies 125; policed flows 6\n"
+    "(d) attacker rolls: 0; perceived success: True\n"
+    "mixed-vector regions: lfa=['sw_denver', 'sw_kansascity', "
+    "'sw_losangeles', 'sw_seattle', 'sw_sunnyvale'] ddos=['sw_atlanta', "
+    "'sw_chicago', 'sw_houston', 'sw_indianapolis', 'sw_newyork', "
+    "'sw_washington'] untouched=0\n"
+    "\n")
+
 
 class TestCli:
     def test_figure3_with_short_horizon(self, capsys):
@@ -36,10 +52,10 @@ class TestCli:
         assert "Figure 1d" in out
 
     def test_figure2(self, capsys):
+        # The full report, pinned: it guards the detector thresholds, the
+        # reroute and dropper timers and the mode agent's refresh rounds.
         assert main(["figure2"]) == 0
-        out = capsys.readouterr().out
-        assert "multimode sequence" in out
-        assert "mixed-vector" in out
+        assert capsys.readouterr().out == FIGURE2_STDOUT
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -220,7 +236,7 @@ class TestControllerVerificationGate:
         with pytest.raises(BoosterVerificationError):
             controller.setup(FlowSet(), install_routes=False)
 
-    def test_verification_can_be_skipped(self, fig2):
+    def test_cyclic_catalog_refused(self, fig2):
         from repro.boosters import logic_ppm
         from repro.core import (Booster, BoosterVerificationError,
                                 DataflowGraph, FastFlexController,
@@ -247,6 +263,3 @@ class TestControllerVerificationGate:
         controller = FastFlexController(fig2.topo, [Cyclic()])
         with pytest.raises(BoosterVerificationError):
             controller.setup(FlowSet(), install_routes=False)
-        deployment = controller.setup(FlowSet(), install_routes=False,
-                                      verify=False)
-        assert deployment is not None

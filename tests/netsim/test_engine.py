@@ -223,38 +223,7 @@ class TestDeterminism:
 
 
 class TestWindowedRun:
-    """run_windows slices a run into fixed windows without changing any
-    observable — the mechanism the sharded coordinator barriers on."""
-
-    def test_windowing_is_observationally_free(self):
-        def build():
-            sim = Simulator(seed=7)
-            log = []
-            sim.every(0.3, lambda: log.append(round(sim.now, 6)))
-            sim.schedule(1.0, lambda: log.append("one-shot"))
-            return sim, log
-
-        plain_sim, plain_log = build()
-        plain_sim.run(until=2.0)
-        windowed_sim, windowed_log = build()
-        windowed_sim.run_windows(2.0, window=0.25)
-        assert windowed_log == plain_log
-        assert windowed_sim.now == plain_sim.now
-
-    def test_on_window_called_at_each_boundary(self):
-        sim = Simulator()
-        boundaries = []
-        sim.run_windows(1.0, window=0.4,
-                        on_window=lambda s, b: boundaries.append(b))
-        assert boundaries == [0.4, 0.8, 1.0]
-
-    def test_invalid_windows_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.run_windows(1.0, window=0.0)
-        sim.run(until=2.0)
-        with pytest.raises(SimulationError):
-            sim.run_windows(1.0, window=0.5)
+    """The scheduler's look-ahead query."""
 
     def test_next_event_time(self):
         sim = Simulator()

@@ -82,12 +82,6 @@ class TestFlowSet:
         assert flows.normal() == [good]
         assert flows.malicious() == [bad]
 
-    def test_to_destination(self):
-        flows = FlowSet()
-        hit = flows.add(make_flow("a", "victim", 1e6))
-        flows.add(make_flow("a", "other", 1e6))
-        assert flows.to_destination("victim") == [hit]
-
     def test_crossing_link_is_directional(self):
         flows = FlowSet()
         flow = flows.add(make_flow("a", "b", 1e6,

@@ -31,7 +31,8 @@ class TestPath:
     def test_latency_and_capacity(self, fig2):
         path = Path.of(["sL", "s1", "sR"])
         assert path.latency(fig2.topo) == pytest.approx(0.002)
-        assert path.min_capacity(fig2.topo) == 10 * GBPS
+        assert min(fig2.topo.link(a, b).capacity_bps
+                   for a, b in path.link_keys) == 10 * GBPS
 
     def test_iteration_and_len(self):
         path = Path.of(["a", "b"])

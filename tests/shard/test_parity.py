@@ -108,12 +108,3 @@ class TestAggregateSamples:
                     split[r].append((t, normal[r::n_lists],
                                      attack[r::n_lists]))
             assert json.dumps(aggregate_samples(split)) == json.dumps(whole)
-
-
-class TestSingleEngineWindowing:
-    def test_run_single_window_slicing_is_observationally_free(self):
-        scenario = scenario_for(5)
-        plain = run_single(scenario)
-        sliced = run_single(scenario, window_s=0.3)
-        assert json.dumps(plain, sort_keys=True) \
-            == json.dumps(sliced, sort_keys=True)

@@ -102,3 +102,23 @@ class TestDriverCheckedFirst:
         assert message in err
         assert err.count("error:") == 1
         assert not out.exists()
+
+
+class TestSpecCheckedFirst:
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "0,0"], "duplicate seeds in [0, 0]"),
+        (["--seeds", "0:1", "--grid", "duration_s=2,2"],
+         "task_id collision"),
+    ])
+    def test_malformed_spec_is_a_usage_error_before_out(
+            self, tmp_path, capsys, flags, message):
+        # Regression: SweepSpec's ValueError escaped as a traceback with
+        # exit 1.
+        out = tmp_path / "D"
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main(["figure3", *flags, "--out", str(out), "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("error:") == 1
+        assert not out.exists()

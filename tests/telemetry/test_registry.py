@@ -56,13 +56,6 @@ class TestGauge:
         gauge.dec(2)
         assert gauge.value == 13
 
-    def test_callback_gauge_pulled_at_snapshot(self, registry):
-        gauge = registry.gauge("g")
-        box = {"v": 1.0}
-        gauge.set_function(lambda: box["v"])
-        box["v"] = 42.0
-        assert registry.snapshot()["g"]["value"] == 42.0
-
 
 class TestHistogram:
     def test_observe_updates_count_sum_mean(self, registry):
