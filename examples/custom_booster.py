@@ -86,23 +86,23 @@ class SynFloodBooster(Booster):
 
     def on_deployed(self, deployment):
         sim = deployment.topo.sim
-
-        def check(switch_name):
-            program = self.programs.get(switch_name)
-            agent = deployment.mode_agents.get(switch_name)
-            if program is None or agent is None:
-                return
-            offenders = {src for src in self._candidate_sources(deployment)
-                         if program.sketch.estimate(src)
-                         > self.syn_threshold}
-            program.sketch.clear()
-            if offenders:
-                self.blocked |= offenders
-                agent.initiate("syn_flood", "syn_block")
-
+        # A bound method, not a closure: the event heap must stay
+        # picklable for checkpoints.
         for switch_name in sorted(self.programs):
-            sim.every(self.check_period_s, check, switch_name,
-                      start=self.check_period_s)
+            sim.every(self.check_period_s, self._check, deployment,
+                      switch_name, start=self.check_period_s)
+
+    def _check(self, deployment, switch_name):
+        program = self.programs.get(switch_name)
+        agent = deployment.mode_agents.get(switch_name)
+        if program is None or agent is None:
+            return
+        offenders = {src for src in self._candidate_sources(deployment)
+                     if program.sketch.estimate(src) > self.syn_threshold}
+        program.sketch.clear()
+        if offenders:
+            self.blocked |= offenders
+            agent.initiate("syn_flood", "syn_block")
 
     @staticmethod
     def _candidate_sources(deployment):

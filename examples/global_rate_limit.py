@@ -20,6 +20,17 @@ from repro.netsim import (FlowSet, Packet, Simulator, figure2_topology,
 LIMIT_BPS = 2e6
 
 
+def pump(topo, sent, host, dst, bucket, count):
+    """Originate ``count`` tenantA packets from ``host`` (a module-level
+    function, so the event heap stays picklable for checkpoints)."""
+    for index in range(count):
+        pkt = Packet(src=host, dst=dst, size_bytes=1500,
+                     sport=5000 + index,
+                     headers={TENANT_HEADER: "tenantA"})
+        topo.host(host).originate(pkt)
+        sent[bucket].append(pkt)
+
+
 def main() -> None:
     sim = Simulator(seed=4)
     net = figure2_topology(sim)
@@ -37,16 +48,8 @@ def main() -> None:
 
     sent = {"west": [], "east": []}
 
-    def pump(host, dst, bucket, count):
-        for index in range(count):
-            pkt = Packet(src=host, dst=dst, size_bytes=1500,
-                         sport=5000 + index,
-                         headers={TENANT_HEADER: "tenantA"})
-            topo.host(host).originate(pkt)
-            sent[bucket].append(pkt)
-
     # Phase 1: one ingress alone, under the global limit.
-    sim.schedule(0.5, pump, "client0", "victim", "west", 100)
+    sim.schedule(0.5, pump, topo, sent, "client0", "victim", "west", 100)
     sim.run(until=1.0)
     west_rate = booster.programs["sL"].local_rates()["tenantA"]
     dropped = sum(1 for p in sent["west"] if p.dropped)
@@ -56,8 +59,8 @@ def main() -> None:
 
     # Phase 2: a second ingress joins; each is below the limit locally,
     # together they exceed it.
-    sim.schedule(0.1, pump, "victim", "client0", "east", 100)
-    sim.schedule(0.4, pump, "client0", "victim", "west", 100)
+    sim.schedule(0.1, pump, topo, sent, "victim", "client0", "east", 100)
+    sim.schedule(0.4, pump, topo, sent, "client0", "victim", "west", 100)
     sim.run(until=2.0)
     program = booster.programs["sL"]
     local = program.local_rates().get("tenantA", 0.0)

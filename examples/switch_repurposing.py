@@ -19,6 +19,21 @@ from repro.netsim import (Packet, Simulator, figure2_topology,
                           install_host_routes, install_switch_routes)
 
 
+# Scheduled callbacks are module-level functions, not closures, so the
+# event heap stays picklable for checkpoints.
+def probe(topo, probes):
+    """Send one probe packet across s1."""
+    pkt = Packet(src="client0", dst="victim", size_bytes=200)
+    topo.host("client0").originate(pkt)
+    probes.append(pkt)
+
+
+def report_mid_window(topo):
+    print(f"t={topo.sim.now:.2f}s  mid-window: s1 reconfiguring="
+          f"{topo.switch('s1').reconfiguring}, sL avoids "
+          f"{sorted(topo.switch('sL').avoid_neighbors)}")
+
+
 def main() -> None:
     sim = Simulator(seed=6)
     net = figure2_topology(sim)
@@ -44,13 +59,7 @@ def main() -> None:
 
     # Probe traffic across s1 throughout.
     probes = []
-
-    def probe():
-        pkt = Packet(src="client0", dst="victim", size_bytes=200)
-        topo.host("client0").originate(pkt)
-        probes.append(pkt)
-
-    probe_proc = sim.every(0.1, probe, start=0.5)
+    probe_proc = sim.every(0.1, probe, topo, probes, start=0.5)
 
     record = manager.repurpose(
         "s1",
@@ -65,10 +74,7 @@ def main() -> None:
           f"(notify neighbors -> transfer state -> "
           f"{record.downtime_s:.1f}s dark window)")
 
-    sim.schedule(1.2, lambda: print(
-        f"t={sim.now:.2f}s  mid-window: s1 reconfiguring="
-        f"{topo.switch('s1').reconfiguring}, sL avoids "
-        f"{sorted(topo.switch('sL').avoid_neighbors)}"))
+    sim.schedule(1.2, report_mid_window, topo)
     sim.run(until=5.0)
     probe_proc.stop()
 
@@ -91,7 +97,7 @@ def main() -> None:
     # The Trident-style alternative: no dark window at all.
     before = topo.host("victim").received_count()
     probes.clear()
-    probe_proc = sim.every(0.1, probe, start=0.1)
+    probe_proc = sim.every(0.1, probe, topo, probes, start=0.1)
     manager.repurpose("s2", hitless=True)
     sim.run(until=sim.now + 2.0)
     probe_proc.stop()

@@ -14,10 +14,6 @@ Subcommands regenerate the paper's figures:
   failures) with periodic auto-checkpointing and streamed JSONL
   telemetry; restart after a crash with ``--restore CKPT``.  See
   :mod:`repro.checkpoint.service` for its flags.
-* ``shard``   — sharded region simulation: partition a scenario's
-  topology into regions advanced in lockstep windows
-  (``python -m repro shard --regions N --workers K``); see
-  :mod:`repro.shard.cli` for its flags.
 
 Telemetry flags (any experiment):
 
@@ -50,9 +46,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "serve":
         from .checkpoint.service import serve_main
         return serve_main(argv[1:])
-    if argv and argv[0] == "shard":
-        from .shard.cli import shard_main
-        return shard_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -61,8 +54,8 @@ def main(argv=None) -> int:
                "python -m repro sweep <driver> [options]")
     parser.add_argument(
         "experiment", choices=["figure1", "figure2", "figure3", "all"],
-        help="which figure to regenerate (or 'sweep'/'serve'/'shard', "
-             "which take their own options)")
+        help="which figure to regenerate (or 'sweep'/'serve', which "
+             "take their own options)")
     parser.add_argument(
         "--duration", type=float, default=None,
         help="override the figure3 horizon in seconds (default 120)")

@@ -212,14 +212,13 @@ class HeavyHitterBooster(Booster):
         return program
 
     # ------------------------------------------------------------------
-    def heavy_sources(self, switch_name: str,
-                      threshold: Optional[int] = None) -> Dict[Hashable, int]:
-        """Local heavy hitters at one detector."""
-        limit = threshold if threshold is not None else self.byte_threshold
+    def heavy_sources(self, switch_name: str) -> Dict[Hashable, int]:
+        """Local heavy hitters at one detector: sources over
+        ``byte_threshold``."""
         detector = self.detectors.get(switch_name)
         if detector is None:
             return {}
-        return detector.pipe.heavy_hitters(limit)
+        return detector.pipe.heavy_hitters(self.byte_threshold)
 
     def flag_everywhere(self, source: str) -> None:
         for program in self.filters.values():

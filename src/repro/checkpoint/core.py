@@ -108,45 +108,26 @@ def save_checkpoint(path: PathLike, state: Any,
     return write_container(path, pack_state(state), dict(meta or {}))
 
 
-def pack_state(state: Any,
-               globals_bundle: Optional[Dict[str, Any]] = None) -> bytes:
+def pack_state(state: Any) -> bytes:
     """Serialize ``state`` plus the process-global bundle into one
-    in-memory blob — the payload of an engine checkpoint and the wire
-    format the sharded coordinator uses for region checkpoints and final
-    state collection.  Packing mutates nothing.
-
-    ``globals_bundle`` lets a caller that already holds a
-    :func:`capture_globals` snapshot (e.g. a resident region worker
-    swapping per-region bundles) embed it without re-capturing —
-    required when the live process globals are *not* the ones that
-    belong with ``state``.
+    in-memory blob — the payload of an engine checkpoint.  Packing
+    mutates nothing.
     """
-    if globals_bundle is None:
-        globals_bundle = capture_globals()
-    return pickle.dumps((dump_state(globals_bundle), dump_state(state)),
+    return pickle.dumps((dump_state(capture_globals()), dump_state(state)),
                         protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack_state(blob: bytes,
-                 globals_out: Optional[Dict[str, Any]] = None) -> Any:
+def unpack_state(blob: bytes) -> Any:
     """Invert :func:`pack_state`: restore the globals bundle into this
     process (telemetry registry, trace, ID sequences), then unpickle and
     return the state graph.  (Restoring first is load-bearing: the state
     graph references metric families symbolically, and resolution
     requires them to exist — see :mod:`repro.checkpoint.pickler`.)
-    Another container's payload (a shard checkpoint's, a sweep task's)
-    raises :class:`CheckpointError`.
-
-    When ``globals_out`` is given, the embedded bundle is also copied
-    into it — so a caller that swaps per-region globals bundles (the
-    resident shard workers) can hold the blob's bundle without paying a
-    second :func:`capture_globals`.
+    Another container's payload (a sweep task's) raises
+    :class:`CheckpointError`.
     """
     globals_blob, state_blob = load_state(blob)
-    bundle = load_state(globals_blob)
-    restore_globals(bundle)
-    if globals_out is not None:
-        globals_out.update(bundle)
+    restore_globals(load_state(globals_blob))
     return load_state(state_blob)
 
 

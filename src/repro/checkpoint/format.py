@@ -1,9 +1,8 @@
 """The on-disk checkpoint container: versioned, fingerprinted, atomic.
 
 Every resume file in the tree is one of these containers: engine
-checkpoints, the shard's ``shard.ckpt`` and the sweep's
-``tasks/<task_id>.ckpt``.  A container is a one-line ASCII JSON header
-followed by one raw payload::
+checkpoints and the sweep's ``tasks/<task_id>.ckpt``.  A container is
+a one-line ASCII JSON header followed by one raw payload::
 
     {"fingerprint": "sha256:...", "magic": "repro-checkpoint",
      "meta": {...}, "payload_bytes": N, "version": 2}\n
@@ -12,13 +11,12 @@ followed by one raw payload::
 The header stays human-readable (``head -1 file.ckpt`` tells you what a
 file holds and, for an engine checkpoint, when it was taken in
 simulation time) while the payload is opaque bytes: a ``pack_state``
-blob for an engine checkpoint, the pickled region blobs for a shard
-checkpoint, a task record's JSON for a sweep task.  Every header field
-is type-checked and the fingerprint is the SHA-256 of the payload, so
-truncation, bit rot, trailing garbage and partially written files are
-all detected before a caller sees a payload byte — a corrupted
-checkpoint is rejected with :class:`CheckpointError`, never silently
-restored.
+blob for an engine checkpoint, a task record's JSON for a sweep task.
+Every header field is type-checked and the fingerprint is the SHA-256
+of the payload, so truncation, bit rot, trailing garbage and partially
+written files are all detected before a caller sees a payload byte — a
+corrupted checkpoint is rejected with :class:`CheckpointError`, never
+silently restored.
 
 Writes go through :func:`atomic_write`: a temp file beside the target,
 fsynced, then moved into place with ``os.replace``.  A crash mid-write

@@ -120,9 +120,9 @@ class CheckpointUnpickler(pickle.Unpickler):
 #: Recursion headroom while pickling.  A simulation state is a deeply
 #: linked object graph — a 1000-switch topology chains nodes -> links ->
 #: nodes far past the interpreter's default limit of 1000 frames, and
-#: the pickler walks it depth-first.  Scaled worlds (sharded regions,
-#: large sweeps) need the larger bound; it is restored on exit so the
-#: rest of the process keeps its normal guard.
+#: the pickler walks it depth-first.  Scaled worlds need the larger
+#: bound; it is restored on exit so the rest of the process keeps its
+#: normal guard.
 _PICKLE_RECURSION_LIMIT = 100_000
 
 

@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ..dataplane.resources import ResourceVector, TOFINO_LIKE
+from ..dataplane.resources import TOFINO_LIKE
 from ..telemetry import metrics
 from .analyzer import ProgramAnalyzer
 from .booster import Booster
@@ -94,10 +94,8 @@ class VerificationReport:
 
 
 class BoosterVerifier:
-    """Checks one booster, or the composition of a catalog."""
-
-    def __init__(self, switch_profile: ResourceVector = TOFINO_LIKE):
-        self.switch_profile = switch_profile
+    """Checks one booster, or the composition of a catalog against
+    :data:`TOFINO_LIKE` switches."""
 
     # ------------------------------------------------------------------
     # Per-booster checks
@@ -187,13 +185,13 @@ class BoosterVerifier:
                 report.add(Severity.ERROR, name, "resources",
                            f"{ppm.qualified_name} declares a negative "
                            f"resource requirement {ppm.requirement}")
-            elif not ppm.requirement.fits_within(self.switch_profile):
+            elif not ppm.requirement.fits_within(TOFINO_LIKE):
                 report.add(
                     Severity.ERROR, name, "resources",
                     f"{ppm.qualified_name} needs {ppm.requirement}, "
-                    f"which no {self.switch_profile} switch can host")
+                    f"which no {TOFINO_LIKE} switch can host")
         total = graph.total_requirement()
-        if not total.fits_within(self.switch_profile):
+        if not total.fits_within(TOFINO_LIKE):
             report.add(
                 Severity.WARNING, name, "resources",
                 f"whole booster ({total}) exceeds one switch; the "
@@ -266,7 +264,7 @@ class BoosterVerifier:
                        f"joint analysis failed: {exc!r}")
             return report
         total = merged.merged.total_requirement()
-        budget = self.switch_profile.scaled(max(n_switches, 1))
+        budget = TOFINO_LIKE.scaled(max(n_switches, 1))
         if not total.fits_within(budget):
             report.add(
                 Severity.WARNING, "<catalog>", "capacity",
@@ -276,10 +274,9 @@ class BoosterVerifier:
 
 
 def verify_catalog(boosters: Sequence[Booster],
-                   switch_profile: ResourceVector = TOFINO_LIKE,
                    n_switches: int = 1) -> VerificationReport:
     """Verify every booster plus the composition; one merged report."""
-    verifier = BoosterVerifier(switch_profile)
+    verifier = BoosterVerifier()
     report = VerificationReport()
     for booster in boosters:
         report.findings.extend(verifier.verify_booster(booster).findings)

@@ -17,6 +17,7 @@ Run ``python -m repro figure3`` to print both time series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..attacks.rolling import RollingAttacker
@@ -253,6 +254,9 @@ def advance_world(world: Figure3World, until: Optional[float] = None,
 def attach_attack(world: Figure3World, start_delay: float = 1.0,
                   **overrides) -> RollingAttacker:
     """Live injection: launch the rolling Crossfire attacker mid-run."""
+    if not 0.0 <= start_delay < math.inf:
+        raise ValueError(
+            f"start_delay must be finite and >= 0, got {start_delay}")
     if world.attacker is not None:
         raise ValueError("an attacker is already attached to this world")
     config = world.config

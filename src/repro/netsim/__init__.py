@@ -14,7 +14,7 @@ from .links import Link, LinkStats
 from .monitor import Monitor, TimeSeries
 from .node import Host, Node
 from .packet import (DEFAULT_TTL, FlowKey, Packet, PacketKind, Protocol,
-                     TcpFlags, make_probe)
+                     TcpFlags)
 from .routecache import RouteCache, SsspTree
 from .routing import (NoRouteError, Path, clear_flow_route,
                       default_path_for,
@@ -48,7 +48,7 @@ __all__ = [
     "fat_tree", "figure2_topology",
     "install_fast_reroute_alternates", "install_host_routes",
     "install_path_route", "install_switch_routes",
-    "k_shortest_paths", "make_flow", "make_probe", "max_min_allocate",
+    "k_shortest_paths", "make_flow", "max_min_allocate",
     "random_topology", "shortest_path", "BatchPacketSource",
     "MeterWindow", "PacketSource", "ThroughputMeter",
 ]

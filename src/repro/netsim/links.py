@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+import math
 from typing import TYPE_CHECKING, Deque
 
 from ..telemetry import metrics
@@ -164,9 +165,9 @@ class Link:
         fluid model re-runs allocation; mutating ``capacity_bps`` directly
         would silently leave a stale cached allocation in place.
         """
-        if capacity_bps <= 0:
-            raise ValueError(
-                f"link capacity must be positive, got {capacity_bps}")
+        if not 0.0 < capacity_bps < math.inf:
+            raise ValueError(f"link capacity must be finite and positive, "
+                             f"got {capacity_bps}")
         if capacity_bps == self.capacity_bps:
             return
         self.capacity_bps = capacity_bps

@@ -157,11 +157,3 @@ class Packet:
     def __repr__(self) -> str:
         return (f"Packet(#{self.pkt_id} {self.kind.value} "
                 f"{self.flow_key} ttl={self.ttl} size={self.size_bytes}B)")
-
-
-def make_probe(src: str, dst: str, kind: PacketKind,
-               headers: Optional[Dict[str, Any]] = None,
-               size_bytes: int = 64) -> Packet:
-    """Convenience constructor for small control-plane-in-data-plane packets."""
-    return Packet(src=src, dst=dst, size_bytes=size_bytes, kind=kind,
-                  proto=Protocol.UDP, headers=dict(headers or {}))

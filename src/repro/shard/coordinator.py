@@ -19,47 +19,36 @@ simulation").
 
 Region state stays **resident**: each region is built fresh inside its
 sticky worker (region ``r`` lives in worker ``r % workers`` for the
-whole run) and only small per-window messages cross the pipes.  Full
-:func:`~repro.checkpoint.core.pack_state` serialization happens only on
-demand — every ``checkpoint_every``-th barrier when a checkpoint
-directory is set, and once per region at resume.  Worker count never
-changes results (see the sequence-installation and globals-bundle
-disciplines in :mod:`repro.shard.workers`).
+whole run) and only small per-window messages cross the pipes; region
+state is never serialized.  Worker count never changes results (see
+the sequence-installation and globals-bundle disciplines in
+:mod:`repro.shard.workers`).
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
-import json
 import math
 import multiprocessing
-import pickle
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..checkpoint import capture_globals, restore_globals
-from ..checkpoint.format import read_container, write_container
 from ..netsim.engine import Simulator
 from ..sweep.runner import stable_metrics
 from ..telemetry import MetricsRegistry
 from .partition import partition_topology
 from .region import BOUNDARY_HEADROOM, compute_paths, hosted_counts
 from .scenario import ShardScenario, aggregate_samples, build_topology
-from .workers import (C_MESSAGES, C_STATE_BYTES, H_BARRIER,
-                      ResidentRegionHost, ShardWorkerError, WorkerInit,
-                      region_worker_main)
+from .workers import (C_MESSAGES, H_BARRIER, ResidentRegionHost,
+                      ShardWorkerError, WorkerInit, region_worker_main)
 
 __all__ = ["run_sharded", "ShardWorkerError"]
 
-#: The one file of a shard checkpoint, inside ``checkpoint_dir``.
-CHECKPOINT_NAME = "shard.ckpt"
-
 #: Test seam: called as ``_barrier_hook(window_index, handles)`` after
-#: every completed barrier (checkpoint included).  The crash-handling
-#: tests use it to SIGKILL a worker between windows; ``handles`` is
-#: empty when regions run inline.
+#: every completed barrier.  The crash-handling tests use it to SIGKILL
+#: a worker between windows; ``handles`` is empty when regions run
+#: inline.
 _barrier_hook: Optional[Callable[[int, List["_WorkerHandle"]], None]] = None
 
 
@@ -85,40 +74,6 @@ def _consensus_pins(reports: List[Dict[int, float]]
     return pins
 
 
-def _write_checkpoint(checkpoint_dir: Path, config: Dict[str, Any],
-                      next_t: float, blobs: List[bytes],
-                      pins: Dict[int, Optional[float]]) -> None:
-    """One fingerprinted container per barrier, atomically replaced:
-    the run configuration and resume time in the header's ``meta``, the
-    region blobs (each a ``pack_state`` blob carrying its own globals)
-    plus the next window's pins as the payload."""
-    payload = pickle.dumps((blobs, pins),
-                           protocol=pickle.HIGHEST_PROTOCOL)
-    write_container(checkpoint_dir / CHECKPOINT_NAME, payload,
-                    dict(config, next_t=next_t))
-
-
-def _load_checkpoint(checkpoint_dir: Path, config: Dict[str, Any]
-                     ) -> Optional[Tuple[float, List[bytes],
-                                         Dict[int, Optional[float]]]]:
-    """The resumable state at ``checkpoint_dir`` (None when there is no
-    checkpoint yet).  The container is fingerprint-verified before any
-    unpickling; one written by a different run configuration is
-    refused."""
-    path = checkpoint_dir / CHECKPOINT_NAME
-    if not path.exists():
-        return None
-    header, payload = read_container(path)
-    meta = dict(header["meta"])
-    next_t = meta.pop("next_t", None)
-    if meta != config:
-        raise ValueError(
-            f"checkpoint at {checkpoint_dir} was written by a different "
-            f"shard configuration; refusing to resume from it")
-    blobs, pins = pickle.loads(payload)
-    return next_t, blobs, pins
-
-
 # ----------------------------------------------------------------------
 # Transports: where the resident regions live
 # ----------------------------------------------------------------------
@@ -130,10 +85,7 @@ class _Tally:
 
     def __init__(self) -> None:
         self.messages: Dict[str, int] = {}
-        self.state_bytes: Dict[str, int] = {"to_workers": 0,
-                                            "from_workers": 0}
         self.barrier_seconds: List[float] = []
-        self.checkpoints_written = 0
 
     def message(self, kind: str) -> None:
         self.messages[kind] = self.messages.get(kind, 0) + 1
@@ -143,10 +95,6 @@ class _Tally:
             H_BARRIER.observe(seconds)
         for kind in sorted(self.messages):
             C_MESSAGES.labels(kind).inc(self.messages[kind])
-        for direction in sorted(self.state_bytes):
-            if self.state_bytes[direction]:
-                C_STATE_BYTES.labels(direction).inc(
-                    self.state_bytes[direction])
 
 
 class _InlineTransport:
@@ -177,12 +125,6 @@ class _InlineTransport:
             self._hosts[region_index] = ResidentRegionHost.build(
                 self._init, region_index, self._full)
 
-    def load_regions(self, blobs: List[bytes]) -> None:
-        for region_index, blob in enumerate(blobs):
-            self._tally.message("load")
-            self._hosts[region_index] = ResidentRegionHost.from_blob(
-                region_index, blob)
-
     def run_window(self, t_end: float,
                    pins: Dict[int, Optional[float]]) -> List[Tuple]:
         results = []
@@ -190,13 +132,6 @@ class _InlineTransport:
             self._tally.message("window")
             results.append(self._hosts[region_index].window(t_end, pins))
         return results
-
-    def checkpoint_regions(self) -> List[bytes]:
-        blobs = []
-        for region_index in range(self._n_regions):
-            self._tally.message("checkpoint")
-            blobs.append(self._hosts[region_index].checkpoint())
-        return blobs
 
     def collect_regions(self) -> List[Dict[str, Any]]:
         collected = []
@@ -308,23 +243,11 @@ class _ProcessTransport:
     def build_regions(self) -> None:
         self._fan(lambda region_index: ("build", region_index))
 
-    def load_regions(self, blobs: List[bytes]) -> None:
-        for blob in blobs:
-            self._tally.state_bytes["to_workers"] += len(blob)
-        self._fan(lambda region_index: ("load", region_index,
-                                        blobs[region_index]))
-
     def run_window(self, t_end: float,
                    pins: Dict[int, Optional[float]]) -> List[Tuple]:
         return self._fan(
             lambda region_index: ("window", region_index, t_end, pins),
             window_end=t_end)
-
-    def checkpoint_regions(self) -> List[bytes]:
-        blobs = self._fan(lambda region_index: ("checkpoint", region_index))
-        for blob in blobs:
-            self._tally.state_bytes["from_workers"] += len(blob)
-        return blobs
 
     def collect_regions(self) -> List[Dict[str, Any]]:
         return self._fan(lambda region_index: ("collect", region_index))
@@ -355,9 +278,8 @@ class _ProcessTransport:
 # ----------------------------------------------------------------------
 
 def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
-                sync: str = "local", window_s: Optional[float] = None,
-                checkpoint_dir: Optional[Any] = None, resume: bool = False,
-                checkpoint_every: int = 1) -> Dict[str, Any]:
+                sync: str = "local", window_s: Optional[float] = None
+                ) -> Dict[str, Any]:
     """Run ``scenario`` sharded into ``n_regions`` resident regions.
 
     Returns the stable result record.  It never depends on ``workers``;
@@ -371,10 +293,6 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     ``sync`` is a retired option: ``"local"`` is the only semantics.
     ``window_s`` defaults to the scenario's sample period and must be
     finite and positive.
-
-    ``checkpoint_every`` checkpoints at every Nth barrier (and always at
-    the horizon) when ``checkpoint_dir`` is set; state is serialized
-    only when a checkpoint is actually due.
     """
     if sync != "local":
         raise ValueError(
@@ -385,9 +303,6 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         raise ValueError(f"n_regions must be >= 1, got {n_regions}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if checkpoint_every < 1:
-        raise ValueError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if window_s is None:
         window_s = scenario.sample_period_s
     if not 0.0 < window_s < math.inf:
@@ -398,41 +313,14 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     full = build_topology(scenario, Simulator(seed=scenario.seed))
     partition = partition_topology(full, n_regions, seed=scenario.seed)
 
-    checkpoint_path: Optional[Path] = None
-    config: Dict[str, Any] = {}
-    if checkpoint_dir is not None:
-        checkpoint_path = Path(checkpoint_dir)
-        # A digest, because a large scenario's dict would overflow the
-        # container's one-line header; only here, because computing it
-        # costs a large scenario's run time and memory.
-        canonical = json.dumps(scenario.to_dict(), sort_keys=True)
-        config = {"scenario_sha256": hashlib.sha256(
-                      canonical.encode("ascii")).hexdigest(),
-                  "n_regions": n_regions, "window_s": window_s}
-    resumed = None
-    if resume:
-        if checkpoint_path is None:
-            raise ValueError("resume=True needs a checkpoint_dir")
-        resumed = _load_checkpoint(checkpoint_path, config)
-
-    blobs: Optional[List[bytes]] = None
-    pins: Dict[int, Optional[float]] = {}
-    if resumed is not None:
-        t, blobs, pins = resumed
-    else:
-        t = 0.0
-
-    # Fresh builds need paths and the flow-id offsets that reproduce the
-    # sequential build's id assignment; resumed runs carry their ids in
-    # the blobs.
-    paths: List[Tuple[Tuple[str, str], ...]] = []
+    # The flow-id offsets reproduce the sequential build's id assignment
+    # in every worker.
+    paths = compute_paths(full, scenario)
     offsets: List[int] = []
-    if blobs is None:
-        paths = compute_paths(full, scenario)
-        total = 0
-        for count in hosted_counts(partition, paths):
-            offsets.append(total)
-            total += count
+    total = 0
+    for count in hosted_counts(partition, paths):
+        offsets.append(total)
+        total += count
     init = WorkerInit(scenario=scenario, partition=partition, paths=paths,
                       base_sequences=capture_globals()["sequences"],
                       flow_id_offsets=offsets)
@@ -445,15 +333,13 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         transport = _InlineTransport(init, n_regions, full, tally)
 
     record_lists: List[List[Any]] = [[] for _ in range(n_regions)]
+    t = 0.0
+    pins: Dict[int, Optional[float]] = {}
     window_index = 0
     worker_cpu: List[float] = []
     collected: List[Dict[str, Any]] = []
     try:
-        if blobs is None:
-            transport.build_regions()
-        else:
-            transport.load_regions(blobs)
-
+        transport.build_regions()
         while t < scenario.duration_s:
             t_end = min(t + window_s, scenario.duration_s)
             barrier_start = time.perf_counter()  # reprolint: disable=RPL002
@@ -468,13 +354,6 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
                 - barrier_start)
             t = t_end
             window_index += 1
-
-            if checkpoint_path is not None and (
-                    window_index % checkpoint_every == 0
-                    or t >= scenario.duration_s):
-                _write_checkpoint(checkpoint_path, config, t,
-                                  transport.checkpoint_regions(), pins)
-                tally.checkpoints_written += 1
             if _barrier_hook is not None:
                 _barrier_hook(window_index, transport.handles)
 
@@ -489,9 +368,8 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     snapshots = []
     region_updates = 0
     region_passes = 0
-    for region_index, entry in enumerate(collected):
+    for entry in collected:
         snapshots.append(entry["metrics"])
-        record_lists[region_index].extend(entry["records"])
         for idx, final in entry["finals"]:
             finals[idx] = final
         region_updates = max(region_updates, entry["updates"])
@@ -526,8 +404,8 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
             "barrier_seconds_total": math.fsum(tally.barrier_seconds),
             "messages": {kind: tally.messages[kind]
                          for kind in sorted(tally.messages)},
-            "state_bytes": dict(sorted(tally.state_bytes.items())),
-            "checkpoints_written": tally.checkpoints_written,
+            # Region state never crosses a pipe.
+            "state_bytes": {"from_workers": 0, "to_workers": 0},
             "cpu_time_s": {
                 "coordinator": (
                     time.process_time()  # reprolint: disable=RPL002

@@ -16,11 +16,10 @@ of the single engine (DESIGN.md "Sharded simulation"); with one region
 nothing is cut and the run is byte-identical to
 :func:`repro.shard.scenario.run_single`.
 
-Regions are *resident*: each lives unpacked inside a long-lived worker
-process (or inline in the coordinator when ``workers == 1``) for the
-whole run, exchanging only small per-window messages — see
-:mod:`repro.shard.workers`.  :func:`pack_state` blobs appear only at
-checkpoints and on resume.
+Regions are *resident*: each lives inside a long-lived worker process
+(or inline in the coordinator when ``workers == 1``) for the whole run,
+exchanging only small per-window messages — see
+:mod:`repro.shard.workers`.
 """
 
 from __future__ import annotations
@@ -62,12 +61,6 @@ class LinkSegment:
 
     def links(self) -> List[LinkKey]:
         return list(self.link_keys)
-
-    def __getstate__(self):
-        return (self.src, self.dst, self.link_keys)
-
-    def __setstate__(self, state):
-        self.src, self.dst, self.link_keys = state
 
     def __repr__(self) -> str:
         return (f"LinkSegment({self.src}->{self.dst}, "
@@ -226,9 +219,7 @@ def build_region(full: Topology, scenario: ShardScenario,
         if region_index not in regions_crossed:
             continue
         flow = make_flow(spec.src, spec.dst, spec.demand_bps,
-                         sport=spec.sport, weight=spec.weight,
-                         elastic=spec.elastic, malicious=spec.malicious,
-                         start_time=spec.start_time, end_time=spec.end_time)
+                         sport=spec.sport)
         local_keys = tuple(key for key in links
                            if assignment[key[0]] == region_index
                            and assignment[key[1]] == region_index)
@@ -253,12 +244,8 @@ def build_region(full: Topology, scenario: ShardScenario,
     # Mirror the single-engine build order: fluid first, sampler second,
     # so their relative event ordering matches run_single exactly.
     fluid.start()
-    sampler = GoodputSampler(
-        sim,
-        [flow_by_spec[i] for i in home_specs
-         if not flow_by_spec[i].malicious],
-        [flow_by_spec[i] for i in home_specs
-         if flow_by_spec[i].malicious])
+    sampler = GoodputSampler(sim, [flow_by_spec[i] for i in home_specs],
+                             [])
     sampler.start(scenario.sample_period_s)
 
     return RegionWorld(region_index=region_index, sim=sim, topo=topo,

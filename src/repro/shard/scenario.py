@@ -1,8 +1,8 @@
 """Shard scenarios: fluid-only workloads with a single-engine reference.
 
-A :class:`ShardScenario` is a fully declarative description of a run —
-topology recipe, flow specs, scheduled demand changes, fluid/sampling
-cadence — that both execution paths consume:
+A :class:`ShardScenario` is a declarative description of a run on a
+random topology — topology recipe, flow specs, scheduled demand
+changes, fluid/sampling cadence — that both execution paths consume:
 
 * :func:`run_single` builds everything on ONE simulator and runs it to
   the horizon: the single-process reference the determinism contract is
@@ -10,10 +10,6 @@ cadence — that both execution paths consume:
 * :func:`repro.shard.coordinator.run_sharded` partitions the same
   scenario across regions; with one region it must reproduce
   :func:`run_single`'s stable record byte-for-byte.
-
-Scenarios are JSON-serializable (:meth:`ShardScenario.to_dict` /
-:meth:`ShardScenario.from_dict`); a shard checkpoint carries that form's
-digest, so a resume in a fresh process can refuse a different scenario.
 
 Why ``math.fsum`` for the goodput series: the single engine sums all
 flows in one process, while the sharded run sums per-region lists in
@@ -27,7 +23,7 @@ outputs from earlier PRs.)
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 import math
 import random
 from typing import Any, Dict, List, Optional, Tuple
@@ -36,10 +32,15 @@ from ..netsim.engine import Simulator
 from ..netsim.flows import Flow, FlowSet, make_flow
 from ..netsim.fluid import FluidNetwork
 from ..netsim.routing import shortest_path
-from ..netsim.topology import (Topology, figure2_topology, random_topology)
+from ..netsim.topology import Topology, random_topology
 
 GBPS = 1e9
 MBPS = 1e6
+
+#: Capacity of every link in a :func:`random_scenario` topology.
+LINK_CAPACITY_BPS = 10 * GBPS
+#: The demands a :func:`random_scenario` flow draws from.
+DEMAND_LEVELS_BPS = (50 * MBPS, 120 * MBPS, 300 * MBPS, 700 * MBPS)
 
 
 @dataclass
@@ -49,12 +50,7 @@ class FlowSpec:
     src: str
     dst: str
     demand_bps: float
-    weight: float = 1.0
-    elastic: bool = True
-    start_time: float = 0.0
-    end_time: Optional[float] = None
-    malicious: bool = False
-    sport: int = 0
+    sport: int
 
 
 @dataclass
@@ -69,71 +65,21 @@ class DemandChange:
 
 @dataclass
 class ShardScenario:
-    """A declarative, JSON-serializable shard workload."""
+    """A declarative shard workload on a random topology."""
 
-    topology: str = "figure2"
-    topology_params: Dict[str, Any] = field(default_factory=dict)
-    flows: List[FlowSpec] = field(default_factory=list)
+    topology_params: Dict[str, Any]
+    flows: List[FlowSpec]
+    seed: int
+    duration_s: float
+    fluid_interval_s: float
+    sample_period_s: float
     changes: List[DemandChange] = field(default_factory=list)
-    seed: int = 0
-    duration_s: float = 8.0
-    fluid_interval_s: float = 0.01
-    sample_period_s: float = 0.5
     tcp_tau: float = 0.05
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(
                 f"duration_s must be finite and > 0, got {self.duration_s}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ShardScenario":
-        data = dict(payload)
-        data["flows"] = [FlowSpec(**f) for f in data.get("flows", [])]
-        data["changes"] = [DemandChange(**c)
-                           for c in data.get("changes", [])]
-        return cls(**data)
-
-
-# ----------------------------------------------------------------------
-# Canned scenarios
-# ----------------------------------------------------------------------
-
-def figure3_scenario(seed: int = 0, duration_s: float = 8.0,
-                     n_clients: int = 4, n_bots: int = 6,
-                     attack_start_s: float = 5.0,
-                     fluid_interval_s: float = 0.01,
-                     sample_period_s: float = 0.5) -> ShardScenario:
-    """The figure3 workload, fluid-only: clients sending to the victim
-    over the Figure 2 network, a Crossfire-style bot wave joining at
-    ``attack_start_s``, plus seeded mid-run demand churn so the sharded
-    allocator faces both active-set changes and version bumps."""
-    flows: List[FlowSpec] = []
-    for i in range(n_clients):
-        flows.append(FlowSpec(src=f"client{i}", dst="victim",
-                              demand_bps=1.5 * GBPS, sport=10000 + i))
-    for i in range(n_bots):
-        flows.append(FlowSpec(src=f"bot{i}", dst="victim",
-                              demand_bps=200 * 10 * MBPS, weight=200.0,
-                              malicious=True, start_time=attack_start_s,
-                              sport=20000 + i))
-    rng = random.Random(f"figure3_scenario:{seed}")
-    changes: List[DemandChange] = []
-    for i in range(n_clients):
-        for _ in range(2):
-            changes.append(DemandChange(
-                time_s=rng.uniform(0.5, max(duration_s - 0.5, 1.0)),
-                flow_index=i,
-                demand_bps=1.5 * GBPS * rng.choice((0.5, 0.75, 1.25))))
-    return ShardScenario(
-        topology="figure2",
-        topology_params={"n_clients": n_clients, "n_bots": n_bots},
-        flows=flows, changes=changes, seed=seed, duration_s=duration_s,
-        fluid_interval_s=fluid_interval_s,
-        sample_period_s=sample_period_s)
 
 
 def random_scenario(seed: int = 0, n_switches: int = 50,
@@ -142,23 +88,15 @@ def random_scenario(seed: int = 0, n_switches: int = 50,
                     duration_s: float = 2.0,
                     fluid_interval_s: float = 0.1,
                     sample_period_s: float = 0.5,
-                    link_capacity_bps: float = 10 * GBPS,
-                    demand_levels_bps: Tuple[float, ...] = (
-                        50 * MBPS, 120 * MBPS, 300 * MBPS, 700 * MBPS),
-                    locality: int = 1,
-                    churn_per_epoch: int = 0,
                     source_hosts: Optional[int] = None) -> ShardScenario:
-    """A random-topology workload with graph-local flows.
+    """A random-topology workload and no demand changes (callers add
+    them with ``dataclasses.replace``).
 
-    Flows connect hosts a few switch hops apart (``locality`` bounds the
-    BFS radius of the destination's switch from the source's), which is
-    what makes partitioning profitable: a low edge cut keeps most flows
-    interior to one region.  ``churn_per_epoch`` schedules that many
-    demand changes inside every fluid epoch, defeating the steady-state
-    fast path on purpose — the benchmark uses it to make allocator
-    passes, not smoothing, the dominant cost.  ``source_hosts`` bounds
-    how many distinct hosts originate flows (bounding Dijkstra-tree
-    count at path-assignment time).
+    Every flow joins two hosts behind the same gateway switch.  Hosts
+    follow their gateway into a region, so no flow crosses a region
+    boundary: a multi-region run of this scenario has nothing to pin.
+    ``source_hosts`` bounds how many distinct hosts originate flows
+    (bounding Dijkstra-tree count at path-assignment time).
     """
     for name, value, least in (("n_switches", n_switches, 1),
                                ("n_hosts", n_hosts, 1),
@@ -167,44 +105,24 @@ def random_scenario(seed: int = 0, n_switches: int = 50,
             raise ValueError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(f"random_scenario:{seed}")
     # Rebuild the exact topology the builders will construct (cheap: no
-    # simulator events) so flow endpoints can be sampled with locality.
+    # simulator events) to group hosts by gateway.
     probe_topo = random_topology(Simulator(seed=seed), n_switches, n_hosts,
                                  extra_edges=extra_edges,
-                                 link_capacity=link_capacity_bps, seed=seed)
+                                 link_capacity=LINK_CAPACITY_BPS, seed=seed)
     hosts_by_switch: Dict[str, List[str]] = {}
     for host_name in probe_topo.host_names:
         gateway = probe_topo.nodes[host_name].gateway
         hosts_by_switch.setdefault(gateway, []).append(host_name)
     for members in hosts_by_switch.values():
         members.sort()
-    adjacency: Dict[str, List[str]] = {
-        name: [] for name in probe_topo.switch_names}
-    host_set = set(probe_topo.host_names)
-    for a, b in probe_topo.duplex_pairs():
-        if a in adjacency and b in adjacency:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
     populated = sorted(hosts_by_switch)
     candidates: List[str] = []
     if source_hosts is not None:
-        candidates = sorted(host_set)[:source_hosts]
+        candidates = sorted(probe_topo.host_names)[:source_hosts]
 
-    def _near_host(switch: str) -> Optional[str]:
-        """A host attached within ``locality`` hops of ``switch``."""
-        ring = [switch]
-        seen = {switch}
-        for _ in range(locality + 1):
-            pool = [h for s in ring for h in hosts_by_switch.get(s, ())]
-            if pool:
-                return pool[rng.randrange(len(pool))]
-            nxt = []
-            for s in ring:
-                for n in adjacency[s]:
-                    if n not in seen:
-                        seen.add(n)
-                        nxt.append(n)
-            ring = nxt
-        return None
+    def _host_at(switch: str) -> str:
+        members = hosts_by_switch[switch]
+        return members[rng.randrange(len(members))]
 
     flows: List[FlowSpec] = []
     attempts = 0
@@ -213,33 +131,18 @@ def random_scenario(seed: int = 0, n_switches: int = 50,
         if candidates:
             src = candidates[rng.randrange(len(candidates))]
         else:
-            anchor = populated[rng.randrange(len(populated))]
-            src = _near_host(anchor)
-        if src is None:
+            src = _host_at(populated[rng.randrange(len(populated))])
+        dst = _host_at(probe_topo.nodes[src].gateway)
+        if dst == src:
             continue
-        dst = _near_host(probe_topo.nodes[src].gateway)
-        if dst is None or dst == src:
-            continue
-        demand = demand_levels_bps[rng.randrange(len(demand_levels_bps))]
+        demand = DEMAND_LEVELS_BPS[rng.randrange(len(DEMAND_LEVELS_BPS))]
         flows.append(FlowSpec(src=src, dst=dst, demand_bps=demand,
                               sport=len(flows)))
-    changes: List[DemandChange] = []
-    if churn_per_epoch > 0 and flows:
-        n_epochs = int(duration_s / fluid_interval_s)
-        for epoch in range(n_epochs):
-            when = (epoch + 0.5) * fluid_interval_s
-            for _ in range(churn_per_epoch):
-                idx = rng.randrange(len(flows))
-                demand = demand_levels_bps[
-                    rng.randrange(len(demand_levels_bps))]
-                changes.append(DemandChange(time_s=when, flow_index=idx,
-                                            demand_bps=demand))
     return ShardScenario(
-        topology="random",
         topology_params={"n_switches": n_switches, "n_hosts": n_hosts,
                          "extra_edges": extra_edges,
-                         "link_capacity": link_capacity_bps, "seed": seed},
-        flows=flows, changes=changes, seed=seed, duration_s=duration_s,
+                         "link_capacity": LINK_CAPACITY_BPS, "seed": seed},
+        flows=flows, seed=seed, duration_s=duration_s,
         fluid_interval_s=fluid_interval_s,
         sample_period_s=sample_period_s)
 
@@ -249,11 +152,7 @@ def random_scenario(seed: int = 0, n_switches: int = 50,
 # ----------------------------------------------------------------------
 
 def build_topology(scenario: ShardScenario, sim: Simulator) -> Topology:
-    if scenario.topology == "figure2":
-        return figure2_topology(sim, **scenario.topology_params).topo
-    if scenario.topology == "random":
-        return random_topology(sim, **scenario.topology_params)
-    raise ValueError(f"unknown scenario topology {scenario.topology!r}")
+    return random_topology(sim, **scenario.topology_params)
 
 
 def _set_demand(flow: Flow, demand_bps: float) -> None:
@@ -273,10 +172,7 @@ def build_world(scenario: ShardScenario
     flow_list: List[Flow] = []
     for spec in scenario.flows:
         flow = make_flow(spec.src, spec.dst, spec.demand_bps,
-                         sport=spec.sport, weight=spec.weight,
-                         elastic=spec.elastic, malicious=spec.malicious,
-                         start_time=spec.start_time,
-                         end_time=spec.end_time)
+                         sport=spec.sport)
         flow.set_path(shortest_path(topo, spec.src, spec.dst))
         flows.add(flow)
         flow_list.append(flow)
@@ -371,9 +267,7 @@ def run_single(scenario: ShardScenario) -> Dict[str, Any]:
                          update_interval=scenario.fluid_interval_s,
                          tcp_tau=scenario.tcp_tau)
     fluid.start()
-    sampler = GoodputSampler(
-        sim, [f for f in flow_list if not f.malicious],
-        [f for f in flow_list if f.malicious])
+    sampler = GoodputSampler(sim, flow_list, [])
     sampler.start(scenario.sample_period_s)
     sim.run(until=scenario.duration_s)
     return {

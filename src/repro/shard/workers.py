@@ -6,15 +6,12 @@ Region state never moves on the window path:
   a duplex pipe, with a **sticky assignment** of regions (region ``r``
   lives in worker ``r % workers`` for the whole run — state never
   migrates).
-* A region is built **fresh inside its worker** (or unpacked exactly
-  once, on resume) and stays live between windows.  Per window the wire
-  carries only ``("window", region, t_end, pins)`` in and
-  ``(boundary report, new sample records)`` out — kilobytes, not the
-  multi-megabyte world.
-* State is serialized only on demand: ``("checkpoint", region)`` returns
-  a pack_state blob for the coordinator's checkpoint file, and
-  ``("collect", region)`` returns the final observables and telemetry
-  snapshot at end of run.
+* A region is built **fresh inside its worker** and stays live between
+  windows.  Per window the wire carries only ``("window", region, t_end,
+  pins)`` in and ``(boundary report, new sample records)`` out —
+  kilobytes, not the multi-megabyte world.
+* Region state is never serialized: ``("collect", region)`` returns the
+  final observables and telemetry snapshot at end of run.
 
 Determinism is carried by two disciplines:
 
@@ -41,14 +38,13 @@ from __future__ import annotations
 import itertools
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import import_module
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..checkpoint import (capture_globals, pack_state, restore_globals,
-                          unpack_state)
+from ..checkpoint import capture_globals, restore_globals
 from ..netsim.engine import Simulator
 from .partition import Partition
 from .region import LinkKey, RegionWorld, build_region
@@ -65,7 +61,10 @@ H_BARRIER = _MET.histogram(
     "shard_barrier_seconds",
     "wall-clock seconds per sharded window barrier",
     buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0))
-C_STATE_BYTES = _MET.counter(
+#: Always zero: region state never crosses a pipe.  The family stays
+#: registered because bench's ``sim_digest`` hashes every family's name
+#: and description.
+_MET.counter(
     "shard_state_bytes_total",
     "serialized region-state bytes moved between coordinator and workers",
     labelnames=("direction",))
@@ -109,9 +108,9 @@ class WorkerInit:
     paths: List[Tuple[LinkKey, ...]]
     #: ``capture_globals()["sequences"]`` at the coordinator's pre-build
     #: point: the common base every region's id sequences start from.
-    base_sequences: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    base_sequences: Dict[str, Tuple[int, ...]]
     #: Per-region flow-id offset: prefix sums of ``hosted_counts``.
-    flow_id_offsets: List[int] = field(default_factory=list)
+    flow_id_offsets: List[int]
 
 
 def install_sequences(base_sequences: Dict[str, Tuple[int, ...]],
@@ -149,29 +148,18 @@ class ResidentRegionHost:
     @classmethod
     def build(cls, init: WorkerInit, region_index: int,
               full: Any) -> "ResidentRegionHost":
-        """Build the region fresh (the fast path: no blob anywhere).
+        """Build the region fresh.
 
         ``full`` is the worker's full-topology rebuild, shared across
         the regions it hosts.  The reset + sequence install reproduce
         the exact context the sequential inline build gives each region.
         """
         telemetry.reset()
-        offset = (init.flow_id_offsets[region_index]
-                  if init.flow_id_offsets else 0)
-        install_sequences(init.base_sequences, offset)
+        install_sequences(init.base_sequences,
+                          init.flow_id_offsets[region_index])
         region = build_region(full, init.scenario, init.partition,
                               region_index, init.paths)
         return cls(region_index, region, capture_globals())
-
-    @classmethod
-    def from_blob(cls, region_index: int, blob: bytes
-                  ) -> "ResidentRegionHost":
-        """Unpack a checkpointed region — once, at resume (the only time
-        the resident transport ever deserializes state)."""
-        telemetry.reset()
-        bundle: Dict[str, Any] = {}
-        region = unpack_state(blob, globals_out=bundle)
-        return cls(region_index, region, bundle)
 
     # -- per-window -----------------------------------------------------
     def window(self, t_end: float, pins: Dict[int, Optional[float]]
@@ -189,29 +177,18 @@ class ResidentRegionHost:
         self._record_cursor = len(records)
         return report, new_records
 
-    # -- on demand ------------------------------------------------------
-    def checkpoint(self) -> bytes:
-        """Serialize the region with its own bundle (not the process's
-        live globals, which may belong to another hosted region)."""
-        return pack_state(self.region, globals_bundle=self.bundle)
-
+    # -- end of run -----------------------------------------------------
     def collect(self) -> Dict[str, Any]:
-        """Final observables: homed-flow finals, fluid counters, the
-        region's telemetry snapshot (its bundle's — equal to what
-        unpacking a checkpoint blob into a fresh registry would show),
-        and any sample records not yet streamed through a window reply
-        (a resumed-at-horizon region runs zero windows, so its blob's
-        record history ships here)."""
+        """Final observables: homed-flow finals, fluid counters and the
+        region's telemetry snapshot (its bundle's).  Every sample record
+        has already streamed through a window reply: the last window
+        ends at the horizon."""
         region = self.region
-        records = region.sampler.records
-        remaining = records[self._record_cursor:]
-        self._record_cursor = len(records)
         return {
             "finals": region.home_finals(),
             "updates": region.fluid.updates,
             "allocation_passes": region.fluid.allocation_passes,
             "metrics": self.bundle["metrics"],
-            "records": remaining,
         }
 
 
@@ -241,16 +218,9 @@ def region_worker_main(conn: Connection, worker_index: int,
                 hosts[region_index] = ResidentRegionHost.build(
                     init, region_index, full)
                 reply: Any = ("ok", None)
-            elif kind == "load":
-                region_index, blob = message[1], message[2]
-                hosts[region_index] = ResidentRegionHost.from_blob(
-                    region_index, blob)
-                reply = ("ok", None)
             elif kind == "window":
                 _, region_index, t_end, pins = message
                 reply = ("ok", hosts[region_index].window(t_end, pins))
-            elif kind == "checkpoint":
-                reply = ("ok", hosts[message[1]].checkpoint())
             elif kind == "collect":
                 reply = ("ok", hosts[message[1]].collect())
             elif kind == "stats":

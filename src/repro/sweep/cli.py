@@ -16,7 +16,8 @@ import sys
 from typing import Any, Dict, List
 
 from .. import telemetry
-from .drivers import driver_names, resolve_driver
+from .drivers import (_figure3_config, driver_names, figure3_baseline,
+                      figure3_driver, figure3_fastflex, resolve_driver)
 from .runner import run_sweep
 from .spec import SweepSpec, parse_seeds
 
@@ -110,18 +111,22 @@ def sweep_main(argv=None) -> int:
     # Resolve the driver before --out is created: an unknown name or an
     # unimportable spec is a usage error, not a sweep of failed tasks.
     try:
-        resolve_driver(args.experiment)
+        driver = resolve_driver(args.experiment)
     except KeyError as exc:
         parser.error(exc.args[0])
     except ImportError as exc:
         parser.error(f"driver spec {args.experiment!r}: {exc}")
 
-    # Duplicate seeds and colliding task ids are usage errors too.
+    # Duplicate seeds, colliding task ids and a parameter a built-in
+    # figure3 driver would refuse are usage errors too.
     try:
         spec = SweepSpec(experiment=args.experiment, seeds=seeds,
                          base_params=base, grid=grid,
                          raw_seeds=args.raw_seeds)
-        spec.tasks()
+        tasks = spec.tasks()
+        if driver in (figure3_driver, figure3_baseline, figure3_fastflex):
+            for task in tasks:
+                _figure3_config(task.seed, task.param_dict)
     except ValueError as exc:
         parser.error(str(exc))
     out_dir = args.out if args.out is not None else \

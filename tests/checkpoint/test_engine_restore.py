@@ -10,6 +10,7 @@ finishes with results identical to one that was never interrupted.
 import io
 import itertools
 import json
+import math
 
 import pytest
 
@@ -263,14 +264,24 @@ class TestServeDriver:
         service.submit({"op": "set-link-capacity", "src": "s3",
                         "dst": "s4", "capacity_bps": None})
         _command_reader(io.StringIO("not json\n[1, 2]\n"), service)
+        # Regression: these passed their callee's checks and then killed
+        # the service (a NaN capacity in the allocator, a negative or NaN
+        # delay in the attacker's scheduling).
+        service.submit({"op": "set-link-capacity", "src": "s1",
+                        "dst": "sR", "capacity_bps": "nan"})
+        service.submit({"op": "attach-attack", "start_delay": -3})
+        service.submit({"op": "attach-attack", "start_delay": math.nan})
         service.submit({"op": "status"})
         assert service.run() is not None
         acks = [json.loads(line) for line in
                 stream.getvalue().splitlines()
                 if '"service_ack"' in line]
-        assert [a["ok"] for a in acks] == [False, False, False, False, True]
+        assert [a["ok"] for a in acks] == [False] * 7 + [True]
         assert all("TypeError" in a["error"] for a in acks[:2])
         assert all("not a JSON object" in a["error"] for a in acks[2:4])
+        assert "capacity must be finite and positive" in acks[4]["error"]
+        assert all("start_delay must be finite and >= 0" in a["error"]
+                   for a in acks[5:7])
         assert service.world.attacker is None
 
     def test_stop_checkpoints_and_halts(self, tmp_path):

@@ -1,8 +1,7 @@
 """Tests for packets, flow keys, and header machinery."""
 
 
-from repro.netsim import (FlowKey, Packet, PacketKind, Protocol, TcpFlags,
-                          make_probe)
+from repro.netsim import FlowKey, Packet, Protocol, TcpFlags
 
 
 class TestFlowKey:
@@ -58,19 +57,3 @@ class TestPacket:
         assert flags & TcpFlags.SYN
         assert flags & TcpFlags.ACK
         assert not flags & TcpFlags.FIN
-
-
-class TestMakeProbe:
-    def test_probe_defaults(self):
-        probe = make_probe("s1", "s2", PacketKind.MODE_CHANGE,
-                           {"epoch": 3})
-        assert probe.kind == PacketKind.MODE_CHANGE
-        assert probe.proto == Protocol.UDP
-        assert probe.size_bytes == 64
-        assert probe.headers["epoch"] == 3
-
-    def test_probe_headers_are_copied(self):
-        headers = {"a": 1}
-        probe = make_probe("x", "y", PacketKind.PROBE, headers)
-        headers["a"] = 2
-        assert probe.headers["a"] == 1

@@ -16,11 +16,13 @@ The contract (DESIGN.md "Sharded simulation"), all compared via
 
 from __future__ import annotations
 
+from dataclasses import replace
 import json
 import random
 
-from repro.shard import figure3_scenario, run_sharded, run_single
-from repro.shard.scenario import aggregate_samples
+from repro.shard import random_scenario, run_sharded, run_single
+from repro.shard.scenario import (DemandChange, FlowSpec,
+                                  aggregate_samples)
 
 #: Keys both run_single and run_sharded emit with identical meaning.
 STABLE_KEYS = ("samples", "flows", "updates", "allocation_passes")
@@ -39,27 +41,61 @@ def full_canonical(record):
     return json.dumps(record, sort_keys=True)
 
 
-def scenario_for(seed):
-    # Short horizon with the attack wave and demand churn inside it, so
-    # every seed exercises active-set changes and version bumps.
-    return figure3_scenario(seed=seed, duration_s=2.0, attack_start_s=1.0)
+EPOCH_S = 0.05
+N_HOSTS = 24
+#: Demand levels for the flows and the churn.  The two heavy ones
+#: congest shared links, so max-min has bottlenecks to resolve and
+#: flow-id tie-breaks matter.
+LEVELS_BPS = (50e6, 300e6, 700e6, 4e9, 8e9)
+
+
+def churn_scenario(seed, duration_s=2.0, n_flows=40, changes_per_epoch=3):
+    """A small random topology with seeded demand churn in every fluid
+    epoch: the shape of the benchmark's churn workloads.  The flows
+    join random host pairs instead of the generator's same-gateway
+    pairs, so a multi-region split has crossing flows to pin."""
+    scenario = random_scenario(
+        seed=seed, n_switches=12, n_hosts=N_HOSTS, n_flows=0,
+        extra_edges=6, duration_s=duration_s, fluid_interval_s=EPOCH_S,
+        sample_period_s=0.25)
+    rng = random.Random(f"churn:{seed}")
+    flows = []
+    for sport in range(n_flows):
+        src, dst = rng.sample(range(N_HOSTS), 2)
+        flows.append(FlowSpec(src=f"h{src}", dst=f"h{dst}",
+                              demand_bps=rng.choice(LEVELS_BPS[:3]),
+                              sport=sport))
+    changes = [
+        DemandChange(time_s=(epoch + 0.5) * EPOCH_S,
+                     flow_index=rng.randrange(n_flows),
+                     demand_bps=rng.choice(LEVELS_BPS))
+        for epoch in range(int(duration_s / EPOCH_S))
+        for _ in range(changes_per_epoch)]
+    return replace(scenario, flows=flows, changes=changes)
 
 
 class TestExactByteIdentity:
     def test_25_seeds_one_region_matches_single(self):
         for seed in range(25):
-            scenario = scenario_for(seed)
+            scenario = churn_scenario(seed)
             assert canonical(run_sharded(scenario, n_regions=1)) \
                 == canonical(run_single(scenario)), (
                     f"seed {seed}: one region diverged from the single "
                     f"engine")
+
+    def test_generator_flows_one_region_match_single(self):
+        """The generator's own same-gateway flows, with no churn."""
+        scenario = random_scenario(seed=4, n_switches=20, n_hosts=40,
+                                   n_flows=60)
+        assert canonical(run_sharded(scenario, n_regions=1)) \
+            == canonical(run_single(scenario))
 
     def test_worker_count_never_changes_results(self):
         """Full-record identity, merged telemetry included, across
         inline hosts (workers=1), shared workers (2 workers hosting 4
         regions) and one process per region."""
         for seed in range(5):
-            scenario = scenario_for(seed)
+            scenario = churn_scenario(seed)
             for n_regions in (2, 4):
                 inline = full_canonical(
                     run_sharded(scenario, n_regions=n_regions))
@@ -71,15 +107,14 @@ class TestExactByteIdentity:
                         f"workers={workers} diverged from inline")
 
     def test_longer_horizon_stays_identical(self):
-        scenario = figure3_scenario(seed=3, duration_s=4.0,
-                                    attack_start_s=2.5)
+        scenario = churn_scenario(3, duration_s=4.0)
         single = canonical(run_single(scenario))
         assert canonical(run_sharded(scenario, n_regions=1)) == single
 
     def test_explicit_window_length_is_neutral(self):
         # With nothing cut there are no pins to exchange, so where the
         # barriers fall cannot matter.
-        scenario = scenario_for(11)
+        scenario = churn_scenario(11)
         default = canonical(run_sharded(scenario, n_regions=1))
         small = canonical(run_sharded(scenario, n_regions=1,
                                       window_s=0.17))

@@ -8,7 +8,7 @@ import signal
 import pytest
 
 from repro.netsim import flows as flows_module
-from repro.shard import ShardWorkerError, figure3_scenario, run_sharded
+from repro.shard import ShardWorkerError, run_sharded
 from repro.shard import coordinator
 from repro.shard.coordinator import _ProcessTransport, _Tally
 from repro.shard.region import compute_paths, hosted_counts
@@ -16,10 +16,7 @@ from repro.shard.scenario import build_topology
 from repro.shard.workers import WorkerInit, install_sequences
 from repro.netsim.engine import Simulator
 from repro.shard.partition import partition_topology
-
-
-def scenario_for(seed=0):
-    return figure3_scenario(seed=seed, duration_s=2.0, attack_start_s=1.0)
+from tests.shard.test_parity import churn_scenario
 
 
 def make_init(scenario, n_regions):
@@ -68,7 +65,7 @@ class TestShardWorkerError:
 
 class TestWorkerProtocol:
     def test_unknown_command_yields_shard_worker_error(self):
-        scenario = scenario_for()
+        scenario = churn_scenario(0)
         transport = _ProcessTransport(make_init(scenario, 2), n_regions=2,
                                       workers=2, tally=_Tally())
         try:
@@ -83,7 +80,7 @@ class TestWorkerProtocol:
             assert not handle.process.is_alive()
 
     def test_worker_failure_reply_carries_the_traceback(self):
-        scenario = scenario_for()
+        scenario = churn_scenario(0)
         transport = _ProcessTransport(make_init(scenario, 2), n_regions=2,
                                       workers=1, tally=_Tally())
         try:
@@ -104,7 +101,7 @@ class TestWorkerCrash:
         """SIGKILL one worker between windows: the coordinator raises a
         ShardWorkerError naming the dead worker's region and the window,
         and still reaps every remaining worker process."""
-        scenario = scenario_for()
+        scenario = churn_scenario(0)
         seen = {"handles": None}
 
         def kill_first(window_index, handles):

@@ -109,6 +109,12 @@ class TestSpecCheckedFirst:
         (["--seeds", "0,0"], "duplicate seeds in [0, 0]"),
         (["--seeds", "0:1", "--grid", "duration_s=2,2"],
          "task_id collision"),
+        # Regression: a bad figure3 parameter wrote --out and failed
+        # every task with exit 1.
+        (["--seeds", "0", "--set", "nosuch=1"],
+         "figure3 has no parameter(s) ['nosuch']"),
+        (["--seeds", "0", "--grid", "duration_s=nan,2"],
+         "duration_s must be a finite number of seconds"),
     ])
     def test_malformed_spec_is_a_usage_error_before_out(
             self, tmp_path, capsys, flags, message):
