@@ -9,11 +9,6 @@ Subcommands regenerate the paper's figures:
 * ``sweep``   — deterministic multi-seed sweeps over any experiment
   driver (``python -m repro sweep figure3 --seeds 0:20 --workers 8
   --out DIR [--resume]``); see :mod:`repro.sweep.cli` for its flags.
-* ``serve``   — always-on service mode: run a scenario as a long-lived
-  engine accepting live injections (attach/detach attacks, link
-  failures) with periodic auto-checkpointing and streamed JSONL
-  telemetry; restart after a crash with ``--restore CKPT``.  See
-  :mod:`repro.checkpoint.service` for its flags.
 
 Telemetry flags (any experiment):
 
@@ -31,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import telemetry
@@ -43,9 +37,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "sweep":
         from .sweep.cli import sweep_main
         return sweep_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from .checkpoint.service import serve_main
-        return serve_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -54,8 +45,8 @@ def main(argv=None) -> int:
                "python -m repro sweep <driver> [options]")
     parser.add_argument(
         "experiment", choices=["figure1", "figure2", "figure3", "all"],
-        help="which figure to regenerate (or 'sweep'/'serve', which "
-             "take their own options)")
+        help="which figure to regenerate (or 'sweep', which takes its "
+             "own options)")
     parser.add_argument(
         "--duration", type=float, default=None,
         help="override the figure3 horizon in seconds (default 120)")
@@ -96,12 +87,6 @@ def main(argv=None) -> int:
             config = Figure3Config(**overrides)
         except ValueError as exc:
             parser.error(f"--duration: {exc}")
-        # Figure3Config allows inf for serve's always-on scenario; a
-        # figure run to an infinite horizon would never print.
-        if not math.isfinite(config.duration_s):
-            parser.error(f"--duration: duration_s must be > 0 and finite "
-                         f"(only serve runs forever), got "
-                         f"{config.duration_s!r}")
 
     # One run = one snapshot: zero whatever earlier in-process runs
     # accumulated, then opt into tracing if asked.

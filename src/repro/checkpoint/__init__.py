@@ -1,33 +1,30 @@
-"""Engine checkpoint/restore and the always-on service mode.
+"""World pickling and the on-disk resume container.
 
 Public surface:
 
-* :func:`save_checkpoint` / :func:`load_checkpoint` — the file-level
-  API: one :func:`pack_state` blob as the payload of a versioned,
-  fingerprinted, atomically written container (see
-  :mod:`repro.checkpoint.format`, whose ``read_header`` inspects a
-  checkpoint without reading its payload).
+* :func:`pack_state` / :func:`unpack_state` — one live world (plus the
+  process-wide telemetry and ID sequences) to one in-memory blob and
+  back; the benchmark's checkpoint probe times this round trip.
+* :func:`capture_globals` / :func:`restore_globals` — the process-wide
+  half on its own, which the benchmark uses to start every measured
+  unit from the same registry and ID sequences.
 * :class:`CheckpointError` — every failure mode (unwritable, corrupt,
   truncated, version-mismatched, unpicklable state) raises this.
-* ``Simulator.snapshot()`` / ``Simulator.restore()`` — the engine-level
-  wrappers (defined on :class:`repro.netsim.engine.Simulator`).
-* ``python -m repro serve`` — the long-lived service driver
-  (:mod:`repro.checkpoint.service`): live scenario injections, periodic
-  auto-checkpointing, streaming JSONL telemetry.
+* :mod:`repro.checkpoint.format` — the versioned, fingerprinted,
+  atomically written container that the sweep's per-task resume files
+  use.
 
-See DESIGN.md "Checkpoint format & restore contract" for what a
-checkpoint captures, the fingerprint scheme, and what invalidates one.
+See DESIGN.md "Checkpoint format & restore contract" for what a blob
+captures, the fingerprint scheme, and what invalidates a file.
 """
 
-from .core import (GLOBAL_SEQUENCES, capture_globals, load_checkpoint,
-                   pack_state, restore_globals, save_checkpoint,
-                   unpack_state)
+from .core import (GLOBAL_SEQUENCES, capture_globals, pack_state,
+                   restore_globals, unpack_state)
 from .format import FORMAT_VERSION, CheckpointError
 from .pickler import CheckpointPickler, CheckpointUnpickler
 
 __all__ = [
     "CheckpointError", "CheckpointPickler", "CheckpointUnpickler",
     "FORMAT_VERSION", "GLOBAL_SEQUENCES", "capture_globals",
-    "load_checkpoint", "pack_state", "restore_globals", "save_checkpoint",
-    "unpack_state",
+    "pack_state", "restore_globals", "unpack_state",
 ]

@@ -1,8 +1,10 @@
-"""Engine checkpoint/restore: capture everything a deterministic run needs.
+"""World pickling: capture everything a deterministic run needs, in memory.
 
-``save_checkpoint`` writes one :func:`pack_state` blob as the payload of
-one container (see :mod:`repro.checkpoint.format`).  The blob holds two
-layers:
+:func:`pack_state` turns a live world into one blob and
+:func:`unpack_state` turns it back; the benchmark's checkpoint probe
+(``bench/probes.py``) times both on a Figure 3 world and checks that
+the restored copy runs on exactly like the original.  The blob holds
+two layers:
 
 * **Simulation state** — an arbitrary picklable object graph rooted at
   whatever the caller passes (typically a
@@ -25,9 +27,9 @@ layers:
 :func:`unpack_state` inverts the layers in order: globals first (so
 metric references resolve against restored families), then the state
 graph.  The restore contract is documented in DESIGN.md ("Checkpoint
-format & restore contract"); the headline property — kill -9 mid-run,
-restore, finish, get byte-identical stable metrics and figure outputs —
-is enforced by ``scripts/check_restore.py`` in CI.
+format & restore contract"); its headline property — pack mid-run,
+unpack, finish, get the same series and stable metrics as a run that
+never stopped — is held by ``tests/checkpoint``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from __future__ import annotations
 import itertools
 import pickle
 from importlib import import_module
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .. import telemetry
-from .format import (CheckpointError, PathLike, read_container,
-                     write_container)
+from .format import CheckpointError
 from .pickler import dump_state, load_state
 
 #: Module-level ID generators that are part of a run's deterministic
@@ -93,25 +94,10 @@ def restore_globals(bundle: Dict[str, Any]) -> None:
         setattr(module, attr, itertools.count(*sequences[key]))
 
 
-def save_checkpoint(path: PathLike, state: Any,
-                    meta: Optional[Dict[str, Any]] = None) -> str:
-    """Write one checkpoint atomically; returns its fingerprint.
-
-    ``state`` is any picklable object graph (checkpoint-pickling rules
-    apply: telemetry by reference, no closures).  ``meta`` is embedded
-    verbatim in the human-readable header — callers put the simulation
-    clock, event count, seed, and scenario identity there.  Saving
-    never mutates simulation or telemetry state, so checkpointing is
-    observationally free: a run that checkpoints N times is
-    byte-identical to one that never does.
-    """
-    return write_container(path, pack_state(state), dict(meta or {}))
-
-
 def pack_state(state: Any) -> bytes:
     """Serialize ``state`` plus the process-global bundle into one
-    in-memory blob — the payload of an engine checkpoint.  Packing
-    mutates nothing.
+    in-memory blob.  Packing mutates nothing, so a run that packs is
+    observationally the run that does not.
     """
     return pickle.dumps((dump_state(capture_globals()), dump_state(state)),
                         protocol=pickle.HIGHEST_PROTOCOL)
@@ -129,15 +115,3 @@ def unpack_state(blob: bytes) -> Any:
     globals_blob, state_blob = load_state(blob)
     restore_globals(load_state(globals_blob))
     return load_state(state_blob)
-
-
-def load_checkpoint(path: PathLike) -> Tuple[Any, Dict[str, Any]]:
-    """Verify, restore globals, and unpickle a checkpoint.
-
-    Returns ``(state, meta)``.  The process-wide telemetry registry,
-    trace, and global ID sequences are restored as a side effect —
-    after this call the process is, for every deterministic observable,
-    the process that wrote the checkpoint.
-    """
-    header, payload = read_container(path)
-    return unpack_state(payload), dict(header["meta"])

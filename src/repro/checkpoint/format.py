@@ -1,17 +1,16 @@
 """The on-disk checkpoint container: versioned, fingerprinted, atomic.
 
-Every resume file in the tree is one of these containers: engine
-checkpoints and the sweep's ``tasks/<task_id>.ckpt``.  A container is
-a one-line ASCII JSON header followed by one raw payload::
+The sweep's per-task resume files (``tasks/<task_id>.ckpt``) are these
+containers.  A container is a one-line ASCII JSON header followed by
+one raw payload::
 
     {"fingerprint": "sha256:...", "magic": "repro-checkpoint",
      "meta": {...}, "payload_bytes": N, "version": 2}\n
     <N bytes: the payload>
 
 The header stays human-readable (``head -1 file.ckpt`` tells you what a
-file holds and, for an engine checkpoint, when it was taken in
-simulation time) while the payload is opaque bytes: a ``pack_state``
-blob for an engine checkpoint, a task record's JSON for a sweep task.
+file holds) while the payload is opaque bytes: a task record's JSON for
+a sweep task, or any other blob, such as a ``pack_state`` one.
 Every header field is type-checked and the fingerprint is the SHA-256
 of the payload, so truncation, bit rot, trailing garbage and partially
 written files are all detected before a caller sees a payload byte — a

@@ -66,11 +66,11 @@ class Figure3Config:
 
     def __post_init__(self) -> None:
         # Written so NaN fails too: a NaN horizon never satisfies
-        # ``now >= duration_s`` and the run would never end.  ``inf``
-        # stays legal (serve's always-on scenario).
-        if not self.duration_s > 0:
-            raise ValueError(
-                f"duration_s must be > 0, got {self.duration_s!r}")
+        # ``now >= duration_s``, and neither does ``inf``, so either run
+        # would never end.
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be > 0 and finite, got "
+                             f"{self.duration_s!r}")
 
     @property
     def normal_demand_total(self) -> float:
@@ -119,9 +119,8 @@ class Figure3World:
     ``build_world`` constructs it, ``advance_world`` moves simulation
     time forward (in one call or many — chunking is observationally
     free), ``finish_world`` turns it into a :class:`Figure3Result`.
-    An engine checkpoint captures the whole object graph
-    (``world.sim.snapshot(path, state=world)``), which is what
-    ``python -m repro serve`` builds on.
+    ``pack_state(world)`` captures the whole object graph; the
+    benchmark's checkpoint probe restores it mid-run and runs it on.
     """
 
     system: str
@@ -133,22 +132,12 @@ class Figure3World:
     monitor: Monitor
     series: TimeSeries
     defense: object
+    attacker: RollingAttacker
     deployment: Optional[object] = None
-    attacker: Optional[RollingAttacker] = None
-    #: Attackers detached by :func:`detach_attack`; their event logs and
-    #: roll counts still belong to the run's result.
-    past_attackers: List[RollingAttacker] = field(default_factory=list)
 
     @property
     def done(self) -> bool:
         return self.sim.now >= self.config.duration_s
-
-    def all_attackers(self) -> List[RollingAttacker]:
-        """Every attacker this world ever hosted, in attach order."""
-        attackers = list(self.past_attackers)
-        if self.attacker is not None:
-            attackers.append(self.attacker)
-        return attackers
 
 
 def _build_network(config: Figure3Config) -> Tuple[Simulator,
@@ -185,16 +174,15 @@ def _launch_attacker(net: FigureTwoNetwork, fluid: FluidNetwork,
     return attacker
 
 
-def build_world(system: str, config: Optional[Figure3Config] = None,
-                launch_attacker: bool = True) -> Figure3World:
-    """Build one system's live world, ready to ``advance_world``.
+def build_world(system: str, config: Optional[Figure3Config] = None
+                ) -> Figure3World:
+    """Build one system's live world, attacker launched, ready to
+    ``advance_world``.
 
-    ``system`` is ``"baseline_sdn"`` or ``"fastflex"``.  With
-    ``launch_attacker=False`` the scenario starts attack-free (the
-    service driver's mode: attacks are attached as live injections via
-    :func:`attach_attack`).  Construction order is part of the
-    determinism contract — every RNG draw and event sequence number
-    below must match what the pre-world-API runners did.
+    ``system`` is ``"baseline_sdn"`` or ``"fastflex"``.  Construction
+    order is part of the determinism contract — every RNG draw and
+    event sequence number below must match what the pre-world-API
+    runners did.
     """
     config = config if config is not None else Figure3Config()
     _TRACE.set_context(system=system)
@@ -230,97 +218,35 @@ def build_world(system: str, config: Optional[Figure3Config] = None,
     series = monitor.watch_normal_goodput(config.normal_demand_total)
     monitor.start()
 
-    attacker = (_launch_attacker(net, fluid, config)
-                if launch_attacker else None)
+    attacker = _launch_attacker(net, fluid, config)
     return Figure3World(system=system, config=config, sim=sim, net=net,
                         fluid=fluid, flows=flows, monitor=monitor,
                         series=series, defense=defense,
                         deployment=deployment, attacker=attacker)
 
 
-def advance_world(world: Figure3World, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> float:
-    """Run the world forward; returns the simulation clock.
+def advance_world(world: Figure3World,
+                  until: Optional[float] = None) -> float:
+    """Run the world forward to ``until`` (default: the configured
+    horizon); returns the simulation clock.
 
-    Splitting the horizon into many ``advance_world`` calls (the serve
-    driver's slices) executes the exact same event sequence as one
-    call — chunking only decides how often control returns to the
-    caller.
+    Splitting the horizon into many ``advance_world`` calls executes
+    the exact same event sequence as one call — chunking only decides
+    how often control returns to the caller.
     """
     horizon = until if until is not None else world.config.duration_s
-    return world.sim.run(until=horizon, max_events=max_events)
-
-
-def attach_attack(world: Figure3World, start_delay: float = 1.0,
-                  **overrides) -> RollingAttacker:
-    """Live injection: launch the rolling Crossfire attacker mid-run."""
-    if not 0.0 <= start_delay < math.inf:
-        raise ValueError(
-            f"start_delay must be finite and >= 0, got {start_delay}")
-    if world.attacker is not None:
-        raise ValueError("an attacker is already attached to this world")
-    config = world.config
-    attacker = RollingAttacker(
-        world.net.topo, world.fluid, bots=world.net.bot_hosts,
-        decoys=world.net.decoy_servers, victim=world.net.victim,
-        check_period_s=overrides.pop("check_period_s",
-                                     config.attacker_check_period_s),
-        reaction_delay_s=overrides.pop("reaction_delay_s",
-                                       config.attacker_reaction_delay_s),
-        connections_per_bot=overrides.pop("connections_per_bot",
-                                          config.connections_per_bot),
-        per_connection_bps=overrides.pop("per_connection_bps",
-                                         config.per_connection_bps),
-        **overrides)
-    attacker.map_then_attack(start_delay=start_delay)
-    world.attacker = attacker
-    _TRACE.emit("attack_attached", sim_time=world.sim.now,
-                start_delay_s=start_delay)
-    return attacker
-
-
-def detach_attack(world: Figure3World) -> None:
-    """Live injection: stop every attack flow and clear the active
-    attacker slot (a later :func:`attach_attack` may install a new
-    one).  The detached attacker's event log and roll count stay part
-    of the run via :attr:`Figure3World.past_attackers`."""
-    if world.attacker is None:
-        raise ValueError("no attacker attached to this world")
-    world.attacker.stop_all_flows()
-    _TRACE.emit("attack_detached", sim_time=world.sim.now,
-                rolls=world.attacker.roll_count)
-    world.past_attackers.append(world.attacker)
-    world.attacker = None
-
-
-def fail_link(world: Figure3World, a: str, b: str) -> None:
-    """Live injection: remove a link (flows crossing it zero-route until
-    a defense or TE pass moves them)."""
-    world.net.topo.remove_link(a, b)
-    _TRACE.emit("link_failed", sim_time=world.sim.now, link=(a, b))
-
-
-def set_link_capacity(world: Figure3World, a: str, b: str,
-                      capacity_bps: float) -> None:
-    """Live injection: degrade or restore one direction's capacity."""
-    world.net.topo.link(a, b).set_capacity(capacity_bps)
-    _TRACE.emit("link_capacity_set", sim_time=world.sim.now, link=(a, b),
-                capacity_bps=capacity_bps)
+    return world.sim.run(until=horizon)
 
 
 def finish_world(world: Figure3World) -> Figure3Result:
     """Close out a finished (or abandoned) run into a result object."""
-    attackers = world.all_attackers()
-    rolls = sum(attacker.roll_count for attacker in attackers)
-    attack_events: List = []
-    for attacker in attackers:
-        attack_events.extend(attacker.events)
+    rolls = world.attacker.roll_count
     _TRACE.emit("experiment_end", sim_time=world.sim.now,
                 experiment="figure3", rolls=rolls)
     _TRACE.clear_context("system")
     result = Figure3Result(
         system=world.system, throughput=world.series,
-        attack_events=attack_events,
+        attack_events=list(world.attacker.events),
         rolls=rolls,
         fluid_updates=world.fluid.updates,
         fluid_allocation_passes=world.fluid.allocation_passes)

@@ -1,12 +1,12 @@
 """RPL007 — a constant defined near-identically in two modules will drift.
 
-The ``WALL_CLOCK_METRICS`` exclusion list was hand-copied from
-``sweep/runner.py`` into ``scripts/check_restore.py`` and
-``scripts/check_sweep.py`` — three literals that must agree for the
-determinism gates to mean anything, kept in sync only by a runtime
-assert and a comment.  That is exactly the coordinator/worker drift
-class the distributed layers are most exposed to: the copies agree
-today and silently diverge the day one of them gains an entry.
+The ``WALL_CLOCK_METRICS`` exclusion list was once hand-copied from
+``sweep/runner.py`` into the determinism-gate scripts such as
+``scripts/check_sweep.py`` — literals that must agree for the gates to
+mean anything, kept in sync only by a runtime assert and a comment.
+That is exactly the coordinator/worker drift class the distributed
+layers are most exposed to: the copies agree today and silently
+diverge the day one of them gains an entry.
 
 The check: every module-level ``ALL_CAPS = <literal display>``
 assignment is resolved to a concrete value through the project symbol

@@ -1,13 +1,13 @@
 """RPL010 — checkpointed state must be picklable.
 
-A checkpoint pickles everything ``pack_state`` /
-``save_checkpoint`` reach, plus a globals bundle that re-seats the
-module-level ``itertools.count`` ID sequences listed in
-``GLOBAL_SEQUENCES``.  Two failure modes slip past per-file analysis:
+A checkpoint pickles everything ``pack_state`` reaches, plus a globals
+bundle that re-seats the module-level ``itertools.count`` ID sequences
+listed in ``GLOBAL_SEQUENCES``.  Two failure modes slip past per-file
+analysis:
 
 * an object a checkpoint can reach grows an unpicklable attribute —
   a ``lambda`` default, an ``open()`` handle, a live generator — and
-  the first ``save`` after that change dies (or worse, the restore
+  the first ``pack_state`` after that change dies (or worse, the restore
   silently rebuilds different behavior);
 * someone adds a module-level ``itertools.count`` sequence without
   registering it, so restored runs re-issue IDs from zero and the

@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 import random
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..telemetry import metrics
 
@@ -218,47 +218,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of queued events that are not cancelled."""
         return sum(1 for _ in self._live_times())
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def snapshot(self, path: Any, state: Any = None,
-                 meta: Optional[Dict[str, Any]] = None) -> str:
-        """Checkpoint this simulator (and optionally a caller-supplied
-        ``state`` object sharing its object graph) to ``path``.
-
-        The event queue's bound-method callbacks pull the entire
-        reachable world into the checkpoint; ``state`` exists so callers
-        can also keep *named* roots (their world/monitor/result handles)
-        findable after :meth:`restore`.  Returns the checkpoint
-        fingerprint.  Saving mutates nothing: a run that snapshots is
-        byte-identical to one that does not.
-        """
-        from ..checkpoint import save_checkpoint
-        header_meta = {"sim_time": self._now,
-                       "events_executed": self._events_executed,
-                       "pending_events": self.pending(),
-                       "seed": self.seed}
-        header_meta.update(meta or {})
-        return save_checkpoint(path, {"sim": self, "state": state},
-                               meta=header_meta)
-
-    @classmethod
-    def restore(cls, path: Any
-                ) -> Tuple["Simulator", Any, Dict[str, Any]]:
-        """Restore a :meth:`snapshot`; returns ``(sim, state, meta)``.
-
-        Process-wide telemetry and ID sequences are restored as a side
-        effect (see :func:`repro.checkpoint.load_checkpoint`), so the
-        returned simulator continues the original run deterministically.
-        """
-        from ..checkpoint import CheckpointError, load_checkpoint
-        payload, meta = load_checkpoint(path)
-        sim = payload.get("sim") if isinstance(payload, dict) else None
-        if not isinstance(sim, cls):
-            raise CheckpointError(
-                f"{path}: not an engine checkpoint (no Simulator root)")
-        return sim, payload.get("state"), meta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator(now={self._now:.6f}, pending={self.pending()}, "

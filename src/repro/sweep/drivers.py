@@ -76,8 +76,8 @@ def _figure3_config(seed: int, params: Dict[str, Any]):
         raise ValueError(
             f"figure3 has no parameter(s) {sorted(unknown)}; "
             f"valid: {sorted(fields)}")
-    # A sweep task must end: Figure3Config allows inf (serve's
-    # always-on horizon), and `--set duration_s=inf` arrives as a str.
+    # `--set duration_s=inf` arrives as a str, and a bool is an int:
+    # name the parameter here rather than fail inside Figure3Config.
     duration = params.get("duration_s", Figure3Config.duration_s)
     if isinstance(duration, bool) or not isinstance(duration, (int, float)) \
             or not math.isfinite(duration):

@@ -37,11 +37,11 @@ __all__ = [
 ]
 
 #: Metric families whose values are wall-clock durations and therefore
-#: legitimately differ between byte-identical runs.  Determinism gates
-#: (`scripts/check_restore.py`, `scripts/check_sweep.py`) and the sweep
-#: runner's parity digest exclude exactly these families — one list,
-#: imported everywhere, so the exclusion can never drift (reprolint
-#: RPL007 enforces the single definition).
+#: legitimately differ between byte-identical runs.  The determinism
+#: gate (`scripts/check_sweep.py`) and the sweep runner's parity digest
+#: exclude exactly these families — one list, imported everywhere, so
+#: the exclusion can never drift (reprolint RPL007 enforces the single
+#: definition).
 WALL_CLOCK_METRICS = (PHASE_METRIC, "shard_barrier_seconds")
 
 #: The process-wide default instances.  Created once and never replaced

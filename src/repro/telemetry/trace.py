@@ -121,22 +121,9 @@ class EventTrace:
         return [e for e in self.events if t0 <= e.sim_time < t1]
 
     # ------------------------------------------------------------------
-    def drain(self) -> List[TraceEvent]:
-        """Return all buffered events and clear the buffer.
-
-        The context, capacity, ``enabled`` flag, and cumulative
-        ``dropped`` count are kept — draining is the streaming-export
-        primitive (``python -m repro serve`` drains to a JSONL stream
-        between engine slices), not a reset.  Draining frees buffer
-        capacity, so a long-lived run that drains faster than it emits
-        never drops events.
-        """
-        events = self.events
-        self.events = []
-        return events
-
     def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable full state, for engine checkpoints."""
+        """JSON-serializable full state, for the checkpoint globals
+        bundle."""
         return {
             "enabled": self.enabled,
             "capacity": self.capacity,

@@ -91,3 +91,18 @@ class TestMapping:
         with pytest.raises(ValueError):
             CrossfireAttacker(net.topo, fluid, bots=[], decoys=["decoy0"],
                               victim="victim")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"connections_per_bot": -5},
+         "connections_per_bot must be finite and >= 1"),
+        ({"per_connection_bps": -1.0},
+         "per_connection_bps must be finite and positive"),
+        ({"trace_timeout_s": float("nan")},
+         "trace_timeout_s must be finite and positive"),
+    ], ids=["connections_per_bot", "per_connection_bps", "trace_timeout_s"])
+    def test_out_of_range_arguments_rejected(self, scene, kwargs, message):
+        net, fluid = scene
+        with pytest.raises(ValueError, match=message):
+            CrossfireAttacker(net.topo, fluid, bots=net.bot_hosts,
+                              decoys=net.decoy_servers, victim=net.victim,
+                              **kwargs)

@@ -97,3 +97,28 @@ class TestRolling:
                         if e.kind == "roll_detected")
         rolled = next(e.time for e in attacker.events if e.kind == "roll")
         assert rolled - detected == pytest.approx(2.0, abs=0.01)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"check_period_s": 0.0}, ValueError,
+         "check_period_s must be finite and positive"),
+        ({"reaction_delay_s": -1.0}, ValueError,
+         "reaction_delay_s must be finite and >= 0"),
+        ({"reaction_delay_s": float("nan")}, ValueError,
+         "reaction_delay_s must be finite and >= 0"),
+        ({"max_rolls": -1}, ValueError,
+         "max_rolls must be None or finite and >= 0"),
+        ({"max_rolls": "x"}, TypeError, "not supported between"),
+    ], ids=["check_period", "negative_delay", "nan_delay", "negative_rolls",
+            "str_rolls"])
+    def test_bad_argument_rejected_before_any_side_effect(
+            self, fig2, sim, kwargs, error, message):
+        """Regression: these were accepted and then failed about a second
+        of simulated time later, inside the attacker's own events."""
+        fluid = FluidNetwork(fig2.topo, FlowSet())
+        with pytest.raises(error, match=message):
+            RollingAttacker(fig2.topo, fluid, bots=fig2.bot_hosts,
+                            decoys=fig2.decoy_servers, victim=fig2.victim,
+                            **kwargs)
+        assert sim.pending() == 0

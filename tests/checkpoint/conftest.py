@@ -1,10 +1,9 @@
 """Checkpoint-test isolation.
 
-Checkpoint save/load and the serve driver intentionally mutate the
-process-wide telemetry layer (loading restores checkpoint-time
-registry/trace state; serving with a stream enables the trace).  Tests
-elsewhere in the suite assume that layer starts quiet, so restore it
-after every test here.
+``unpack_state`` intentionally mutates the process-wide telemetry layer
+(it restores the packed registry and trace state).  Tests elsewhere in
+the suite assume that layer starts quiet, so restore it after every
+test here.
 """
 
 import pytest

@@ -1,19 +1,18 @@
 """Per-component snapshot round-trip properties, over 25 seeds.
 
 The invariant under test, for every stateful component an engine
-checkpoint captures: *snapshot, restore, continue* is indistinguishable
+checkpoint captures: *pack, unpack, continue* is indistinguishable
 from *run straight through*.  Each property drives a component with a
-seeded random workload, checkpoints it mid-flight through the real
-container file, keeps running the original, restores the copy, applies
-the identical remaining workload to both, and requires identical
-observables.
+seeded random workload, packs it mid-flight with ``pack_state``, keeps
+running the original, unpacks the copy, applies the identical
+remaining workload to both, and requires identical observables.
 """
 
 import random
 
 import pytest
 
-from repro.checkpoint import load_checkpoint, save_checkpoint
+from repro.checkpoint import pack_state, unpack_state
 from repro.core import ModeEventBus, ModeRegistry, ModeSpec, \
     install_mode_agents
 from repro.dataplane import BloomFilter, CountMinSketch, FlowTable, \
@@ -33,11 +32,8 @@ class Recorder:
         self.log.append(tag)
 
 
-def round_trip(tmp_path, state, seed):
-    path = tmp_path / f"component_{seed}.ckpt"
-    save_checkpoint(path, state)
-    restored, _meta = load_checkpoint(path)
-    return restored
+def round_trip(state):
+    return unpack_state(pack_state(state))
 
 
 # ----------------------------------------------------------------------
@@ -45,7 +41,7 @@ def round_trip(tmp_path, state, seed):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_event_queue_ordering_survives_restore(tmp_path, seed):
+def test_event_queue_ordering_survives_restore(seed):
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
     recorder = Recorder()
@@ -56,7 +52,7 @@ def test_event_queue_ordering_survives_restore(tmp_path, seed):
     for tag, time in enumerate(times):
         sim.schedule(time, recorder.hit, tag)
     sim.run(max_events=15)
-    restored = round_trip(tmp_path, {"sim": sim, "rec": recorder}, seed)
+    restored = round_trip({"sim": sim, "rec": recorder})
     sim.run()  # original: straight through to the end
     restored["sim"].run()
     assert restored["rec"].log == recorder.log
@@ -65,18 +61,18 @@ def test_event_queue_ordering_survives_restore(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_rng_stream_continues_identically(tmp_path, seed):
+def test_rng_stream_continues_identically(seed):
     sim = Simulator(seed=seed)
     for _ in range(seed % 17):
         sim.rng.random()  # advance to a seed-dependent position
-    restored = round_trip(tmp_path, {"sim": sim}, seed)
+    restored = round_trip({"sim": sim})
     expected = [sim.rng.random() for _ in range(32)]
     actual = [restored["sim"].rng.random() for _ in range(32)]
     assert actual == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_new_events_after_restore_interleave_identically(tmp_path, seed):
+def test_new_events_after_restore_interleave_identically(seed):
     # Scheduling *after* the snapshot must produce the same tie-break
     # sequence numbers on both sides — the internal counter is state.
     sim = Simulator(seed=seed)
@@ -84,7 +80,7 @@ def test_new_events_after_restore_interleave_identically(tmp_path, seed):
     for tag in range(10):
         sim.schedule(1.0, recorder.hit, tag)
     sim.run(max_events=4)
-    restored = round_trip(tmp_path, {"sim": sim, "rec": recorder}, seed)
+    restored = round_trip({"sim": sim, "rec": recorder})
     for side in ((sim, recorder), (restored["sim"], restored["rec"])):
         side_sim, side_rec = side
         side_sim.schedule(1.0, side_rec.hit, "late")  # ties with tag 4+
@@ -102,11 +98,11 @@ def _keys(rng, n=64):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_count_min_sketch_round_trip(tmp_path, seed):
+def test_count_min_sketch_round_trip(seed):
     rng = random.Random(seed)
     sketch = CountMinSketch("ckpt_cms", width=64, depth=3)
     sketch.update_batch(_keys(rng))
-    restored = round_trip(tmp_path, {"sketch": sketch}, seed)["sketch"]
+    restored = round_trip({"sketch": sketch})["sketch"]
     assert restored.export_state() == sketch.export_state()
     more = _keys(rng)
     sketch.update_batch(more)
@@ -117,22 +113,22 @@ def test_count_min_sketch_round_trip(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_bloom_filter_round_trip(tmp_path, seed):
+def test_bloom_filter_round_trip(seed):
     rng = random.Random(seed)
     bloom = BloomFilter("ckpt_bloom", size_bits=512, n_hashes=3)
     bloom.add_batch(_keys(rng))
-    restored = round_trip(tmp_path, {"bloom": bloom}, seed)["bloom"]
+    restored = round_trip({"bloom": bloom})["bloom"]
     assert restored.export_state() == bloom.export_state()
     probe = _keys(rng)
     assert [k in restored for k in probe] == [k in bloom for k in probe]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_hashpipe_round_trip(tmp_path, seed):
+def test_hashpipe_round_trip(seed):
     rng = random.Random(seed)
     pipe = HashPipe("ckpt_pipe", stages=3, slots_per_stage=16)
     pipe.update_batch(_keys(rng, 128))
-    restored = round_trip(tmp_path, {"pipe": pipe}, seed)["pipe"]
+    restored = round_trip({"pipe": pipe})["pipe"]
     assert restored.export_state() == pipe.export_state()
     more = _keys(rng, 64)
     pipe.update_batch(more)
@@ -144,14 +140,14 @@ def test_hashpipe_round_trip(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_flow_table_round_trip(tmp_path, seed):
+def test_flow_table_round_trip(seed):
     rng = random.Random(seed)
     table = FlowTable("ckpt_flows", capacity=64)
     now = 0.0
     for key in _keys(rng, 96):
         now += rng.random() * 0.01
         table.observe(key, now, size_bytes=rng.randrange(40, 1500))
-    restored = round_trip(tmp_path, {"table": table}, seed)["table"]
+    restored = round_trip({"table": table})["table"]
     assert restored.export_state() == table.export_state()
     for key in _keys(rng, 32):
         now += 0.001
@@ -188,7 +184,7 @@ def _mode_observables(agents, bus):
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 5))
-def test_mode_protocol_timers_survive_restore(tmp_path, seed):
+def test_mode_protocol_timers_survive_restore(seed):
     """Snapshot mid-flood: pending probe deliveries and re-advertise
     timers must continue exactly — same final mode tables, same probe
     counts, same bus timeline.  (A subset of seeds: each case builds a
@@ -197,8 +193,7 @@ def test_mode_protocol_timers_survive_restore(tmp_path, seed):
     sim, net, agents, bus = _mode_world(seed)
     agents[initiator].initiate("lfa", "mitigate")
     sim.run(max_events=5 + seed)  # cut mid-flood at a seed-varied point
-    restored = round_trip(
-        tmp_path, {"sim": sim, "agents": agents, "bus": bus}, seed)
+    restored = round_trip({"sim": sim, "agents": agents, "bus": bus})
     sim.run(until=2.0)
     restored["sim"].run(until=2.0)
     assert _mode_observables(restored["agents"], restored["bus"]) == \

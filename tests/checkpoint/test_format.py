@@ -3,15 +3,16 @@ corruption rejection.
 
 Every failure mode must raise :class:`CheckpointError` *before* any
 payload unpickling happens — a corrupted or truncated checkpoint is
-rejected, never silently restored.
+rejected, never silently restored.  The payload under test is a
+``pack_state`` blob, the heaviest thing the container may carry.
 """
 
 import json
 
 import pytest
 
-from repro.checkpoint import (CheckpointError, FORMAT_VERSION,
-                              load_checkpoint, pack_state, save_checkpoint)
+from repro.checkpoint import (CheckpointError, FORMAT_VERSION, pack_state,
+                              unpack_state)
 from repro.checkpoint.format import (MAGIC, read_container, read_header,
                                      write_container)
 
@@ -19,9 +20,18 @@ from repro.checkpoint.format import (MAGIC, read_container, read_header,
 SIMPLE_STATE = {"answer": 42, "items": [1, 2, 3]}
 
 
+def save(path, state, meta):
+    return write_container(path, pack_state(state), meta)
+
+
+def load(path):
+    header, payload = read_container(path)
+    return unpack_state(payload), header["meta"]
+
+
 def write_simple(tmp_path, meta=None):
     path = tmp_path / "simple.ckpt"
-    save_checkpoint(path, SIMPLE_STATE, meta=meta or {"label": "simple"})
+    save(path, SIMPLE_STATE, meta or {"label": "simple"})
     return path
 
 
@@ -37,7 +47,7 @@ def rewrite_header(path, **fields):
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
         path = write_simple(tmp_path)
-        state, meta = load_checkpoint(path)
+        state, meta = load(path)
         assert state == {"answer": 42, "items": [1, 2, 3]}
         assert meta["label"] == "simple"
 
@@ -56,11 +66,11 @@ class TestRoundTrip:
 
     def test_fingerprint_returned_matches_header(self, tmp_path):
         path = tmp_path / "fp.ckpt"
-        fingerprint = save_checkpoint(path, {"x": 1})
+        fingerprint = save(path, {"x": 1}, {})
         assert read_header(path)["fingerprint"] == fingerprint
 
     def test_payload_is_the_pack_state_blob(self, tmp_path):
-        """An engine checkpoint is one pack_state blob in a container."""
+        """The container carries the pack_state blob byte for byte."""
         path = write_simple(tmp_path)
         header, payload = read_container(path)
         assert payload == pack_state(SIMPLE_STATE)
@@ -74,19 +84,19 @@ class TestRoundTrip:
 class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "nope.ckpt")
+            load(tmp_path / "nope.ckpt")
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "random.ckpt"
         path.write_bytes(b"this is not a checkpoint at all\n")
         with pytest.raises(CheckpointError, match="magic|JSON"):
-            load_checkpoint(path)
+            load(path)
 
     def test_binary_garbage_without_newline(self, tmp_path):
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(b"\x80\x04\x95" * 1000)
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "magic.ckpt"
@@ -101,14 +111,14 @@ class TestRejection:
         path = write_simple(tmp_path)
         rewrite_header(path, version=FORMAT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+            load(path)
 
     def test_truncated_payload(self, tmp_path):
         path = write_simple(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-20])  # crash mid-write simulation
         with pytest.raises(CheckpointError, match="truncat"):
-            load_checkpoint(path)
+            load(path)
 
     def test_single_flipped_byte_detected(self, tmp_path):
         path = write_simple(tmp_path)
@@ -116,14 +126,14 @@ class TestRejection:
         raw[-10] ^= 0xFF  # bit rot deep inside the payload
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="fingerprint"):
-            load_checkpoint(path)
+            load(path)
 
     def test_trailing_garbage_detected(self, tmp_path):
         path = write_simple(tmp_path)
         with open(path, "ab") as fh:
             fh.write(b"EXTRA")
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load(path)
 
     def test_header_missing_field(self, tmp_path):
         path = tmp_path / "partial.ckpt"
@@ -143,7 +153,7 @@ class TestRejection:
         path = write_simple(tmp_path)
         rewrite_header(path, **{field: value})
         with pytest.raises(CheckpointError, match=field):
-            load_checkpoint(path)
+            load(path)
 
     def test_forged_payload_size_is_truncation(self, tmp_path):
         """The payload is sized from the file, so a huge declared size
@@ -151,7 +161,7 @@ class TestRejection:
         path = write_simple(tmp_path)
         rewrite_header(path, payload_bytes=1 << 60)
         with pytest.raises(CheckpointError, match="truncat"):
-            load_checkpoint(path)
+            load(path)
 
     def test_corruption_rejected_before_unpickle(self, tmp_path):
         # The payload is arbitrary pickle; a fingerprint failure must

@@ -61,6 +61,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["figure9"])
 
+    def test_serve_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment", ["figure1", "figure2"])
     @pytest.mark.parametrize("flags", [["--seed", "3"],
                                        ["--duration", "10"],
@@ -83,13 +89,12 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["figure3", "--duration", "-5"],
         ["figure3", "--duration", "nan"],
-        ["serve", "--duration", "nan", "--no-commands"],
         ["figure3", "--duration", "inf"],
         ["all", "--duration", "1e999"]])
     def test_horizon_that_is_not_positive_exits_two(self, argv):
         """Regression: ``-5`` printed an empty series and exited 0, and
         ``nan`` never terminated (hence a subprocess with a timeout);
-        nor did ``inf``, which only serve's always-on run may use."""
+        nor did ``inf``."""
         src = Path(__file__).resolve().parents[2] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "repro"] + argv, capture_output=True,

@@ -164,11 +164,11 @@ class TestRunBothMetricsIsolation:
 
 
 class TestConfigHorizon:
-    @pytest.mark.parametrize("duration", [float("nan"), 0.0, -5.0])
+    @pytest.mark.parametrize("duration", [float("nan"), 0.0, -5.0,
+                                          float("inf")])
     def test_horizon_that_is_not_positive_rejected(self, duration):
-        """A NaN horizon never ends a run (``now >= nan`` is false)."""
-        with pytest.raises(ValueError, match="duration_s must be > 0"):
+        """A NaN or infinite horizon never ends a run (``now >= nan`` is
+        false, and so is ``now >= inf``)."""
+        with pytest.raises(ValueError,
+                           match="duration_s must be > 0 and finite"):
             Figure3Config(duration_s=duration)
-
-    def test_infinite_horizon_allowed(self):
-        assert Figure3Config(duration_s=float("inf")).duration_s > 0

@@ -133,3 +133,15 @@ class TestValidation:
         link.send(pkt)
         sim.run()
         assert seen == [pkt.pkt_id]
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 0.0,
+                                          -1.0])
+    def test_set_capacity_rejects_non_finite_or_non_positive(self, sim,
+                                                             capacity):
+        """Regression: a NaN capacity reached the allocator."""
+        _a, _b, link = make_pair(sim)
+        before = link.capacity_bps
+        with pytest.raises(ValueError,
+                           match="capacity must be finite and positive"):
+            link.set_capacity(capacity)
+        assert link.capacity_bps == before
