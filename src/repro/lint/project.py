@@ -5,8 +5,8 @@ Every rule runs over the same parse.  What the rules need besides the
 AST is computed once per file here:
 
 * **Module naming** — each file's dotted module name, derived by
-  climbing ``__init__.py`` ancestors (``src/repro/shard/workers.py``
-  → ``repro.shard.workers``; a bare script → its stem).
+  climbing ``__init__.py`` ancestors (``src/repro/sweep/runner.py``
+  → ``repro.sweep.runner``; a bare script → its stem).
 * **Imports** — an :class:`~repro.lint.imports.ImportMap` built with
   the file's module name, so relative imports resolve too.
 * **Suppressions** — the ``# reprolint: disable=RPL0xx`` comments, per
@@ -96,8 +96,8 @@ def module_name_for(path: Path) -> Tuple[str, bool]:
 
     Climbs parent directories while they contain ``__init__.py``, so
     the name matches what ``import`` would use with the package root on
-    ``sys.path`` (``src/repro/shard/workers.py`` under a ``src`` root →
-    ``repro.shard.workers``); a standalone script maps to its stem.
+    ``sys.path`` (``src/repro/sweep/runner.py`` under a ``src`` root →
+    ``repro.sweep.runner``); a standalone script maps to its stem.
     """
     is_package = path.name == "__init__.py"
     if is_package:

@@ -1,7 +1,7 @@
-"""Sharded region simulation: independent regions in lockstep windows.
+"""Sharded region simulation: independent regions, one task each.
 
-Splits one fluid simulation on a random topology across region workers
-(see DESIGN.md "Sharded simulation").  Its one remaining caller is the
+Splits one fluid simulation on a random topology into regions (see
+DESIGN.md "Sharded simulation").  Its one remaining caller is the
 benchmark's churn workloads.  Every flow's path must lie inside its
 source host's region, and :func:`run_sharded` refuses any scenario where
 one does not; regions then share no link and no flow, so the result
@@ -16,23 +16,18 @@ matches :func:`run_single` up to float rounding (byte-identical with
   determinism claim is stated against.
 * :mod:`repro.shard.region` — one :class:`RegionWorld` per region: a
   normal simulator + per-shard fluid allocator over a sub-topology.
-* :mod:`repro.shard.workers` — resident worker processes: each region
-  lives in one long-lived process for the whole run, built fresh there;
-  the per-window wire carries only the window end in and the new
-  sample records out, never region state.
-* :mod:`repro.shard.coordinator` — lockstep windows: every region
-  simulates to the window end, and the barrier collects its samples.
+* :mod:`repro.shard.coordinator` — :func:`run_sharded`: each region is
+  built and simulated to the horizon as one task, in a fork-context
+  process pool or inline, and only its results come back.
 """
 
 from .coordinator import run_sharded
 from .partition import Partition, partition_topology
 from .region import RegionWorld, build_region
 from .scenario import ShardScenario, random_scenario, run_single
-from .workers import ResidentRegionHost, ShardWorkerError
 
 __all__ = [
-    "Partition", "RegionWorld",
-    "ResidentRegionHost", "ShardScenario", "ShardWorkerError",
+    "Partition", "RegionWorld", "ShardScenario",
     "build_region", "partition_topology",
     "random_scenario", "run_sharded", "run_single",
 ]

@@ -1,256 +1,182 @@
-"""The sharded-run coordinator: lockstep windows over region workers.
+"""The sharded-run coordinator: one task per region.
 
 :func:`run_sharded` partitions a :class:`ShardScenario`'s topology
 (:func:`repro.shard.partition.partition_topology`), refuses any flow
-whose path leaves its source host's region, places one
-:class:`~repro.shard.region.RegionWorld` per region inside a *resident*
-worker (:mod:`repro.shard.workers`), and advances all regions in
-lockstep windows: every region simulates to the window end (resident
-worker processes, or inline hosts when ``workers == 1``) and returns
-its new sample records.  Regions share no link and no flow, so nothing
-else crosses a barrier; the window defaults to the sample period (see
-DESIGN.md "Sharded simulation").
+whose path leaves its source host's region, and runs every region as
+one task, :func:`_run_region`: build the region's
+:class:`~repro.shard.region.RegionWorld`, simulate it to the horizon in
+``window_s`` steps, and return its sample records, per-flow finals,
+fluid counters and telemetry snapshot.  Regions share no link and no
+flow, so no region waits on another (see DESIGN.md "Sharded
+simulation").
 
-Region state stays **resident**: each region is built fresh inside its
-sticky worker (region ``r`` lives in worker ``r % workers`` for the
-whole run) and only small per-window messages cross the pipes; region
-state is never serialized.  Worker count never changes results (see
-the sequence-installation and globals-bundle disciplines in
-:mod:`repro.shard.workers`).
+With ``workers > 1`` the tasks run in a fork-context
+:class:`~concurrent.futures.ProcessPoolExecutor`: the children inherit
+the coordinator's full topology and :class:`WorkerInit`, and only a
+region index goes out and a region's result comes back.  With
+``workers == 1`` they run one after another in the caller's process,
+whose telemetry and id sequences are restored afterwards.
+
+Worker count never changes results, because each task starts from the
+same process-global context wherever it runs: telemetry reset, and
+every id sequence at the coordinator's base with the flow-id sequence
+advanced by the flows earlier regions create (:func:`install_sequences`).
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import math
-import multiprocessing
+import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from importlib import import_module
+from multiprocessing import get_context
+from typing import Any, Dict, List, Optional, Tuple
 
+from .. import telemetry
 from ..checkpoint import capture_globals, restore_globals
 from ..netsim.engine import Simulator
+from ..netsim.topology import Topology
 from ..sweep.runner import stable_metrics
 from ..telemetry import MetricsRegistry
-from .partition import partition_topology
-from .region import compute_paths, hosted_counts
+from .partition import Partition, partition_topology
+from .region import LinkKey, build_region, compute_paths, hosted_counts
 from .scenario import ShardScenario, aggregate_samples, build_topology
-from .workers import (C_MESSAGES, H_BARRIER, ResidentRegionHost,
-                      ShardWorkerError, WorkerInit, region_worker_main)
 
-__all__ = ["run_sharded", "ShardWorkerError"]
+__all__ = ["run_sharded"]
 
-#: Test seam: called as ``_barrier_hook(window_index, handles)`` after
-#: every completed barrier.  The crash-handling tests use it to SIGKILL
-#: a worker between windows; ``handles`` is empty when regions run
-#: inline.
-_barrier_hook: Optional[Callable[[int, List["_WorkerHandle"]], None]] = None
+#: The sequence a region build consumes (one id per created flow).
+_FLOW_SEQUENCE = "repro.netsim.flows:_flow_ids"
 
-
-# ----------------------------------------------------------------------
-# Transports: where the resident regions live
-# ----------------------------------------------------------------------
-
-class _Tally:
-    """Coordinator-side transport accounting, kept as plain Python state
-    while the run swaps telemetry bundles; flushed to the real metric
-    families once, after the caller's globals are back in place."""
-
-    def __init__(self) -> None:
-        self.messages: Dict[str, int] = {}
-        self.barrier_seconds: List[float] = []
-
-    def message(self, kind: str) -> None:
-        self.messages[kind] = self.messages.get(kind, 0) + 1
-
-    def flush(self) -> None:
-        for seconds in self.barrier_seconds:
-            H_BARRIER.observe(seconds)
-        for kind in sorted(self.messages):
-            C_MESSAGES.labels(kind).inc(self.messages[kind])
+_MET = telemetry.metrics()
+#: Wall-clock seconds the coordinator waits for every region's task.
+#: Excluded from stable metrics — see ``repro.telemetry.WALL_CLOCK_METRICS``.
+H_BARRIER = _MET.histogram(
+    "shard_barrier_seconds",
+    "wall-clock seconds per sharded window barrier",
+    buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0))
+#: Always zero: region state never crosses a process boundary.  The
+#: family stays registered because bench's ``sim_digest`` hashes every
+#: family's name and description.
+_MET.counter(
+    "shard_state_bytes_total",
+    "serialized region-state bytes moved between coordinator and workers",
+    labelnames=("direction",))
+#: One ``"region"`` task per region.
+C_MESSAGES = _MET.counter(
+    "shard_messages_total",
+    "coordinator<->worker protocol commands, by kind",
+    labelnames=("kind",))
 
 
-class _InlineTransport:
-    """All regions resident in the coordinator process (``workers==1``).
+@dataclass
+class WorkerInit:
+    """Everything a region task needs besides the full topology."""
 
-    Zero serialization anywhere on the window path: the hosts run live
-    :class:`RegionWorld` objects under the same per-region bundle-swap
-    discipline worker processes use, inside one outer globals capture
-    that is restored at :meth:`close` — the caller's telemetry and
-    sequences come back exactly as they were.
-    """
-
-    handles: List["_WorkerHandle"] = []
-
-    def __init__(self, init: WorkerInit, n_regions: int, full: Any,
-                 tally: _Tally):
-        self._init = init
-        self._n_regions = n_regions
-        self._full = full
-        self._tally = tally
-        self._hosts: Dict[int, ResidentRegionHost] = {}
-        self._base = capture_globals()
-        self._closed = False
-
-    def build_regions(self) -> None:
-        for region_index in range(self._n_regions):
-            self._tally.message("build")
-            self._hosts[region_index] = ResidentRegionHost.build(
-                self._init, region_index, self._full)
-
-    def run_window(self, t_end: float) -> List[List[Any]]:
-        results = []
-        for region_index in range(self._n_regions):
-            self._tally.message("window")
-            results.append(self._hosts[region_index].window(t_end))
-        return results
-
-    def collect_regions(self) -> List[Dict[str, Any]]:
-        collected = []
-        for region_index in range(self._n_regions):
-            self._tally.message("collect")
-            collected.append(self._hosts[region_index].collect())
-        return collected
-
-    def worker_cpu_times(self) -> List[float]:
-        return []  # the coordinator's own process_time covers inline work
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._hosts.clear()
-            restore_globals(self._base)
+    scenario: ShardScenario
+    partition: Partition
+    paths: List[Tuple[LinkKey, ...]]
+    #: ``capture_globals()["sequences"]`` at the coordinator's pre-build
+    #: point: the common base every region's id sequences start from.
+    base_sequences: Dict[str, Tuple[int, ...]]
+    #: Per-region flow-id offset: prefix sums of ``hosted_counts``.
+    flow_id_offsets: List[int]
+    window_s: float
 
 
-class _WorkerHandle:
-    """Coordinator-side end of one resident worker process."""
-
-    def __init__(self, worker_index: int, init: WorkerInit):
-        self.worker_index = worker_index
-        parent_conn, child_conn = multiprocessing.Pipe()
-        self.conn = parent_conn
-        self.process = multiprocessing.Process(
-            target=region_worker_main,
-            args=(child_conn, worker_index, init),
-            daemon=True)
-        self.process.start()
-        child_conn.close()
+def install_sequences(base_sequences: Dict[str, Tuple[int, ...]],
+                      flow_id_offset: int) -> None:
+    """Set every global ID sequence to the coordinator's base, with the
+    flow-id sequence advanced by ``flow_id_offset`` — the position a
+    sequential build of the earlier regions would have reached."""
+    for key, args in sorted(base_sequences.items()):
+        module_name, attr = key.split(":")
+        if key == _FLOW_SEQUENCE and flow_id_offset:
+            args = (args[0] + flow_id_offset,) + tuple(args[1:])
+        setattr(import_module(module_name), attr, itertools.count(*args))
 
 
-class _ProcessTransport:
-    """Regions resident in ``workers`` long-lived processes.
+#: ``(init, full)`` for :func:`_run_region`: set by the pool
+#: initializer in each worker process, or around the inline loop.
+_inputs: Optional[Tuple[WorkerInit, Topology]] = None
 
-    Sticky assignment: region ``r`` lives in worker ``r % workers`` for
-    the whole run.  Commands are dispatched in *waves* — each worker's
-    j-th region across all workers at once — so every pipe has at most
-    one outstanding command while all workers stay busy.
-    """
 
-    def __init__(self, init: WorkerInit, n_regions: int, workers: int,
-                 tally: _Tally):
-        self._tally = tally
-        self._regions_of = [list(range(w, n_regions, workers))
-                            for w in range(workers)]
-        # Move the coordinator's heap (topology, paths) into the
-        # permanent GC generation before forking: forked workers inherit
-        # it frozen, so their cyclic-GC passes never rescan it — which
-        # would both burn CPU and dirty copy-on-write pages in every
-        # child.  Unfrozen again in the parent once the forks exist.
+def _set_inputs(init: WorkerInit, full: Topology) -> None:
+    global _inputs
+    _inputs = (init, full)
+
+
+def _run_region(region_index: int) -> Dict[str, Any]:
+    """Build region ``region_index`` and simulate it to the horizon."""
+    if _inputs is None:
+        raise RuntimeError("a region task ran outside run_sharded")
+    init, full = _inputs
+    telemetry.reset()
+    install_sequences(init.base_sequences,
+                      init.flow_id_offsets[region_index])
+    region = build_region(full, init.scenario, init.partition,
+                          region_index, init.paths)
+    horizon = init.scenario.duration_s
+    t, windows = 0.0, 0
+    while t < horizon:
+        t = min(t + init.window_s, horizon)
+        region.sim.run(until=t)
+        windows += 1
+    return {
+        "records": region.sampler.records,
+        "finals": region.home_finals(),
+        "updates": region.fluid.updates,
+        "allocation_passes": region.fluid.allocation_passes,
+        "metrics": telemetry.metrics().snapshot(),
+        "windows": windows,
+        "pid": os.getpid(),
+        "cpu_time_s": time.process_time(),  # reprolint: disable=RPL002
+    }
+
+
+def _run_pooled(init: WorkerInit, full: Topology, n_regions: int,
+                workers: int) -> List[Dict[str, Any]]:
+    """Every region as one task of a fork-context process pool."""
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=get_context("fork"),
+                             initializer=_set_inputs,
+                             initargs=(init, full)) as pool:
+        # The pool forks on the first submit.  Move the coordinator's
+        # heap (topology, paths) into the permanent GC generation first:
+        # the children inherit it frozen, so their cyclic-GC passes never
+        # rescan it — which would burn CPU and dirty copy-on-write pages
+        # in every child.  Unfrozen again once the forks exist.
         gc.freeze()
         try:
-            self.handles = [_WorkerHandle(w, init) for w in range(workers)]
+            futures = [pool.submit(_run_region, region_index)
+                       for region_index in range(n_regions)]
         finally:
             gc.unfreeze()
-
-    def _waves(self) -> List[List[Tuple["_WorkerHandle", int]]]:
-        depth = max(len(regions) for regions in self._regions_of)
-        return [[(self.handles[w], self._regions_of[w][j])
-                 for w in range(len(self.handles))
-                 if j < len(self._regions_of[w])]
-                for j in range(depth)]
-
-    # -- protocol plumbing ---------------------------------------------
-    def _send(self, handle: _WorkerHandle, message: Tuple,
-              region_index: Optional[int],
-              window_end: Optional[float]) -> None:
-        self._tally.message(message[0])
-        try:
-            handle.conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerError(
-                handle.worker_index, region_index, window_end,
-                f"pipe closed while sending {message[0]!r} "
-                f"(exitcode={handle.process.exitcode}): {exc}") from exc
-
-    def _recv(self, handle: _WorkerHandle, region_index: Optional[int],
-              window_end: Optional[float]) -> Any:
-        try:
-            status, value = handle.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise ShardWorkerError(
-                handle.worker_index, region_index, window_end,
-                f"worker process died "
-                f"(exitcode={handle.process.exitcode})") from exc
-        if status != "ok":
-            raise ShardWorkerError(handle.worker_index, region_index,
-                                   window_end, str(value))
-        return value
-
-    def _fan(self, make_message: Callable[[int], Tuple],
-             window_end: Optional[float] = None) -> List[Any]:
-        """Run one command per region through the wave schedule; returns
-        replies in region order."""
-        n_regions = sum(len(regions) for regions in self._regions_of)
-        results: List[Any] = [None] * n_regions
-        for wave in self._waves():
-            for handle, region_index in wave:
-                self._send(handle, make_message(region_index),
-                           region_index, window_end)
-            for handle, region_index in wave:
-                results[region_index] = self._recv(handle, region_index,
-                                                   window_end)
-        return results
-
-    # -- transport interface -------------------------------------------
-    def build_regions(self) -> None:
-        self._fan(lambda region_index: ("build", region_index))
-
-    def run_window(self, t_end: float) -> List[List[Any]]:
-        return self._fan(
-            lambda region_index: ("window", region_index, t_end),
-            window_end=t_end)
-
-    def collect_regions(self) -> List[Dict[str, Any]]:
-        return self._fan(lambda region_index: ("collect", region_index))
-
-    def worker_cpu_times(self) -> List[float]:
-        times = []
-        for handle in self.handles:
-            self._send(handle, ("stats",), None, None)
-            times.append(self._recv(handle, None, None)["cpu_time_s"])
-        return times
-
-    def close(self) -> None:
-        for handle in self.handles:
-            try:
-                handle.conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-        for handle in self.handles:
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5)
-            handle.conn.close()
+        return [future.result() for future in futures]
 
 
-# ----------------------------------------------------------------------
-# The coordinator
-# ----------------------------------------------------------------------
+def _run_inline(init: WorkerInit, full: Topology,
+                n_regions: int) -> List[Dict[str, Any]]:
+    """Every region in turn in this process; the caller's telemetry and
+    id sequences come back exactly as they were."""
+    global _inputs
+    base = capture_globals()
+    _inputs = (init, full)
+    try:
+        return [_run_region(region_index)
+                for region_index in range(n_regions)]
+    finally:
+        _inputs = None
+        restore_globals(base)
+
 
 def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
                 sync: str = "local", window_s: Optional[float] = None
                 ) -> Dict[str, Any]:
-    """Run ``scenario`` sharded into ``n_regions`` resident regions.
+    """Run ``scenario`` sharded into ``n_regions`` regions.
 
     Returns the stable result record.  It never depends on ``workers``;
     with ``n_regions=1`` its ``samples``/``flows``/``updates``/
@@ -263,8 +189,11 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     Raises ``ValueError``, before any region is built or any worker
     started, when a flow's path leaves its source host's region.
     ``sync`` is a retired option: ``"local"`` is the only semantics.
-    ``window_s`` defaults to the scenario's sample period and must be
-    finite and positive.
+    ``window_s`` is the step each region advances its simulator by; it
+    defaults to the scenario's sample period and must be finite and
+    positive.  An exception raised inside a region's task reaches the
+    caller with its type; a worker process that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
     if sync != "local":
         raise ValueError(
@@ -286,7 +215,7 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
     partition = partition_topology(full, n_regions, seed=scenario.seed)
 
     # hosted_counts refuses crossing flows; its flow-id offsets
-    # reproduce the sequential build's id assignment in every worker.
+    # reproduce the sequential build's id assignment in every task.
     paths = compute_paths(full, scenario)
     offsets: List[int] = []
     total = 0
@@ -295,90 +224,73 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         total += count
     init = WorkerInit(scenario=scenario, partition=partition, paths=paths,
                       base_sequences=capture_globals()["sequences"],
-                      flow_id_offsets=offsets)
+                      flow_id_offsets=offsets, window_s=window_s)
 
-    tally = _Tally()
-    if workers > 1 and n_regions > 1:
-        transport: Any = _ProcessTransport(init, n_regions,
-                                           min(workers, n_regions), tally)
+    pooled = workers > 1 and n_regions > 1
+    wait_start = time.perf_counter()  # reprolint: disable=RPL002
+    if pooled:
+        results = _run_pooled(init, full, n_regions,
+                              min(workers, n_regions))
     else:
-        transport = _InlineTransport(init, n_regions, full, tally)
+        results = _run_inline(init, full, n_regions)
+    wait_s = time.perf_counter() - wait_start  # reprolint: disable=RPL002
 
-    record_lists: List[List[Any]] = [[] for _ in range(n_regions)]
-    t = 0.0
-    window_index = 0
-    worker_cpu: List[float] = []
-    collected: List[Dict[str, Any]] = []
-    try:
-        transport.build_regions()
-        while t < scenario.duration_s:
-            t_end = min(t + window_s, scenario.duration_s)
-            barrier_start = time.perf_counter()  # reprolint: disable=RPL002
-            results = transport.run_window(t_end)
-            for index in range(n_regions):
-                record_lists[index].extend(results[index])
-            tally.barrier_seconds.append(
-                time.perf_counter()  # reprolint: disable=RPL002
-                - barrier_start)
-            t = t_end
-            window_index += 1
-            if _barrier_hook is not None:
-                _barrier_hook(window_index, transport.handles)
-
-        collected = transport.collect_regions()
-        worker_cpu = transport.worker_cpu_times()
-    finally:
-        transport.close()
-
-    # Fold the per-region collections: sampler records were streamed in
-    # per-window slices; finals, counters, and telemetry come once.
+    windows = {result["windows"] for result in results}
+    if len(windows) != 1:
+        raise RuntimeError(
+            f"regions stepped different window counts {sorted(windows)}")
     finals: Dict[int, List[float]] = {}
-    snapshots = []
-    region_updates = 0
-    region_passes = 0
-    for entry in collected:
-        snapshots.append(entry["metrics"])
-        for idx, final in entry["finals"]:
-            finals[idx] = final
-        region_updates = max(region_updates, entry["updates"])
-        region_passes += entry["allocation_passes"]
-    merged = MetricsRegistry().merge(*snapshots).snapshot()
-
+    updates = passes = 0
+    for result in results:
+        finals.update(result["finals"])
+        updates = max(updates, result["updates"])
+        passes += result["allocation_passes"]
     missing = [idx for idx in range(len(scenario.flows))
                if idx not in finals]
     if missing:
         raise RuntimeError(
             f"flows {missing} were homed in no region - partition and "
             f"region construction disagree")
+    merged = MetricsRegistry().merge(
+        *(result["metrics"] for result in results)).snapshot()
 
-    tally.flush()
+    # process_time is cumulative per process, so a pool process's
+    # figure is the one its last task reported; inline work is in the
+    # coordinator's own figure.
+    worker_cpu: Dict[int, float] = {}
+    if pooled:
+        for result in results:
+            worker_cpu[result["pid"]] = max(
+                worker_cpu.get(result["pid"], 0.0), result["cpu_time_s"])
+
+    H_BARRIER.observe(wait_s)
+    C_MESSAGES.labels("region").inc(n_regions)
     return {
         "mode": "sharded",
         "seed": scenario.seed,
-        "samples": aggregate_samples(record_lists),
+        "samples": aggregate_samples(
+            [result["records"] for result in results]),
         "flows": [finals[idx] for idx in range(len(scenario.flows))],
-        "updates": region_updates,
-        "allocation_passes": region_passes,
+        "updates": updates,
+        "allocation_passes": passes,
         "n_regions": n_regions,
         "workers": workers,
         "window_s": window_s,
         "cut_edges": partition.cut_edges,
         "merged_stable_metrics": stable_metrics(merged),
-        # Wall/cpu transport accounting: informative, NOT part of any
+        # Wall/cpu accounting: informative, NOT part of any
         # byte-identity contract (tests pop it before comparing).
         "transport": {
-            "resident": True,
-            "windows": window_index,
-            "barrier_seconds_total": math.fsum(tally.barrier_seconds),
-            "messages": {kind: tally.messages[kind]
-                         for kind in sorted(tally.messages)},
-            # Region state never crosses a pipe.
+            "windows": windows.pop(),
+            "barrier_seconds_total": wait_s,
+            "messages": {"region": n_regions},
+            # Region state never crosses a process boundary.
             "state_bytes": {"from_workers": 0, "to_workers": 0},
             "cpu_time_s": {
                 "coordinator": (
                     time.process_time()  # reprolint: disable=RPL002
                     - cpu_start),
-                "workers": worker_cpu,
+                "workers": [worker_cpu[pid] for pid in sorted(worker_cpu)],
             },
         },
     }

@@ -1,22 +1,17 @@
-"""Region workers: one :class:`RegionWorld` per partition region.
+"""One :class:`RegionWorld` per partition region.
 
 A region runs an ordinary :class:`~repro.netsim.engine.Simulator` plus a
 per-shard :class:`~repro.netsim.fluid.FluidNetwork` over its slice of
-the topology, advanced in lockstep windows by
-:mod:`repro.shard.coordinator`.
+the topology; :mod:`repro.shard.coordinator` builds and runs each one
+as a single task, in a worker process or inline.
 
 Regions stand alone: every flow's path lies inside its source host's
 region (:func:`hosted_counts` refuses any other input), so each flow is
 built in exactly one region, on the :class:`~repro.netsim.routing.Path`
 the single engine gives it.  Regions share no link and no flow, and
-nothing crosses a barrier but sample records; the result matches
+never wait on one another; the result matches
 :func:`repro.shard.scenario.run_single` up to float rounding, and with
 one region it is byte-identical.
-
-Regions are *resident*: each lives inside a long-lived worker process
-(or inline in the coordinator when ``workers == 1``) for the whole run,
-exchanging only small per-window messages — see
-:mod:`repro.shard.workers`.
 """
 
 from __future__ import annotations
@@ -37,24 +32,16 @@ LinkKey = Tuple[str, str]
 
 
 class RegionWorld:
-    """One region's simulator, sub-topology, fluid model, and flows."""
+    """One region's simulator, fluid model, homed flows and sampler."""
 
-    def __init__(self, region_index: int, sim: Simulator,
-                 topo: Topology, flows: FlowSet,
-                 flow_by_spec: Dict[int, Flow], fluid: FluidNetwork,
-                 sampler: GoodputSampler):
-        self.region_index = region_index
+    def __init__(self, sim: Simulator, flow_by_spec: Dict[int, Flow],
+                 fluid: FluidNetwork, sampler: GoodputSampler):
         self.sim = sim
-        self.topo = topo
-        self.flows = flows
         #: Spec index -> the flow homed here (source host in this
         #: region), in spec order.
         self.flow_by_spec = flow_by_spec
         self.fluid = fluid
         self.sampler = sampler
-
-    def run_window(self, t_end: float) -> None:
-        self.sim.run(until=t_end)
 
     def home_finals(self) -> List[Tuple[int, List[float]]]:
         """Final per-flow observables for flows homed here, as
@@ -105,9 +92,9 @@ def hosted_counts(scenario: ShardScenario, partition: Partition,
     One ``make_flow`` call per homed flow — so the prefix sums give the
     exact ``repro.netsim.flows:_flow_ids`` offset each region's build
     starts at when regions are built in index order from a common
-    sequence base.  Resident workers building regions concurrently use
-    this to install the same flow-id assignment the sequential inline
-    build produces (flow ids are allocator tie-breakers, so this is
+    sequence base.  Every region task installs its offset before it
+    builds, so a region gets the same flow ids in whichever process
+    builds it (flow ids are allocator tie-breakers, so this is
     byte-identity, not cosmetics).
     """
     assignment = partition.assignment
@@ -198,6 +185,5 @@ def build_region(full: Topology, scenario: ShardScenario,
     sampler = GoodputSampler(sim, list(flow_by_spec.values()), [])
     sampler.start(scenario.sample_period_s)
 
-    return RegionWorld(region_index=region_index, sim=sim, topo=topo,
-                       flows=flows, flow_by_spec=flow_by_spec, fluid=fluid,
+    return RegionWorld(sim=sim, flow_by_spec=flow_by_spec, fluid=fluid,
                        sampler=sampler)

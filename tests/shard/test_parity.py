@@ -5,8 +5,8 @@ The contract (DESIGN.md "Sharded simulation"), all compared via
 
 * ``run_sharded(s, n_regions=1)`` — the anchor — equals
   :func:`repro.shard.scenario.run_single` on samples, per-flow finals,
-  update and pass counts: region construction, windowing and the
-  resident transport add nothing when nothing is cut.
+  update and pass counts: region construction and stepping the
+  region's simulator in windows add nothing when nothing is cut.
 * With more regions, and every flow inside its source host's region,
   samples and per-flow finals match :func:`run_single` up to float
   rounding: regions share no link and no flow.
@@ -129,8 +129,8 @@ class TestExactByteIdentity:
 
     def test_worker_count_never_changes_results(self):
         """Full-record identity, merged telemetry included, across
-        inline hosts (workers=1), shared workers (2 workers hosting 4
-        regions) and one process per region."""
+        inline regions (workers=1), a pool of 2 processes running 4
+        region tasks, and one process per region."""
         for seed in range(5):
             for n_regions in (2, 4):
                 scenario = local_churn_scenario(seed, n_regions)
@@ -149,8 +149,8 @@ class TestExactByteIdentity:
         assert canonical(run_sharded(scenario, n_regions=1)) == single
 
     def test_explicit_window_length_is_neutral(self):
-        # Regions exchange nothing at a barrier, so where the barriers
-        # fall cannot matter.
+        # A region's simulator stops at every window end and nothing
+        # else happens there, so where the windows fall cannot matter.
         scenario = churn_scenario(11)
         default = canonical(run_sharded(scenario, n_regions=1))
         small = canonical(run_sharded(scenario, n_regions=1,

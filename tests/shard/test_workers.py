@@ -1,33 +1,19 @@
-"""Resident worker processes: protocol, crash handling, id sequences."""
+"""Region tasks: id sequences, failures, and the inline globals restore."""
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+import multiprocessing
 import os
 import signal
 
 import pytest
 
+from repro.checkpoint import capture_globals
 from repro.netsim import flows as flows_module
-from repro.shard import ShardWorkerError, run_sharded
-from repro.shard import coordinator
-from repro.shard.coordinator import _ProcessTransport, _Tally
-from repro.shard.region import compute_paths, hosted_counts
-from repro.shard.scenario import build_topology
-from repro.shard.workers import WorkerInit, install_sequences
-from repro.netsim.engine import Simulator
-from repro.shard.partition import partition_topology
+from repro.shard import coordinator, run_sharded
+from repro.shard.coordinator import install_sequences
 from tests.shard.test_parity import local_churn_scenario
-
-
-def make_init(scenario, n_regions):
-    full = build_topology(scenario, Simulator(seed=scenario.seed))
-    partition = partition_topology(full, n_regions, seed=scenario.seed)
-    paths = compute_paths(full, scenario)
-    counts = hosted_counts(scenario, partition, paths)
-    offsets = [sum(counts[:i]) for i in range(n_regions)]
-    return WorkerInit(scenario=scenario, partition=partition, paths=paths,
-                      base_sequences={"repro.netsim.flows:_flow_ids": (0,)},
-                      flow_id_offsets=offsets)
 
 
 class TestInstallSequences:
@@ -49,74 +35,95 @@ class TestInstallSequences:
             flows_module._flow_ids = saved
 
 
-class TestShardWorkerError:
-    def test_message_names_region_and_window(self):
-        err = ShardWorkerError(2, 3, 1.5, "boom")
-        assert "worker 2" in str(err)
-        assert "region 3" in str(err)
-        assert "t=1.5s" in str(err)
-        assert "boom" in str(err)
-
-    def test_control_channel_form(self):
-        err = ShardWorkerError(0, None, None, "pipe closed")
-        assert "control channel" in str(err)
-        assert "pipe closed" in str(err)
+class RegionFailure(RuntimeError):
+    """Raised inside one region's task by the tests below."""
 
 
-class TestWorkerProtocol:
-    def test_unknown_command_yields_shard_worker_error(self):
-        scenario = local_churn_scenario(0, n_regions=2)
-        transport = _ProcessTransport(make_init(scenario, 2), n_regions=2,
-                                      workers=2, tally=_Tally())
+def _fail_region_1(monkeypatch, fail):
+    """Make building region 1 call ``fail()``; other regions build as
+    usual.  Forked pool workers inherit the patch."""
+    real = coordinator.build_region
+
+    def build_region(full, scenario, partition, region_index, paths):
+        if region_index == 1:
+            fail()
+        return real(full, scenario, partition, region_index, paths)
+
+    monkeypatch.setattr(coordinator, "build_region", build_region)
+
+
+def _raise():
+    raise RegionFailure("region 1 failed")
+
+
+def _scenario():
+    return local_churn_scenario(0, n_regions=2, duration_s=0.5)
+
+
+class TestRegionTaskFailure:
+    def test_killed_worker_breaks_the_pool_and_is_reaped(self, monkeypatch):
+        _fail_region_1(monkeypatch,
+                       lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(BrokenProcessPool):
+            run_sharded(_scenario(), n_regions=2, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_exception_reaches_the_caller_with_its_type(
+            self, monkeypatch, workers):
+        _fail_region_1(monkeypatch, _raise)
+        with pytest.raises(RegionFailure, match="region 1 failed"):
+            run_sharded(_scenario(), n_regions=2, workers=workers)
+        assert multiprocessing.active_children() == []
+
+
+def _watch_inline(monkeypatch):
+    """Record ``capture_globals()`` on entry to and exit from the inline
+    path: the coordinator's own topology build, path computation and
+    accounting fall outside it, in the caller's registry on purpose."""
+    seen = {}
+    real = coordinator._run_inline
+
+    def run_inline(*args):
+        seen["before"] = capture_globals()
         try:
-            transport.build_regions()
-            handle = transport.handles[0]
-            handle.conn.send(("frobnicate", 0))
-            with pytest.raises(ShardWorkerError, match="frobnicate"):
-                transport._recv(handle, 0, None)
+            return real(*args)
         finally:
-            transport.close()
-        for handle in transport.handles:
-            assert not handle.process.is_alive()
+            seen["after"] = capture_globals()
 
-    def test_worker_failure_reply_carries_the_traceback(self):
-        scenario = local_churn_scenario(0, n_regions=2)
-        transport = _ProcessTransport(make_init(scenario, 2), n_regions=2,
-                                      workers=1, tally=_Tally())
-        try:
-            # A window against a region that was never built fails inside
-            # the worker; the loop must survive and report the traceback.
-            handle = transport.handles[0]
-            handle.conn.send(("window", 0, 0.5))
-            with pytest.raises(ShardWorkerError, match="KeyError"):
-                transport._recv(handle, 0, 0.5)
-            # The worker is still serving: a real build now succeeds.
-            transport.build_regions()
-        finally:
-            transport.close()
+    monkeypatch.setattr(coordinator, "_run_inline", run_inline)
+    return seen
 
 
-class TestWorkerCrash:
-    def test_sigkilled_worker_surfaces_region_and_window(self, monkeypatch):
-        """SIGKILL one worker between windows: the coordinator raises a
-        ShardWorkerError naming the dead worker's region and the window,
-        and still reaps every remaining worker process."""
-        scenario = local_churn_scenario(0, n_regions=2)
-        seen = {"handles": None}
+class TestInlineGlobals:
+    def test_success_restores_the_callers_globals(self, monkeypatch):
+        seen = _watch_inline(monkeypatch)
+        run_sharded(_scenario(), n_regions=2, workers=1)
+        assert seen["after"] == seen["before"]
 
-        def kill_first(window_index, handles):
-            seen["handles"] = list(handles)
-            if window_index == 1:
-                os.kill(handles[0].process.pid, signal.SIGKILL)
-                handles[0].process.join(timeout=10)
+    def test_failure_in_region_1_restores_the_callers_globals(
+            self, monkeypatch):
+        _fail_region_1(monkeypatch, _raise)
+        seen = _watch_inline(monkeypatch)
+        with pytest.raises(RegionFailure):
+            run_sharded(_scenario(), n_regions=2, workers=1)
+        assert seen["after"] == seen["before"]
 
-        monkeypatch.setattr(coordinator, "_barrier_hook", kill_first)
-        with pytest.raises(ShardWorkerError) as excinfo:
-            run_sharded(scenario, n_regions=2, workers=2)
-        message = str(excinfo.value)
-        assert "worker 0" in message
-        assert "region 0" in message
-        assert "t=" in message
-        # Cleanup ran despite the failure: no orphaned worker processes.
-        for handle in seen["handles"]:
-            assert not handle.process.is_alive()
+
+class TestTransportRecord:
+    def test_one_task_per_region_and_no_state_bytes(self):
+        def tasks():
+            family = capture_globals()["metrics"]["shard_messages_total"]
+            return family.get("labels", {}).get("region", 0.0)
+
+        before = tasks()
+        record = run_sharded(_scenario(), n_regions=2, workers=2,
+                             window_s=0.125)
+        transport = record["transport"]
+        assert transport["windows"] == 4
+        assert transport["messages"] == {"region": 2}
+        assert tasks() - before == 2
+        assert transport["state_bytes"] == {"from_workers": 0,
+                                            "to_workers": 0}
+        assert 1 <= len(transport["cpu_time_s"]["workers"]) <= 2
+        assert multiprocessing.active_children() == []
