@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 # Fallback wall-clock family list for summaries written before the
 # runner started embedding ``wall_clock_metrics``; current summaries
 # carry the authoritative list themselves.  Imported, not copied, so
-# the fallback cannot drift either (reprolint RPL007).
+# the fallback cannot drift either (RPL007, tests/lint/test_rules.py).
 from repro.telemetry import WALL_CLOCK_METRICS  # noqa: E402
 
 

@@ -133,7 +133,7 @@ def _run_region(region_index: int) -> Dict[str, Any]:
         "metrics": telemetry.metrics().snapshot(),
         "windows": windows,
         "pid": os.getpid(),
-        "cpu_time_s": time.process_time(),  # reprolint: disable=RPL002
+        "cpu_time_s": time.process_time(),
     }
 
 
@@ -210,7 +210,7 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
         raise ValueError(
             f"window_s must be positive and finite, got {window_s}")
 
-    cpu_start = time.process_time()  # reprolint: disable=RPL002
+    cpu_start = time.process_time()
     full = build_topology(scenario, Simulator(seed=scenario.seed))
     partition = partition_topology(full, n_regions, seed=scenario.seed)
 
@@ -227,13 +227,13 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
                       flow_id_offsets=offsets, window_s=window_s)
 
     pooled = workers > 1 and n_regions > 1
-    wait_start = time.perf_counter()  # reprolint: disable=RPL002
+    wait_start = time.perf_counter()
     if pooled:
         results = _run_pooled(init, full, n_regions,
                               min(workers, n_regions))
     else:
         results = _run_inline(init, full, n_regions)
-    wait_s = time.perf_counter() - wait_start  # reprolint: disable=RPL002
+    wait_s = time.perf_counter() - wait_start
 
     windows = {result["windows"] for result in results}
     if len(windows) != 1:
@@ -287,9 +287,7 @@ def run_sharded(scenario: ShardScenario, n_regions: int, workers: int = 1,
             # Region state never crosses a process boundary.
             "state_bytes": {"from_workers": 0, "to_workers": 0},
             "cpu_time_s": {
-                "coordinator": (
-                    time.process_time()  # reprolint: disable=RPL002
-                    - cpu_start),
+                "coordinator": time.process_time() - cpu_start,
                 "workers": [worker_cpu[pid] for pid in sorted(worker_cpu)],
             },
         },

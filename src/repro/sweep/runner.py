@@ -131,7 +131,7 @@ def run_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     # Wall-clock by design: per-task wall_seconds is operator-facing
     # profiling data, excluded from every determinism comparison
     # (aggregate_records drops it; see WALL_CLOCK_METRICS).
-    started = time.perf_counter()  # reprolint: disable=RPL002
+    started = time.perf_counter()
     result = driver(task.seed, task.param_dict)
     record = {
         "task_id": task.task_id,
@@ -141,7 +141,7 @@ def run_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "params": task.param_dict,
         "logical_seed": task.logical_seed,
         "seed": task.seed,
-        "wall_seconds": time.perf_counter() - started,  # reprolint: disable=RPL002
+        "wall_seconds": time.perf_counter() - started,
         "result": result,
         "metrics": telemetry.metrics().snapshot(),
     }
@@ -199,7 +199,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
     out_path = None if out_dir is None else Path(out_dir)
     tasks = spec.tasks()
     # Sweep-level wall time: reporting only, never aggregated.
-    started = time.perf_counter()  # reprolint: disable=RPL002
+    started = time.perf_counter()
 
     done: Dict[str, Dict[str, Any]] = {}
     pending: List[SweepTask] = []
@@ -273,7 +273,7 @@ def run_sweep(spec: SweepSpec, out_dir=None, workers: int = 1,
         aggregates=aggregate_records(records),
         merged_metrics=merged,
         executed=len(records) - skipped, skipped=skipped,
-        wall_seconds=time.perf_counter() - started,  # reprolint: disable=RPL002
+        wall_seconds=time.perf_counter() - started,
         out_dir=out_path, errors=errors)
     if out_path is not None:
         result.write_summary(out_path / SUMMARY_NAME)

@@ -40,8 +40,8 @@ __all__ = [
 #: legitimately differ between byte-identical runs.  The determinism
 #: gate (`scripts/check_sweep.py`) and the sweep runner's parity digest
 #: exclude exactly these families — one list, imported everywhere, so
-#: the exclusion can never drift (reprolint RPL007 enforces the single
-#: definition).
+#: the exclusion can never drift (RPL007 in tests/lint/test_rules.py
+#: enforces the single definition).
 WALL_CLOCK_METRICS = (PHASE_METRIC, "shard_barrier_seconds")
 
 #: The process-wide default instances.  Created once and never replaced

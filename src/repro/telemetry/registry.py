@@ -435,11 +435,15 @@ class MetricsRegistry:
         primitive: every live family is zeroed, then every family in
         the snapshot — including zero-valued ones and zero-valued
         labeled children — is recreated with its exact kind, label
-        names, bucket bounds, and values.  After a restore,
-        ``registry.snapshot()`` equals the input snapshot modulo
-        families the snapshot never mentioned (those stay registered
-        but zeroed, which is what in-place :meth:`reset` guarantees
-        cached metric objects anyway).
+        names, bucket bounds, and values.  Labeled children that a
+        restored family's snapshot lacks are dropped, so after a
+        restore ``registry.snapshot()`` equals the input snapshot
+        except for families the snapshot never mentions: those stay
+        registered but zeroed, as in-place :meth:`reset` guarantees
+        metric objects cached at import.  A child kept in a variable
+        counts into the registry only while the snapshots it is
+        restored to contain it (import-time caches are in every
+        snapshot captured after the import).
 
         Kind or label-set conflicts with live families raise
         :class:`MetricError` — restoring a checkpoint into a process
@@ -455,7 +459,11 @@ class MetricsRegistry:
             metric._reset_value()
             if not _zero_snap(value):
                 metric._merge_snap(value)
-            for joined, child_value in family.get("labels", {}).items():
+            labels = family.get("labels", {})
+            for values in [values for values in metric._children
+                           if ",".join(values) not in labels]:
+                del metric._children[values]
+            for joined, child_value in labels.items():
                 child = metric.labels(*joined.split(","))
                 child._reset_value()
                 if not _zero_snap(child_value):

@@ -171,3 +171,30 @@ class TestQueueRestore:
         monkeypatch.undo()
         with pytest.raises(CheckpointError, match="_QueuedEvent"):
             unpack_state(blob)
+
+
+class TestGlobalsRestore:
+    def test_restore_is_exact_after_a_new_label_child(self):
+        from repro.baselines import sdn_te
+        base = capture_globals()
+        sdn_te._C_RECONFIGS.labels("x").inc(3)
+        restore_globals(base)
+        assert capture_globals() == base
+
+    def test_children_cached_at_import_still_count_after_restore(self):
+        from repro.baselines import sdn_te
+        from repro.netsim import routecache
+        base = capture_globals()
+        sdn_te._C_RECONFIGS.labels("x").inc(3)
+        routecache._C_HITS.labels("x").inc(3)
+        restore_globals(base)
+        sdn_te._C_RECONFIG_STEADY.inc(2)
+        routecache._HIT["sssp"].inc(5)
+        before = base["metrics"]
+        after = telemetry.metrics().snapshot()
+        for name, label, delta in (
+                ("sdn_te_reconfigs_total", "steady", 2),
+                ("routing_cache_hits_total", "sssp", 5)):
+            assert after[name]["labels"][label] == \
+                before[name]["labels"][label] + delta
+            assert "x" not in after[name]["labels"]

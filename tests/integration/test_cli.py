@@ -114,7 +114,7 @@ class TestRuntimeImports:
         script = (
             "import sys\n"
             "import repro.__main__, repro.experiments.figure3, repro.shard\n"
-            "import repro.sweep, repro.checkpoint, repro.lint\n"
+            "import repro.sweep, repro.checkpoint\n"
             "from repro.experiments.figure3 import Figure3Config, run_both\n"
             "run_both(Figure3Config(duration_s=6.0))\n"
             "print(sorted({'networkx', 'numpy', 'scipy'}"

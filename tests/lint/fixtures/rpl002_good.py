@@ -1,6 +1,4 @@
 """Simulation clock and telemetry timers only."""
-import time
-
 from repro.telemetry import phase_timer
 
 
@@ -12,12 +10,6 @@ def profiled(registry):
     with phase_timer("allocate", registry=registry) as timing:
         pass
     return timing.elapsed
-
-
-def operator_facing_profiling():
-    # The sanctioned escape hatch: wall-clock by design, excluded from
-    # determinism comparisons, justified at the suppression site.
-    return time.perf_counter()  # reprolint: disable=RPL002
 
 
 def schedule(sim, delay_s):
