@@ -199,7 +199,6 @@ class ModeChangeAgent(SwitchProgram):
             self._refresh_process = self.switch.sim.every(
                 self.readvertise_s, self._readvertise,
                 start=self.readvertise_s)
-            self.switch.own(self._refresh_process)
 
     def _readvertise(self) -> None:
         """Re-flood every owned change with a fresh sequence number."""

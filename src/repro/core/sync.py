@@ -73,7 +73,6 @@ class DetectorSyncAgent(SwitchProgram):
         self._process = switch.sim.every(
             self.sync_period_s, self._broadcast_digest,
             start=self.sync_period_s)
-        switch.own(self._process)
 
     def on_remove(self, switch: ProgrammableSwitch) -> None:
         if self._process is not None:

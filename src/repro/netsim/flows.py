@@ -164,12 +164,6 @@ class FlowSet:
         self._version += 1
         return flow
 
-    def remove(self, flow: Flow) -> None:
-        removed = self._flows.pop(flow.flow_id, None)
-        if removed is not None:
-            removed.__dict__.pop("_owner", None)
-            self._version += 1
-
     def __iter__(self):
         return iter(self._flows.values())
 

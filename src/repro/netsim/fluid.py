@@ -109,8 +109,9 @@ def _compute_losses(load: Dict[LinkKey, float],
 def max_min_allocate(topo: Topology, flows: List[Flow]) -> AllocationResult:
     """One-shot weighted max-min allocation over the flows' current paths.
 
-    Flows without a path — or whose path crosses a link that no longer
-    exists (e.g. removed by switch repurposing) — are allocated zero.
+    Flows without a path — or whose path names a node pair the topology
+    has no link for (e.g. a Crossfire flood pinned from a truncated
+    traceroute) — are allocated zero.
     Returns instantaneous (unsmoothed) rates plus per-link load and loss.
 
     Semantically equivalent to the test oracle, but restructured around
@@ -124,8 +125,8 @@ def max_min_allocate(topo: Topology, flows: List[Flow]) -> AllocationResult:
     # Split flows once, pairing each with its cached link tuple and its
     # effective demand (constant for the pass — nothing here mutates
     # flows — so it is read once instead of once per filling round);
-    # flows crossing removed links are zero-routed up front so the hot
-    # loops below never need membership guards.
+    # flows whose path is not a chain of topology links are zero-routed
+    # up front so the hot loops below never need membership guards.
     inelastic: List[Tuple[Flow, tuple, float]] = []
     elastic: List[Tuple[Flow, tuple, float]] = []
     for flow in flows:
@@ -383,9 +384,9 @@ class FluidNetwork:
                 continue
             links = flow.path_links()
             if links is not None and not live_keys.issuperset(links):
-                # The cached path crosses a link that no longer exists
-                # (switch repurposing removed it): zero-route the flow
-                # until a reroute assigns it a live path.
+                # The path names a node pair with no link (a pinned
+                # path that is not a chain of links): zero-route the
+                # flow until a reroute assigns it a real path.
                 fd["rate_bps"] = 0.0
                 fd["goodput_bps"] = 0.0
                 fd["loss_rate"] = 1.0

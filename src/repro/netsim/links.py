@@ -16,6 +16,11 @@ DESIGN.md): it preserves the *timescales* — probes cross a link in roughly
 ``delay + size/capacity`` seconds, congestion raises loss for
 state-carrying packets — without simulating every data packet of a 120 s
 experiment in pure Python.
+
+A link's capacity and delay are fixed when the topology builds it.  The
+only runtime state change is :meth:`Link.set_down` / :meth:`Link.set_up`,
+the fault injector the probe-repair and fast-reroute tests use; a down
+link drops what is sent over it and what arrives on it.
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ class Link:
     def __init__(self, sim: Simulator, src: "Node", dst: "Node",
                  capacity_bps: float, delay_s: float,
                  queue_bytes: int = 512 * 1500):
-        if capacity_bps <= 0:
-            raise ValueError(f"link capacity must be positive, got {capacity_bps}")
+        if not 0.0 < capacity_bps < math.inf:
+            raise ValueError(f"link capacity must be finite and positive, "
+                             f"got {capacity_bps}")
         if delay_s < 0:
             raise ValueError(f"link delay must be non-negative, got {delay_s}")
         self.sim = sim
@@ -93,11 +99,6 @@ class Link:
         self.queue_bytes = queue_bytes
         self.stats = LinkStats()
         self.up = True
-        #: Set by :meth:`detach` when the link is removed from its
-        #: topology: in-flight deliveries and the serializer's
-        #: self-reschedule degrade to drops/no-ops instead of firing
-        #: against a node no longer in the topology.
-        self.detached = False
         #: Aggregate fluid-model data rate currently routed over this link,
         #: written by the fluid allocator on every update.
         self.fluid_load_bps = 0.0
@@ -106,9 +107,6 @@ class Link:
         self._busy = False
         #: Optional per-packet observers (monitors, tests).
         self.on_transmit: list = []
-        #: Observers of structural changes (capacity); the owning topology
-        #: registers one so cached fluid allocations are invalidated.
-        self.on_change: list = []
 
     # ------------------------------------------------------------------
     # Identification
@@ -157,24 +155,6 @@ class Link:
         return full_drain * rho ** 3
 
     # ------------------------------------------------------------------
-    # Runtime mutation
-    # ------------------------------------------------------------------
-    def set_capacity(self, capacity_bps: float) -> None:
-        """Change the line rate at runtime (e.g. a rate-limited port while
-        its switch is repurposed).  Notifies ``on_change`` observers so the
-        fluid model re-runs allocation; mutating ``capacity_bps`` directly
-        would silently leave a stale cached allocation in place.
-        """
-        if not 0.0 < capacity_bps < math.inf:
-            raise ValueError(f"link capacity must be finite and positive, "
-                             f"got {capacity_bps}")
-        if capacity_bps == self.capacity_bps:
-            return
-        self.capacity_bps = capacity_bps
-        for observer in self.on_change:
-            observer(self)
-
-    # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
     def set_down(self) -> None:
@@ -183,36 +163,11 @@ class Link:
     def set_up(self) -> None:
         self.up = True
 
-    def detach(self) -> None:
-        """Take the link out of service permanently (its endpoint was
-        removed via ``Topology.remove_link``/``remove_node``).
-
-        Drops everything still queued, zeroes the published fluid load,
-        and guards the already-scheduled ``_deliver``/``_transmit_next``
-        events so they become drops/no-ops rather than touching the
-        removed node.
-        """
-        self.detached = True
-        self.up = False
-        for packet in self._queue:
-            packet.mark_dropped("link_removed")
-            _count_drop(packet, "link_removed")
-        self.stats.packets_dropped_down += len(self._queue)
-        self._queue.clear()
-        self._queued_bytes = 0
-        self._busy = False
-        self.fluid_load_bps = 0.0
-
     # ------------------------------------------------------------------
     # Packet-level transmission
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet for transmission.  Returns False on drop."""
-        if self.detached:
-            packet.mark_dropped("link_removed")
-            self.stats.packets_dropped_down += 1
-            _count_drop(packet, "link_removed")
-            return False
         if not self.up:
             packet.mark_dropped("link_down")
             self.stats.packets_dropped_down += 1
@@ -236,7 +191,7 @@ class Link:
         return True
 
     def _transmit_next(self) -> None:
-        if self.detached or not self._queue:
+        if not self._queue:
             self._busy = False
             return
         self._busy = True
@@ -252,11 +207,6 @@ class Link:
         self.sim.schedule(serialization, self._transmit_next)
 
     def _deliver(self, packet: Packet) -> None:
-        if self.detached:
-            packet.mark_dropped("link_removed")
-            self.stats.packets_dropped_down += 1
-            _count_drop(packet, "link_removed")
-            return
         if not self.up:
             packet.mark_dropped("link_down")
             self.stats.packets_dropped_down += 1
@@ -284,12 +234,6 @@ class Link:
         ``sizes``, when given, must be the parallel ``size_bytes``
         column for ``packets``; it only short-cuts the byte summation.
         """
-        if self.detached:
-            for packet in packets:
-                packet.mark_dropped("link_removed")
-                _count_drop(packet, "link_removed")
-            self.stats.packets_dropped_down += len(packets)
-            return 0
         if not self.up:
             for packet in packets:
                 packet.mark_dropped("link_down")
@@ -354,12 +298,6 @@ class Link:
         return len(accepted)
 
     def _deliver_batch(self, packets: list) -> None:
-        if self.detached:
-            for packet in packets:
-                packet.mark_dropped("link_removed")
-                _count_drop(packet, "link_removed")
-            self.stats.packets_dropped_down += len(packets)
-            return
         if not self.up:
             for packet in packets:
                 packet.mark_dropped("link_down")

@@ -27,42 +27,6 @@ class Node:
         self.name = name
         #: Outgoing links keyed by neighbor node name.
         self.links: Dict[str, Link] = {}
-        #: Engine-scheduled work this node owns (periodic agents, traffic
-        #: sources, pending one-shot handles) — cancelled by
-        #: :meth:`retire` when the node is removed from its topology.
-        self.owned_work: List = []
-        #: True once the node has been removed from its topology; sources
-        #: and callbacks that race the removal check it and degrade to
-        #: drops instead of firing against a dead node.
-        self.retired = False
-
-    # ------------------------------------------------------------------
-    def own(self, work):
-        """Register node-owned scheduled work for removal-time cleanup.
-
-        ``work`` is anything exposing ``stop()`` or ``cancel()`` — a
-        :class:`~repro.netsim.engine.PeriodicProcess`, an
-        :class:`~repro.netsim.engine.EventHandle`, a traffic source.
-        Returns ``work`` so call sites can register inline.
-        """
-        self.owned_work.append(work)
-        return work
-
-    def retire(self) -> None:
-        """Cancel all owned scheduled work; called on topology removal.
-
-        Without this, ``Topology.remove_node`` left monitor samples,
-        periodic agents, and queued link events live in the event queue,
-        firing against a node no longer in ``Topology.nodes``.
-        """
-        self.retired = True
-        for work in self.owned_work:
-            stop = getattr(work, "stop", None)
-            if stop is None:
-                stop = getattr(work, "cancel", None)
-            if stop is not None:
-                stop()
-        self.owned_work.clear()
 
     # ------------------------------------------------------------------
     def attach_link(self, link: Link) -> None:
@@ -139,12 +103,6 @@ class Host(Node):
             return True
         if self.gateway is None:
             raise RuntimeError(f"host {self.name} has no gateway configured")
-        if self.retired or self.gateway not in self.links:
-            # The uplink (or this host) was removed from the topology
-            # mid-run; a source may still fire before its owner cancels
-            # it, so degrade to a drop instead of crashing the event loop.
-            packet.mark_dropped("no_gateway")
-            return False
         return self.send_via(self.gateway, packet)
 
     def originate_batch(self, packets: List[Packet]) -> int:
@@ -168,10 +126,6 @@ class Host(Node):
             return local
         if self.gateway is None:
             raise RuntimeError(f"host {self.name} has no gateway configured")
-        if self.retired or self.gateway not in self.links:
-            for packet in transit:
-                packet.mark_dropped("no_gateway")
-            return local
         return local + self.link_to(self.gateway).send_batch(transit)
 
     def receive(self, packet: Packet, from_link: Optional[Link] = None) -> None:

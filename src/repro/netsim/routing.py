@@ -43,12 +43,9 @@ class Path:
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"path has a loop: {self.nodes}")
         # Paths are immutable, so the link keys can be materialized once;
-        # the fluid allocator reads them on every pass (hot path).  The
-        # frozenset backs O(1) ``contains_link`` membership — reroute
-        # boosters ask it per flow per detection.
-        link_keys = tuple(zip(self.nodes, self.nodes[1:]))
-        object.__setattr__(self, "_link_keys", link_keys)
-        object.__setattr__(self, "_link_key_set", frozenset(link_keys))
+        # the fluid allocator reads them on every pass (hot path).
+        object.__setattr__(self, "_link_keys",
+                           tuple(zip(self.nodes, self.nodes[1:])))
 
     @classmethod
     def of(cls, nodes: Sequence[str]) -> "Path":
@@ -77,13 +74,6 @@ class Path:
     def links(self) -> List[Tuple[str, str]]:
         """Directed (src, dst) link keys along the path."""
         return list(self._link_keys)  # type: ignore[attr-defined]
-
-    def contains_link(self, a: str, b: str,
-                      either_direction: bool = True) -> bool:
-        links = self._link_key_set  # type: ignore[attr-defined]
-        if (a, b) in links:
-            return True
-        return either_direction and (b, a) in links
 
     def latency(self, topo: Topology) -> float:
         """Total propagation delay along the path."""

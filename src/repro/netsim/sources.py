@@ -46,7 +46,6 @@ class PacketSource:
     def start(self, delay_s: float = 0.0) -> "PacketSource":
         self._process = self.sim.every(1.0 / self.rate_pps, self._emit,
                                        start=delay_s)
-        self.host.own(self._process)
         return self
 
     def stop(self) -> None:
@@ -106,7 +105,6 @@ class BatchPacketSource:
     def start(self, delay_s: float = 0.0) -> "BatchPacketSource":
         self._process = self.sim.every(self.window_s, self._emit_window,
                                        start=delay_s)
-        self.host.own(self._process)
         return self
 
     def stop(self) -> None:

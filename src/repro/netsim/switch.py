@@ -581,10 +581,7 @@ class ProgrammableSwitch(Node):
             raise ValueError("reconfiguration duration must be >= 0")
         if not hitless:
             self.reconfiguring = True
-        # Node-owned so topology removal cancels the completion timer
-        # instead of leaving it to fire against a removed switch.
-        self.own(self.sim.schedule(duration_s, self._end_reconfiguration,
-                                   on_complete))
+        self.sim.schedule(duration_s, self._end_reconfiguration, on_complete)
 
     def _end_reconfiguration(self,
                              on_complete: Optional[Callable[[], None]]

@@ -39,18 +39,15 @@ class Topology:
         self.nodes: Dict[str, Node] = {}
         #: Directed links keyed by (src, dst) node names.
         self.links: Dict[Tuple[str, str], Link] = {}
-        #: Bumped on every structural mutation (node/link add or remove,
-        #: capacity change).  The fluid model compares it across epochs to
-        #: decide whether a cached allocation is still valid, so all
-        #: runtime mutations must go through the Topology/Link APIs.
+        #: Bumped by every ``add_*`` call.  A topology only grows while
+        #: it is built, then runs unchanged; the fluid fast path and the
+        #: route cache compare ``version`` to decide whether what they
+        #: cached still describes this network.
         self.version = 0
         #: Versioned routing cache: native SSSP trees and
         #: k-shortest-path candidate memos, both invalidated off
         #: ``version`` (see DESIGN.md "Routing cache").
         self.route_cache = RouteCache(self)
-
-    def _mark_mutated(self, *_args) -> None:
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,7 +59,7 @@ class Topology:
         switch = ProgrammableSwitch(self.sim, name, resources,
                                     programmable=programmable)
         self.nodes[name] = switch
-        self._mark_mutated()
+        self.version += 1
         return switch
 
     @property
@@ -74,7 +71,7 @@ class Topology:
         self._check_fresh(name)
         host = Host(self.sim, name, gateway=gateway)
         self.nodes[name] = host
-        self._mark_mutated()
+        self.version += 1
         return host
 
     def attach_host(self, name: str, switch: str,
@@ -96,51 +93,8 @@ class Topology:
         node_b.attach_link(rev)
         self.links[(a, b)] = fwd
         self.links[(b, a)] = rev
-        # Runtime capacity changes must also invalidate cached allocations.
-        fwd.on_change.append(self._mark_mutated)
-        rev.on_change.append(self._mark_mutated)
-        self._mark_mutated()
+        self.version += 1
         return fwd, rev
-
-    def remove_link(self, a: str, b: str) -> None:
-        """Remove the duplex link between ``a`` and ``b`` (both directions).
-
-        Models a port taken out of service, e.g. while a switch is
-        repurposed.  Flows whose cached paths cross the removed link are
-        zero-routed by the fluid model until something reroutes them.
-        """
-        removed = False
-        for key in ((a, b), (b, a)):
-            link = self.links.pop(key, None)
-            if link is not None:
-                link.src.links.pop(link.dst.name, None)
-                link.detach()
-                removed = True
-        if not removed:
-            raise KeyError(f"no link {a}<->{b} in {self.name}")
-        self._mark_mutated()
-
-    def remove_node(self, name: str) -> None:
-        """Remove any node (switch or host) and every incident link.
-
-        Engine-scheduled work owned by the node (periodic agents,
-        traffic sources — anything registered via ``Node.own``) is
-        cancelled, and the removed links' in-flight deliveries degrade
-        to drops (``Link.detach``), so no dangling event fires against a
-        node that is no longer in :attr:`nodes`.
-        """
-        node = self.node(name)
-        for neighbor in list(node.links):
-            self.remove_link(name, neighbor)
-        # Sweep one-directional leftovers still pointing at the node
-        # (e.g. a half-removed duplex pair).
-        for key in [k for k in self.links if name in k]:
-            link = self.links.pop(key)
-            link.src.links.pop(link.dst.name, None)
-            link.detach()
-        node.retire()
-        del self.nodes[name]
-        self._mark_mutated()
 
     def _check_fresh(self, name: str) -> None:
         if name in self.nodes:

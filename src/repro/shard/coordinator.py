@@ -148,7 +148,11 @@ def _run_pooled(init: WorkerInit, full: Topology, n_regions: int,
         # heap (topology, paths) into the permanent GC generation first:
         # the children inherit it frozen, so their cyclic-GC passes never
         # rescan it — which would burn CPU and dirty copy-on-write pages
-        # in every child.  Unfrozen again once the forks exist.
+        # in every child.  Unfrozen again once the forks exist.  Collect
+        # before freezing: a topology is a reference cycle, so a dead one
+        # from an earlier build would otherwise be frozen and inherited
+        # too, and how many there are would hang on cyclic-GC timing.
+        gc.collect()
         gc.freeze()
         try:
             futures = [pool.submit(_run_region, region_index)

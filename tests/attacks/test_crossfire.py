@@ -74,6 +74,24 @@ class TestMapping:
             assert ("s3", "s4") in flow.path.links()
         assert attacker.target_link == ("s4", "sR")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "_pin_path appends the decoy's gateway to whatever hops a re-trace "
+        "returned; a truncated trace pins a path over a pair with no link "
+        "(ROADMAP item 20)"))
+    def test_every_pinned_flood_path_is_a_chain_of_topology_links(
+            self, scene):
+        net, fluid = scene
+        attacker = CrossfireAttacker(
+            net.topo, fluid, bots=net.bot_hosts, decoys=net.decoy_servers,
+            victim=net.victim)
+        attacker.launch_flood(["sL", "s1", "sR"])
+        # A re-trace that came back truncated: sL, s5, then nothing.
+        attacker.repin_flood(["sL", "s5"])
+        fluid.update()
+        for flow in attacker.flows:
+            assert all(key in net.topo.links for key in flow.path.link_keys)
+            assert flow.rate_bps > 0.0
+
     def test_stop_all_flows(self, scene, sim):
         net, fluid = scene
         attacker = CrossfireAttacker(

@@ -1,8 +1,4 @@
-"""All mutations flow through the sanctioned Topology/Link APIs."""
-
-
-def throttle(topo, key, new_bps):
-    topo.set_capacity(key, new_bps)
+"""Topology state changes go through the Topology/Link APIs."""
 
 
 def cut(link):
@@ -17,8 +13,9 @@ def splice(topo, a, b, capacity_bps, delay_s):
     topo.add_duplex_link(a, b, capacity_bps, delay_s)
 
 
-def drop(topo, a, b):
-    topo.remove_link(a, b)
+def grow(topo, switch, host):
+    topo.add_switch(switch)
+    topo.attach_host(host, switch)
 
 
 def headroom(topo, key):

@@ -64,10 +64,6 @@ class TestFlowSet:
         with pytest.raises(ValueError):
             flows.add(flow)
 
-    def test_remove_is_silent_for_unknown(self):
-        flows = FlowSet()
-        flows.remove(make_flow("a", "b", 1e6))
-
     def test_active_filters_by_time(self):
         flows = FlowSet()
         early = flows.add(make_flow("a", "b", 1e6, end_time=5.0))

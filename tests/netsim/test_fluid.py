@@ -104,10 +104,13 @@ def diamond(sim, capacity=1e9):
 
 SHORT = Path.of(["h1", "s1", "s2", "s5", "h2"])
 LONG = Path.of(["h1", "s1", "s3", "s4", "s5", "h2"])
+#: Names the pair s1-s4, which has no link: the shape of a pinned path
+#: whose hops were truncated.
+NOT_A_CHAIN = Path.of(["h1", "s1", "s4", "s5", "h2"])
 
 
 class TestAllocatorRegressions:
-    """Pins for the epsilon, stall-guard, and removed-link bugs."""
+    """Pins for the epsilon, stall-guard, and non-chain-path bugs."""
 
     def test_bps_scale_links_saturate_fully(self, sim):
         """Regression: the saturation epsilon must be capacity-relative.
@@ -170,15 +173,14 @@ class TestAllocatorRegressions:
         assert _stall_freeze(link_count, remaining, capacities, members,
                              unfrozen) == [f2.flow_id]
 
-    def test_flow_over_removed_link_allocated_zero(self, sim):
+    def test_flow_over_non_adjacent_pair_allocated_zero(self, sim):
         topo = diamond(sim)
-        short = make_flow("h1", "h2", 1e9, path=SHORT)
+        broken = make_flow("h1", "h2", 1e9, path=NOT_A_CHAIN)
         long = make_flow("h1", "h2", 1e9, path=LONG, sport=1)
-        topo.remove_link("s2", "s5")
-        result = max_min_allocate(topo, [short, long])
-        assert result.rates[short.flow_id] == 0.0
+        result = max_min_allocate(topo, [broken, long])
+        assert result.rates[broken.flow_id] == 0.0
         assert result.rates[long.flow_id] == pytest.approx(1e9)
-        assert ("s2", "s5") not in result.link_load
+        assert ("s1", "s4") not in result.link_load
 
 
 class TestMaxMinProperties:
@@ -406,22 +408,24 @@ class TestSteadyStateFastPath:
         sim.run(until=0.25)
         assert fluid.allocation_passes == 3
 
-    def test_link_capacity_change_marks_dirty(self, sim):
+    def test_link_addition_marks_dirty(self, sim):
         topo = tandem(sim)
         flows = FlowSet()
         flow = flows.add(make_flow("h1", "h2", 2e9, path=PATH_A))
         fluid = FluidNetwork(topo, flows, tcp_tau=0.0,
                              update_interval=0.01).start()
-        sim.schedule(0.1, topo.link("s1", "s2").set_capacity, 0.5e9)
+        sim.schedule(0.1, topo.add_duplex_link, "h3", "h4", 1e9, 0.001)
         sim.run(until=0.2)
         assert fluid.allocation_passes == 2
-        assert flow.rate_bps == pytest.approx(0.5e9)
+        assert flow.rate_bps == pytest.approx(1e9)
+        assert topo.link("h3", "h4").fluid_load_bps == 0.0
 
 
-class TestRemovedLinks:
-    """Switch repurposing removes links under live flows (satellite 3)."""
+class TestNonChainPaths:
+    """A flow pinned to a path that names a node pair with no link is
+    zero-routed, not a KeyError, until a reroute gives it a real path."""
 
-    def test_update_survives_link_removal(self, sim):
+    def test_update_zero_routes_non_chain_path(self, sim):
         topo = diamond(sim)
         flows = FlowSet()
         stranded = flows.add(make_flow("h1", "h2", 0.5e9, path=SHORT))
@@ -429,21 +433,22 @@ class TestRemovedLinks:
                                        sport=1))
         fluid = FluidNetwork(topo, flows, tcp_tau=0.0,
                              update_interval=0.01).start()
-        sim.schedule(0.1, topo.remove_link, "s2", "s5")
-        sim.run(until=0.2)  # would KeyError before the guard
+        sim.schedule(0.1, stranded.set_path, NOT_A_CHAIN)
+        sim.run(until=0.2)
         assert stranded.rate_bps == 0.0
         assert stranded.goodput_bps == 0.0
         assert stranded.loss_rate == 1.0
         assert detoured.rate_bps == pytest.approx(0.5e9)
 
-    def test_rerouted_flow_recovers_after_removal(self, sim):
+    def test_rerouted_flow_recovers(self, sim):
         topo = diamond(sim)
         flows = FlowSet()
-        flow = flows.add(make_flow("h1", "h2", 0.5e9, path=SHORT))
+        flow = flows.add(make_flow("h1", "h2", 0.5e9, path=NOT_A_CHAIN))
         fluid = FluidNetwork(topo, flows, tcp_tau=0.0,
                              update_interval=0.01).start()
-        sim.schedule(0.1, topo.remove_link, "s2", "s5")
-        sim.schedule(0.15, flow.set_path, LONG)
+        sim.run(until=0.1)
+        assert flow.rate_bps == 0.0 and flow.loss_rate == 1.0
+        sim.schedule(0.05, flow.set_path, LONG)
         sim.run(until=0.25)
         assert flow.rate_bps == pytest.approx(0.5e9)
         assert flow.loss_rate == 0.0

@@ -120,6 +120,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Link(sim, a, b, 0.0, 0.001)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 0.0,
+                                          -1.0])
+    def test_capacity_must_be_finite_and_positive(self, sim, capacity):
+        """Regression: a NaN capacity reached the allocator."""
+        a, b = Host(sim, "a"), Host(sim, "b")
+        with pytest.raises(ValueError,
+                           match="capacity must be finite and positive"):
+            Link(sim, a, b, capacity, 0.001)
+
     def test_negative_delay_rejected(self, sim):
         a, b = Host(sim, "a"), Host(sim, "b")
         with pytest.raises(ValueError):
@@ -133,15 +142,3 @@ class TestValidation:
         link.send(pkt)
         sim.run()
         assert seen == [pkt.pkt_id]
-
-    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 0.0,
-                                          -1.0])
-    def test_set_capacity_rejects_non_finite_or_non_positive(self, sim,
-                                                             capacity):
-        """Regression: a NaN capacity reached the allocator."""
-        _a, _b, link = make_pair(sim)
-        before = link.capacity_bps
-        with pytest.raises(ValueError,
-                           match="capacity must be finite and positive"):
-            link.set_capacity(capacity)
-        assert link.capacity_bps == before

@@ -23,11 +23,6 @@ class TestPath:
         with pytest.raises(ValueError):
             Path.of([])
 
-    def test_contains_link_either_direction(self):
-        path = Path.of(["a", "b", "c"])
-        assert path.contains_link("b", "a")
-        assert not path.contains_link("b", "a", either_direction=False)
-
     def test_latency_and_capacity(self, fig2):
         path = Path.of(["sL", "s1", "sR"])
         assert path.latency(fig2.topo) == pytest.approx(0.002)

@@ -21,6 +21,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro import telemetry
 from repro.core import te
 from repro.netsim import (GBPS, MS, Simulator, Topology, figure2_topology,
                           install_fast_reroute_alternates,
@@ -205,16 +206,15 @@ def test_figure2_exact_equality():
 
 # ---------------------------------------------------------------------------
 # TE over cached vs oracle candidates: the periodic-reconfiguration
-# workload the cache was built for (repeated passes, mid-run removals)
+# workload the cache was built for (repeated passes, plus links added
+# between passes so the cache's flush is checked against the oracle)
 # ---------------------------------------------------------------------------
-def _remove_redundant_link(topo: Topology) -> None:
-    """Remove the first switch-switch link that is not a bridge."""
-    switches = set(topo.switch_names)
-    bridges = {frozenset(edge) for edge in nx.bridges(build_graph(topo))}
-    a, b = next(pair for pair in topo.duplex_pairs()
-                if switches.issuperset(pair)
-                and frozenset(pair) not in bridges)
-    topo.remove_link(a, b)
+def _add_shortcut_link(topo: Topology) -> None:
+    """Link the first two non-adjacent switches with a short link."""
+    switches = sorted(topo.switch_names)
+    a, b = next((a, b) for i, a in enumerate(switches)
+                for b in switches[i + 1:] if (a, b) not in topo.links)
+    topo.add_duplex_link(a, b, 10 * GBPS, 0.5 * MS)
 
 
 def test_te_objective_matches_over_oracle_candidates(monkeypatch):
@@ -226,6 +226,8 @@ def test_te_objective_matches_over_oracle_candidates(monkeypatch):
         src, dst = rng.sample(topo.host_names, 2)
         flows.append(make_flow(src, dst, rng.uniform(1e6, 5e9),
                                sport=1024 + index))
+    invalidated = telemetry.metrics().get(
+        "routing_candidates_invalidated_total")
 
     def objective():
         return round(te.greedy_min_max_te(topo, flows, k=4,
@@ -234,9 +236,14 @@ def test_te_objective_matches_over_oracle_candidates(monkeypatch):
     # Equal-cost candidate reorderings may pick different paths, but the
     # min-max objective the greedy pass optimizes is tie-invariant.
     for index in range(6):
+        dropped = 0
         if index in (2, 4):
-            _remove_redundant_link(topo)
+            dropped = len(topo.route_cache.cached_candidate_keys)
+            assert dropped > 0
+            _add_shortcut_link(topo)
+        before = invalidated.snapshot()["value"]
         cached = objective()
+        assert invalidated.snapshot()["value"] - before == dropped
         with monkeypatch.context() as patch:
             patch.setattr(te, "k_shortest_paths", k_shortest_paths_reference)
             assert objective() == cached
